@@ -8,13 +8,13 @@ import sys
 
 import numpy as np
 
-from rotosense.bell_analysis import aggregate_probabilities, bell_decompose
+from rotosense.bell_analysis import bell_measurement
 from rotosense.measurement import (
-    exact_probabilities,
     optimal_basis,
     small_angle_probabilities,
+    sweep_probabilities,
 )
-from rotosense.spin_core import RotationParams, SpinState, dicke_to_qubit, rotation_unitary
+from rotosense.spin_core import RotationParams
 from rotosense.states import get_state
 
 
@@ -28,10 +28,10 @@ def main():
     args = parser.parse_args()
 
     state = get_state(args.state)
-    basis = optimal_basis(state)
     u = RotationParams(0.0, args.theta2, args.theta3).axis
-    n_photons = int(round(2 * state.J))
     grid = np.geomspace(1e-3, 5e-2, args.points)
+    exact_rows = sweep_probabilities(state, optimal_basis(state), grid, u)
+    bell_rows = sweep_probabilities(state, bell_measurement(int(round(2 * state.J))), grid, u)
 
     out = open(args.out, "w") if args.out else sys.stdout
     writer = csv.writer(out, lineterminator="\n")
@@ -40,14 +40,10 @@ def main():
          "gap_small", "gap_bell"]
     )
     gaps_small, gaps_bell = [], []
-    for theta in grid:
-        params = RotationParams(float(theta), args.theta2, args.theta3)
-        exact = exact_probabilities(state, basis, params).p
+    for theta, exact, bell in zip(grid, exact_rows, bell_rows):
         small = small_angle_probabilities(state.J, float(theta), u).p
-        spun = SpinState.normalized(state.J, rotation_unitary(state.J, params) @ state.amps)
-        agg = aggregate_probabilities(bell_decompose(dicke_to_qubit(spun)), n_photons)
         gap_s = float(np.max(np.abs(exact[:4] - small[:4])))
-        gap_b = float(np.max(np.abs(agg - exact[:4])))
+        gap_b = float(np.max(np.abs(bell[:4] - exact[:4])))
         gaps_small.append(gap_s)
         gaps_bell.append(gap_b)
         writer.writerow([f"{x:.12g}" for x in (theta, *u, *exact, gap_s, gap_b)])

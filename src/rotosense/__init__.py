@@ -4,6 +4,7 @@ from .bell_analysis import (
     BellProductAmplitudes,
     aggregate_probabilities,
     bell_decompose,
+    bell_measurement,
     bell_recompose,
     bell_states,
     verify_tabulated_decompositions,
@@ -29,6 +30,7 @@ from .estimation import (
     sample_outcomes,
 )
 from .measurement import (
+    Measurement,
     OutcomeDistribution,
     ProjectorBasis,
     classical_fisher,
@@ -36,6 +38,7 @@ from .measurement import (
     multiparam_saturation_check,
     optimal_basis,
     small_angle_probabilities,
+    sweep_probabilities,
 )
 from .metrology import (
     AnticoherenceReport,
@@ -54,8 +57,7 @@ from .spin_core import (
     SpinState,
     axis_from_angles,
     dicke_to_qubit,
-    matrix_exponential,
-    qubit_to_dicke,
+    rotated_amplitudes,
     rotation_unitary,
     spin_operators,
 )

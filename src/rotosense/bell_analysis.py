@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
-from .measurement import optimal_basis
+from .measurement import Measurement, optimal_basis
 from .spin_core import QubitState, SpinState, dicke_to_qubit
 from .states import balance, tetra2
 
@@ -146,14 +148,44 @@ AGGREGATION_N6 = {
 }
 
 
+_AGGREGATION = {4: AGGREGATION_N4, 6: AGGREGATION_N6}
+
+
 def aggregate_probabilities(bp: BellProductAmplitudes, n_photons: int) -> np.ndarray:
-    """Sum Bell-tuple probabilities into estimates of [P0, P1, P2, P3]."""
-    groups = {4: AGGREGATION_N4, 6: AGGREGATION_N6}.get(n_photons)
+    """Sum Bell-tuple probabilities into estimates of [P0, P1, P2, P3].
+
+    The qubit-picture reference for ``bell_measurement``.
+    """
+    groups = _AGGREGATION.get(n_photons)
     if groups is None or bp.n_pairs != n_photons // 2:
         raise ValueError(f"aggregation defined for 2 or 3 pairs, got {bp.n_pairs} pairs "
                          f"with n_photons={n_photons}")
     probs = bp.probabilities()
     return np.array([sum(probs[t] for t in groups[mu]) for mu in range(4)])
+
+
+@lru_cache(maxsize=None)
+def bell_measurement(n_photons: int) -> Measurement:
+    """The Bell-product analyzer as row blocks over |J,m>, J = n_photons / 2.
+
+    Block mu has one row per label tuple t of aggregation group mu, holding
+    the Bell-product amplitude of t in each |J,m>; its outcome probability
+    is the group's aggregated Bell probability.  Built on first use for
+    each photon number.
+    """
+    groups = _AGGREGATION.get(n_photons)
+    if groups is None:
+        raise ValueError(f"the Bell analyzer is defined for 4 or 6 photons, got {n_photons}")
+    j = n_photons / 2.0
+    # bell_decompose . dicke_to_qubit is linear: its columns are the images of |J,m>
+    image = np.stack(
+        [bell_decompose(dicke_to_qubit(SpinState(j, e))).amps for e in np.eye(n_photons + 1)],
+        axis=-1,
+    )
+    rows = np.array([image[t] for mu in range(4) for t in groups[mu]])
+    rows.setflags(write=False)
+    starts = tuple(accumulate((len(groups[mu]) for mu in range(3)), initial=0))
+    return Measurement(J=j, rows=rows, starts=starts)
 
 
 # ---------------------------------------------------------------------------

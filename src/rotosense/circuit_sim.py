@@ -17,10 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import QubitState, dicke_to_qubit
+from .spin_core import MAX_QUBITS, QubitState, dicke_to_qubit
 from .states import balance, tetra2
-
-MAX_QUBITS = 12
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
@@ -174,12 +172,6 @@ def run_circuit(circuit: Circuit, state: QubitState) -> QubitState:
         )
     amps = _apply_gates(state.amps, circuit.gates, circuit.n_qubits)
     return QubitState(circuit.n_qubits, amps)
-
-
-def outcome_distribution(circuit: Circuit, state: QubitState) -> np.ndarray:
-    """Probabilities of computational-basis outcomes after the circuit."""
-    out = run_circuit(circuit, state)
-    return np.abs(out.amps) ** 2
 
 
 def fidelity(a: QubitState, b: QubitState) -> float:

@@ -20,10 +20,10 @@ import numpy as np
 from . import bell_analysis, circuit_sim
 from .estimation import qcrb_experiment
 from .measurement import (
-    exact_probabilities,
     multiparam_saturation_check,
     optimal_basis,
     small_angle_probabilities,
+    sweep_probabilities,
 )
 from .metrology import anticoherence_report, fisher_single, j_expectations, qfi_matrix
 from .spin_core import RotationParams, SpinState, dicke_to_qubit, rotation_unitary
@@ -148,12 +148,16 @@ def cmd_fisher(args) -> int:
 
 def cmd_probabilities(args) -> int:
     cfg = RunConfig.resolve(args)
+    if args.grid_points < 1:
+        raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
     state = _load_state(cfg.state)
     basis = optimal_basis(state)
     _warn_theta1(cfg.theta1)
     u = RotationParams(0.0, cfg.theta2, cfg.theta3).axis
     grid = np.linspace(0.0, cfg.theta1, args.grid_points)
-    n_photons = int(round(2 * state.J))
+    exact_rows = sweep_probabilities(state, basis, grid, u)
+    analyzer = bell_analysis.bell_measurement(int(round(2 * state.J)))
+    bell_rows = sweep_probabilities(state, analyzer, grid, u)[:, :4]
     header = [
         "theta1", "u1", "u2", "u3",
         "P0", "P1", "P2", "P3", "Prest",
@@ -162,15 +166,8 @@ def cmd_probabilities(args) -> int:
         "gap_small", "gap_bell",
     ]
     rows = []
-    for theta in grid:
-        params = RotationParams(float(theta), cfg.theta2, cfg.theta3)
-        exact = exact_probabilities(state, basis, params).p
+    for theta, exact, bell in zip(grid, exact_rows, bell_rows):
         small = small_angle_probabilities(state.J, float(theta), u).p
-        rotated = SpinState.normalized(
-            state.J, rotation_unitary(state.J, params) @ state.amps
-        )
-        bp = bell_analysis.bell_decompose(dicke_to_qubit(rotated))
-        bell = bell_analysis.aggregate_probabilities(bp, n_photons)
         rows.append(
             [
                 float(theta), *[float(x) for x in u],

@@ -6,34 +6,25 @@ empirical spread of the estimates with the Cramer-Rao prediction
 1/sqrt(n F), F = 4 J (J+1) / 3.  Rounds can be generated either from the
 optimal-basis probabilities or from the Bell-pair aggregation; per-trial
 RNG streams are derived from (seed, trial) so results do not depend on
-execution order or thread count.
+execution order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bell_analysis import aggregate_probabilities, bell_decompose
+from .bell_analysis import bell_measurement
 from .measurement import (
+    Measurement,
     OutcomeDistribution,
     exact_probabilities,
     optimal_basis,
     small_angle_probabilities,
 )
-from .spin_core import RotationParams, SpinState, dicke_to_qubit, rotation_unitary
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("ROTOSENSE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+from .spin_core import RotationParams, SpinState
 
 
 @dataclass(frozen=True)
@@ -119,16 +110,6 @@ class MultinomialStats:
         np.fill_diagonal(cov, self.variances())
         return cov
 
-    def linear_combination_variance(self, a) -> float:
-        a = np.asarray(a, dtype=float)
-        var = self.variances()
-        cov = -self.n * np.outer(self.p, self.p)
-        total = float(np.sum(a**2 * var))
-        for i in range(a.size):
-            for k in range(i + 1, a.size):
-                total += 2.0 * a[i] * a[k] * cov[i, k]
-        return total
-
     def subset_sum_variance(self, indices) -> float:
         q = float(np.sum(self.p[list(indices)]))
         return self.n * q * (1.0 - q)
@@ -148,17 +129,12 @@ def multinomial_stats(dist, n: int) -> MultinomialStats:
     return MultinomialStats(p=np.array(p, dtype=float), n=int(n))
 
 
-def _pipeline_distribution(phi0: SpinState, params: RotationParams, pipeline: str):
-    """Five-category outcome probabilities for the chosen measurement pipeline."""
+def _pipeline_measurement(phi0: SpinState, pipeline: str) -> Measurement:
+    """The measurement a pipeline name selects: "optimal" or "bell"."""
     if pipeline == "optimal":
-        return exact_probabilities(phi0, optimal_basis(phi0), params).p
+        return optimal_basis(phi0)
     if pipeline == "bell":
-        rotated = SpinState.normalized(
-            phi0.J, rotation_unitary(phi0.J, params) @ phi0.amps
-        )
-        bp = bell_decompose(dicke_to_qubit(rotated))
-        agg = aggregate_probabilities(bp, int(round(2 * phi0.J)))
-        return np.append(agg, max(0.0, 1.0 - agg.sum()))
+        return bell_measurement(int(round(2 * phi0.J)))
     raise ValueError(f"unknown pipeline {pipeline!r}")
 
 
@@ -231,20 +207,13 @@ def qcrb_experiment(
     """
     if trials < 2:
         raise ValueError("need at least two trials for a spread estimate")
-    p = _pipeline_distribution(phi0, params, pipeline)
-    p_exact = _pipeline_distribution(phi0, params, "optimal")
+    p = exact_probabilities(phi0, _pipeline_measurement(phi0, pipeline), params).p
+    p_exact = exact_probabilities(phi0, optimal_basis(phi0), params).p
     p_small = small_angle_probabilities(phi0.J, params.theta1, params.axis).p
-
-    def run_trial(t: int) -> EstimateReport:
-        counts = sample_outcomes(p, n, np.random.SeedSequence((seed, t)))
-        return estimate_params(counts, phi0.J)
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_trial, range(trials)))
-    else:
-        reports = [run_trial(t) for t in range(trials)]
+    reports = [
+        estimate_params(sample_outcomes(p, n, np.random.SeedSequence((seed, t))), phi0.J)
+        for t in range(trials)
+    ]
 
     theta_hats = np.array([r.theta1_hat for r in reports])
     degenerate = sum(1 for r in reports if not r.axis_defined)

@@ -21,10 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-# Tolerances: plain operator algebra is good to 1e-12 in double precision at
-# these dimensions; anything routed through a 2^N tensor product gets 1e-10.
-ATOL_ALGEBRA = 1e-12
-ATOL_CROSS_PICTURE = 1e-10
+MAX_QUBITS = 12  # largest register expanded into the 2^N-amplitude qubit picture
 
 _NORM_SLACK = 1e-6  # constructor rejects inputs farther than this from unit norm
 
@@ -37,14 +34,22 @@ def _check_spin(j) -> int:
     return int(round(two_j))
 
 
-def _normalized(amps: np.ndarray, forgiving: bool) -> np.ndarray:
-    amps = np.asarray(amps, dtype=complex).reshape(-1).copy()
+def _rescaled(amps) -> np.ndarray:
+    """Amplitudes divided by their norm, for the ``normalized`` constructors."""
+    amps = np.asarray(amps, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(amps))
     if norm == 0.0:
         raise ValueError("state amplitudes are identically zero")
-    if not forgiving and abs(norm - 1.0) > _NORM_SLACK:
+    return amps / norm
+
+
+def _unit_amplitudes(amps) -> np.ndarray:
+    """Read-only copy of nearly unit-norm amplitudes, rescaled to unit norm."""
+    amps = np.asarray(amps, dtype=complex).reshape(-1)
+    norm = float(np.linalg.norm(amps))
+    if not abs(norm - 1.0) <= _NORM_SLACK:
         raise ValueError(f"state amplitudes are not normalized (norm={norm:.6g})")
-    amps /= norm
+    amps = amps / norm
     amps.setflags(write=False)
     return amps
 
@@ -58,7 +63,7 @@ class SpinState:
 
     def __post_init__(self):
         two_j = _check_spin(self.J)
-        amps = _normalized(self.amps, forgiving=getattr(self, "_forgiving", False))
+        amps = _unit_amplitudes(self.amps)
         if amps.size != two_j + 1:
             raise ValueError(f"expected {two_j + 1} amplitudes for J={self.J}, got {amps.size}")
         object.__setattr__(self, "J", two_j / 2.0)
@@ -67,12 +72,7 @@ class SpinState:
     @classmethod
     def normalized(cls, j, amps) -> "SpinState":
         """Construct from unnormalized amplitudes, rescaling to unit norm."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "_forgiving", True)
-        object.__setattr__(state, "J", j)
-        object.__setattr__(state, "amps", amps)
-        state.__post_init__()
-        return state
+        return cls(j, _rescaled(amps))
 
     @classmethod
     def from_m_amplitudes(cls, j, components: dict) -> "SpinState":
@@ -115,7 +115,7 @@ class QubitState:
         n = int(self.n_qubits)
         if n < 1:
             raise ValueError("n_qubits must be a positive integer")
-        amps = _normalized(self.amps, forgiving=getattr(self, "_forgiving", False))
+        amps = _unit_amplitudes(self.amps)
         if amps.size != 2**n:
             raise ValueError(f"expected {2**n} amplitudes for {n} qubits, got {amps.size}")
         object.__setattr__(self, "n_qubits", n)
@@ -123,12 +123,7 @@ class QubitState:
 
     @classmethod
     def normalized(cls, n_qubits, amps) -> "QubitState":
-        state = object.__new__(cls)
-        object.__setattr__(state, "_forgiving", True)
-        object.__setattr__(state, "n_qubits", n_qubits)
-        object.__setattr__(state, "amps", amps)
-        state.__post_init__()
-        return state
+        return cls(n_qubits, _rescaled(amps))
 
     @classmethod
     def basis(cls, n_qubits: int, index: int = 0) -> "QubitState":
@@ -218,51 +213,28 @@ def spin_operators(j):
     return _spin_operators_cached(_check_spin(j))
 
 
+def _axis_eigh(j, u) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the generator u . J."""
+    jx, jy, jz = spin_operators(j)
+    return np.linalg.eigh(u[0] * jx + u[1] * jy + u[2] * jz)
+
+
 def rotation_unitary(j, params: RotationParams) -> np.ndarray:
     """exp(-i * theta1 * u . J), computed by eigendecomposition of u . J."""
-    jx, jy, jz = spin_operators(j)
-    u = params.axis
-    generator = u[0] * jx + u[1] * jy + u[2] * jz
-    evals, evecs = np.linalg.eigh(generator)
+    evals, evecs = _axis_eigh(j, params.axis)
     phases = np.exp(-1j * params.theta1 * evals)
     return (evecs * phases) @ evecs.conj().T
 
 
-def matrix_exponential(a: np.ndarray) -> np.ndarray:
-    """Dense matrix exponential for dimensions up to 128.
+def rotated_amplitudes(state: SpinState, theta1s, u) -> np.ndarray:
+    """Columns exp(-i t u . J)|state>, one per t in theta1s.
 
-    Hermitian and skew-Hermitian inputs (the only ones arising from rotation
-    generators) go through an exact eigendecomposition; anything else falls
-    back to scaling-and-squaring with a truncated series.
+    One eigendecomposition of u . J serves the whole grid of angles.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix_exponential requires a square matrix")
-    if a.shape[0] > 128:
-        raise ValueError("matrix_exponential supports dimensions up to 128")
-    if a.shape[0] == 0:
-        return np.zeros((0, 0), dtype=complex)
-
-    scale = max(1.0, float(np.linalg.norm(a)))
-    if np.linalg.norm(a - a.conj().T) <= 1e-13 * scale:
-        evals, evecs = np.linalg.eigh(a)
-        return (evecs * np.exp(evals.real)) @ evecs.conj().T
-    if np.linalg.norm(a + a.conj().T) <= 1e-13 * scale:
-        evals, evecs = np.linalg.eigh(-1j * a)  # a = i * hermitian
-        return (evecs * np.exp(1j * evals.real)) @ evecs.conj().T
-
-    # scaling and squaring with a 30-term series on the scaled matrix
-    norm = float(np.linalg.norm(a, ord=np.inf))
-    squarings = max(0, int(math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0)
-    scaled = a / (2.0**squarings)
-    result = np.eye(a.shape[0], dtype=complex)
-    term = np.eye(a.shape[0], dtype=complex)
-    for k in range(1, 31):
-        term = term @ scaled / k
-        result = result + term
-    for _ in range(squarings):
-        result = result @ result
-    return result
+    evals, evecs = _axis_eigh(state.J, u)
+    coeffs = evecs.conj().T @ state.amps
+    phases = np.exp(-1j * np.outer(evals, np.asarray(theta1s, dtype=float)))
+    return evecs @ (phases * coeffs[:, None])
 
 
 @lru_cache(maxsize=None)
@@ -275,35 +247,16 @@ def _popcounts(n: int) -> np.ndarray:
 
 
 def dicke_to_qubit(state: SpinState) -> QubitState:
-    """Expand |J,m> into the symmetric N-qubit picture, N = 2J.
+    """Expand |J,m> into the symmetric N-qubit picture, N = 2J <= MAX_QUBITS.
 
     |J,m> maps to the equal-amplitude superposition of all computational
     strings with exactly J - m ones (V photons).
     """
     n = _check_spin(state.J)
-    if n < 1:
-        raise ValueError("need at least one qubit (J >= 1/2)")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"the qubit picture needs 1..{MAX_QUBITS} photons (2J), got {n}")
     ones = _popcounts(n)
     amps = np.zeros(2**n, dtype=complex)
     for k in range(n + 1):
         amps[ones == k] = state.amps[k] / math.sqrt(math.comb(n, k))
     return QubitState(n, amps)
-
-
-def qubit_to_dicke(state: QubitState) -> tuple[SpinState, float]:
-    """Project onto the maximal-J symmetric subspace.
-
-    Returns the renormalized symmetric component and the squared weight lost
-    to lower-J subspaces.  Raises if the state is orthogonal to the
-    symmetric subspace.
-    """
-    n = state.n_qubits
-    ones = _popcounts(n)
-    comps = np.array(
-        [state.amps[ones == k].sum() / math.sqrt(math.comb(n, k)) for k in range(n + 1)]
-    )
-    weight = float(np.sum(np.abs(comps) ** 2))
-    lost = max(0.0, 1.0 - weight)
-    if weight < 1e-12:
-        raise ValueError("state has no component in the symmetric subspace")
-    return SpinState.normalized(n / 2.0, comps), lost

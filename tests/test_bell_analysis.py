@@ -10,6 +10,7 @@ from rotosense.bell_analysis import (
     AGGREGATION_N6,
     aggregate_probabilities,
     bell_decompose,
+    bell_measurement,
     bell_recompose,
     bell_states,
     verify_tabulated_decompositions,
@@ -184,6 +185,30 @@ class TestAggregation:
                     bell_decompose(rotated_qubit_state(state, params)), n_photons
                 )
                 assert np.max(np.abs(agg - exact)) <= 1.0 * theta**3
+
+
+ANGLE = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+class TestBellMeasurement:
+    """Row blocks over |J,m> against the qubit-picture reference."""
+
+    @pytest.mark.parametrize("factory,n_photons", [(tetra2, 4), (balance, 6)])
+    @given(theta1=ANGLE, theta2=ANGLE, theta3=ANGLE)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_qubit_pipeline(self, factory, n_photons, theta1, theta2, theta3):
+        state = factory()
+        params = RotationParams(theta1, theta2, theta3)
+        blocks = exact_probabilities(state, bell_measurement(n_photons), params).p[:4]
+        reference = aggregate_probabilities(
+            bell_decompose(rotated_qubit_state(state, params)), n_photons
+        )
+        assert np.max(np.abs(blocks - reference)) <= 1e-13
+
+    @pytest.mark.parametrize("n_photons", [2, 5, 8, 40])
+    def test_rejects_other_photon_numbers(self, n_photons):
+        with pytest.raises(ValueError, match="4 or 6 photons"):
+            bell_measurement(n_photons)
 
 
 class TestTabulatedDecompositions:

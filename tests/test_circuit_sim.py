@@ -13,7 +13,6 @@ from rotosense.circuit_sim import (
     bell_analyzer_circuit,
     fidelity,
     gate_matrix,
-    outcome_distribution,
     prep_circuit_report,
     run_circuit,
     tetra_prep_circuit,
@@ -183,7 +182,7 @@ class TestBellAnalyzer:
         path = np.zeros(4, dtype=complex)
         path[1] = 1.0
         state = QubitState(4, np.kron(phi0.amps, path))
-        probs = outcome_distribution(circuit, state)
+        probs = np.abs(run_circuit(circuit, state).amps) ** 2
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 

@@ -12,6 +12,20 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def assert_single_error(code, err):
+    assert code == 2
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.fixture
+def spin20_state(tmp_path):
+    """A valid J = 20 state: its qubit picture would need 2^40 amplitudes."""
+    path = tmp_path / "spin20.json"
+    path.write_text(json.dumps({"J": 20, "amps": [[1.0, 0.0]] + [[0.0, 0.0]] * 40}))
+    return f"file:{path}"
+
+
 class TestFisher:
     def test_tetra2_reports_bound(self, capsys):
         code, out, _ = run_cli(["fisher", "--state", "tetra2"], capsys)
@@ -98,6 +112,13 @@ class TestProbabilities:
             assert row[gap_small] <= 1.0 * theta**3 + 1e-12
             assert row[gap_bell] <= 1.0 * theta**3 + 1e-12
 
+    def test_rejects_empty_grid(self, capsys):
+        code, out, err = run_cli(
+            ["probabilities", "--state", "tetra2", "--grid-points", "0"], capsys
+        )
+        assert_single_error(code, err)
+        assert out == ""
+
     def test_saturation_included(self, capsys):
         code, out, _ = run_cli(["probabilities", "--state", "tetra2"], capsys)
         data = json.loads(out)
@@ -179,6 +200,13 @@ class TestEstimate:
         assert code != 0
         assert "single pipeline" in err
 
+    def test_bell_rejects_oversized_state(self, spin20_state, capsys):
+        code, _, err = run_cli(
+            ["estimate", "--state", spin20_state, "--pipeline", "bell", "--trials", "5"],
+            capsys,
+        )
+        assert_single_error(code, err)
+
     def test_large_angle_warns(self, capsys):
         code, _, err = run_cli(
             [
@@ -203,6 +231,10 @@ class TestDecompose:
         assert data["singlet_weight"] <= 1e-10
         amp00 = data["decomposition"]["amps"]["0,0"]
         assert math.hypot(*amp00) > 0.4
+
+    def test_rejects_oversized_state(self, spin20_state, capsys):
+        code, _, err = run_cli(["decompose", "--state", spin20_state], capsys)
+        assert_single_error(code, err)
 
     def test_verify_tables_flag(self, capsys):
         code, out, _ = run_cli(

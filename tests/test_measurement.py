@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rotosense.bell_analysis import bell_measurement
 from rotosense.measurement import (
     classical_fisher,
     exact_probabilities,
@@ -14,9 +17,34 @@ from rotosense.spin_core import RotationParams, SpinState
 from rotosense.states import balance, tetra1, tetra2
 
 
+ANGLE = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
 def random_axes(rng, count):
     v = rng.normal(size=(count, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def measurements(state):
+    """The optimal basis and the Bell analyzer for a built-in probe."""
+    return optimal_basis(state), bell_measurement(int(round(2 * state.J)))
+
+
+def central_difference_fisher(state, measurement, params, which, step=1e-5):
+    """Oracle: Fisher information from central differences of the probabilities."""
+    name = f"theta{which}"
+    shifted = [
+        exact_probabilities(
+            state, measurement, params.replace(**{name: getattr(params, name) + h})
+        ).p
+        for h in (step, -step)
+    ]
+    deriv = (shifted[0] - shifted[1]) / (2.0 * step)
+    center = exact_probabilities(state, measurement, params).p
+    # outcomes at rounding level (the Bell rest outcome for four photons is
+    # empty) give difference quotients of pure rounding noise
+    mask = center > 1e-12
+    return float(np.sum(deriv[mask] ** 2 / center[mask]))
 
 
 class TestOptimalBasis:
@@ -82,6 +110,21 @@ class TestExactProbabilities:
             assert dist.p.min() >= 0.0
             assert abs(dist.p.sum() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("factory", [tetra2, balance])
+    @given(theta1=ANGLE, theta2=ANGLE, theta3=ANGLE)
+    @settings(max_examples=60, deadline=None)
+    def test_both_measurements_valid(self, factory, theta1, theta2, theta3):
+        state = factory()
+        params = RotationParams(theta1, theta2, theta3)
+        for measurement in measurements(state):
+            p = exact_probabilities(state, measurement, params).p
+            assert p.min() >= 0.0
+            assert abs(p.sum() - 1.0) <= 1e-12
+
+    def test_rejects_other_spin_sector(self):
+        with pytest.raises(ValueError, match="spin sectors"):
+            exact_probabilities(balance(), optimal_basis(tetra2()), RotationParams(0.1, 1, 1))
+
 
 class TestSmallAngle:
     def test_tetra_values(self):
@@ -134,7 +177,7 @@ class TestClassicalFisher:
             assert v == pytest.approx(values[0], rel=0.01)
 
     def test_converges_from_grid(self):
-        # |F(theta) - 8| shrinks as theta -> 0, within finite-difference noise
+        # |F(theta) - 8| shrinks as theta -> 0, up to rounding
         state = tetra2()
         basis = optimal_basis(state)
         u = np.array([1.0, 2.0, 2.0]) / 3
@@ -150,6 +193,18 @@ class TestClassicalFisher:
         state = tetra2()
         with pytest.raises(ValueError):
             classical_fisher(state, optimal_basis(state), RotationParams(0.01, 1, 1), 0)
+
+    @pytest.mark.parametrize("factory", [tetra2, balance])
+    @pytest.mark.parametrize("which", [1, 2, 3])
+    def test_matches_central_differences(self, factory, which):
+        state = factory()
+        rng = np.random.default_rng(10 * which + int(state.J))
+        for measurement in measurements(state):
+            for _ in range(4):
+                params = RotationParams(rng.uniform(0.01, 1.0), *rng.uniform(0.2, 2.9, 2))
+                exact = classical_fisher(state, measurement, params, which)
+                oracle = central_difference_fisher(state, measurement, params, which)
+                assert exact == pytest.approx(oracle, rel=1e-5, abs=1e-8)
 
 
 class TestSaturationCheck:

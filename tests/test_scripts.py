@@ -1,0 +1,48 @@
+"""Smoke tests: the experiment scripts run end to end and print what the README says."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    src = str(ROOT / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("state", ["tetra2", "balance"])
+def test_small_angle_sweep_exponents(state, tmp_path):
+    out = tmp_path / "sweep.csv"
+    result = run_script("small_angle_sweep.py", "--state", state, "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    match = re.search(
+        r"small-angle gap (\S+), Bell-aggregation gap (\S+)", result.stderr
+    )
+    assert match, result.stderr
+    # the README quotes exponent 4 for both gaps
+    for exponent in match.groups():
+        assert abs(float(exponent) - 4.0) <= 0.1
+    assert len(out.read_text().splitlines()) == 21  # header + 20 grid points
+
+
+def test_qcrb_study_table():
+    result = run_script("qcrb_study.py", "--trials", "20", "--shots", "10000")
+    assert result.returncode == 0, result.stderr
+    rows = [
+        line for line in result.stdout.splitlines()
+        if re.match(r"(tetra2|balance)\s+(optimal|bell)\s+10000\s", line)
+    ]
+    assert len(rows) == 4

@@ -6,28 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotosense.spin_core import (
+    MAX_QUBITS,
     QubitState,
     RotationParams,
     SpinState,
     axis_from_angles,
     dicke_to_qubit,
-    matrix_exponential,
-    qubit_to_dicke,
+    rotated_amplitudes,
     rotation_unitary,
     spin_operators,
 )
 
 ANGLES = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
-
-
-def taylor_expm(a, terms=30):
-    """Independent oracle: plain truncated series (valid for small norms)."""
-    result = np.eye(a.shape[0], dtype=complex)
-    term = np.eye(a.shape[0], dtype=complex)
-    for k in range(1, terms + 1):
-        term = term @ a / k
-        result = result + term
-    return result
 
 
 class TestSpinOperators:
@@ -119,46 +109,15 @@ class TestRotationUnitary:
             u = rotation_unitary(3, params)
             assert np.linalg.norm(u @ u.conj().T - np.eye(7)) <= 1e-12
 
-
-class TestMatrixExponential:
-    def test_zero_matrix(self):
-        np.testing.assert_allclose(matrix_exponential(np.zeros((4, 4))), np.eye(4), atol=1e-15)
-
-    def test_diagonal_phases(self):
-        out = matrix_exponential(np.diag([1j * math.pi, 0.0]))
-        np.testing.assert_allclose(out, np.diag([-1.0, 1.0]), atol=1e-12)
-
-    def test_skew_hermitian_gives_unitary(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-            a = m - m.conj().T
-            a *= 0.5 / max(1.0, np.linalg.norm(a))  # keep the oracle convergent
-            out = matrix_exponential(a)
-            assert np.linalg.norm(out @ out.conj().T - np.eye(5)) <= 1e-12
-            oracle = taylor_expm(a)
-            assert np.linalg.norm(out - oracle) <= 1e-12 * np.linalg.norm(oracle)
-
-    def test_hermitian_input(self):
-        rng = np.random.default_rng(12)
-        m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        a = (m + m.conj().T) * 0.05
-        oracle = taylor_expm(a)
-        assert np.linalg.norm(matrix_exponential(a) - oracle) <= 1e-12 * np.linalg.norm(oracle)
-
-    def test_general_matrix(self):
-        rng = np.random.default_rng(13)
-        a = 0.3 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        oracle = taylor_expm(a, terms=40)
-        assert np.linalg.norm(matrix_exponential(a) - oracle) <= 1e-12 * np.linalg.norm(oracle)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            matrix_exponential(np.zeros((3, 4)))
-
-    def test_rejects_oversize(self):
-        with pytest.raises(ValueError):
-            matrix_exponential(np.zeros((129, 129)))
+    def test_rotated_amplitudes_match_unitary(self):
+        rng = np.random.default_rng(4)
+        state = SpinState.normalized(3, rng.normal(size=7) + 1j * rng.normal(size=7))
+        thetas = rng.uniform(-math.pi, math.pi, size=6)
+        u = axis_from_angles(0.7, -1.9)
+        columns = rotated_amplitudes(state, thetas, u)
+        for k, theta in enumerate(thetas):
+            expected = rotation_unitary(3, RotationParams(theta, 0.7, -1.9)) @ state.amps
+            assert np.linalg.norm(columns[:, k] - expected) <= 1e-13
 
 
 class TestStateTypes:
@@ -222,31 +181,10 @@ class TestPictureConversions:
         assert hot == [3, 5, 6, 9, 10, 12]
         np.testing.assert_allclose(qs.amps[hot], 1 / math.sqrt(6))
 
-    def test_round_trip(self):
-        st_ = SpinState.from_m_amplitudes(3, {-2: 1.0})
-        back, lost = qubit_to_dicke(dicke_to_qubit(st_))
-        assert lost <= 1e-15
-        np.testing.assert_allclose(back.amps, st_.amps, atol=1e-12)
-
-    def test_random_round_trip(self):
-        rng = np.random.default_rng(5)
-        amps = rng.normal(size=5) + 1j * rng.normal(size=5)
-        st_ = SpinState.normalized(2, amps)
-        back, lost = qubit_to_dicke(dicke_to_qubit(st_))
-        assert lost <= 1e-14
-        np.testing.assert_allclose(back.amps, st_.amps, atol=1e-12)
-
-    def test_singlet_rejected(self):
-        singlet = QubitState.normalized(2, np.array([0, 1, -1, 0], dtype=complex))
-        with pytest.raises(ValueError):
-            qubit_to_dicke(singlet)
-
-    def test_lost_weight_reported(self):
-        # |01> = symmetric + antisymmetric halves
-        state = QubitState.basis(2, 1)
-        sym, lost = qubit_to_dicke(state)
-        assert abs(lost - 0.5) <= 1e-12
-        np.testing.assert_allclose(sym.amps, [0, 1, 0], atol=1e-12)
+    def test_rejects_register_above_ceiling(self):
+        # two photons past the ceiling: refused before 2^N amplitudes are allocated
+        with pytest.raises(ValueError, match="qubit picture"):
+            dicke_to_qubit(SpinState.from_m_amplitudes((MAX_QUBITS + 2) / 2, {0: 1.0}))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_collective_vs_local_rotation(self, n):
