@@ -22,8 +22,6 @@ from .circuit_sim import (
     tetra_prep_circuit,
 )
 from .estimation import (
-    EstimateReport,
-    OutcomeCounts,
     estimate_params,
     multinomial_stats,
     qcrb_experiment,

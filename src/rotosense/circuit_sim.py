@@ -112,7 +112,6 @@ class Gate:
 class Circuit:
     n_qubits: int
     gates: tuple
-    measured: tuple | None = None  # None means measure every qubit
 
     def __post_init__(self):
         n = int(self.n_qubits)
@@ -125,21 +124,15 @@ class Circuit:
                     raise ValueError(f"gate {g.kind} touches qubit {q}, out of range")
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "gates", gates)
-        if self.measured is not None:
-            object.__setattr__(self, "measured", tuple(int(q) for q in self.measured))
 
     def to_json_dict(self) -> dict:
-        data = {"n_qubits": self.n_qubits, "gates": [g.to_json_dict() for g in self.gates]}
-        if self.measured is not None:
-            data["measured"] = list(self.measured)
-        return data
+        return {"n_qubits": self.n_qubits, "gates": [g.to_json_dict() for g in self.gates]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Circuit":
         return cls(
             n_qubits=data["n_qubits"],
             gates=tuple(Gate.from_json_dict(g) for g in data["gates"]),
-            measured=tuple(data["measured"]) if "measured" in data else None,
         )
 
 

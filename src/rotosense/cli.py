@@ -29,7 +29,11 @@ from .metrology import anticoherence_report, fisher_single, j_expectations, qfi_
 from .spin_core import RotationParams, SpinState, dicke_to_qubit, rotation_unitary
 from .states import REGISTRY, get_state
 
-THETA1_WARN = 0.05  # small-angle validity; warn past this, never reject
+# Small-angle validity: warn past this, never reject on it.  The separate
+# hard limit theta1^2 J(J+1)/3 <= 1 (theta1 <= 0.707 for tetra2, 0.5 for
+# balance) is where the second-order probabilities stop existing; `estimate`
+# and `probabilities` reject theta1 beyond it.
+THETA1_WARN = 0.05
 
 _DEFAULTS = {
     "state": "tetra2",
@@ -41,6 +45,18 @@ _DEFAULTS = {
     "seed": 55555,
     "out": None,
     "format": "json",
+}
+_NUMBER = (int, float)
+_TYPES = {
+    "state": str,
+    "theta1": _NUMBER,
+    "theta2": _NUMBER,
+    "theta3": _NUMBER,
+    "n": int,
+    "trials": int,
+    "seed": int,
+    "out": (str, type(None)),
+    "format": str,
 }
 
 
@@ -66,13 +82,20 @@ class RunConfig:
         if getattr(args, "config", None):
             with open(args.config) as fh:
                 config = json.load(fh)
+            if not isinstance(config, dict):
+                raise ValueError("config file must hold a JSON object")
             unknown = set(config) - set(_DEFAULTS)
             if unknown:
                 raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            for key, value in config.items():
+                if isinstance(value, bool) or not isinstance(value, _TYPES[key]):
+                    raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
         values = {}
         for key, default in _DEFAULTS.items():
             flag = getattr(args, key, None)
             values[key] = flag if flag is not None else config.get(key, default)
+        if values["format"] not in ("json", "csv"):
+            raise ValueError(f"format must be json or csv, got {values['format']!r}")
         return cls(command=args.command, **values)
 
 
@@ -152,7 +175,6 @@ def cmd_probabilities(args) -> int:
         raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
     state = _load_state(cfg.state)
     basis = optimal_basis(state)
-    _warn_theta1(cfg.theta1)
     u = RotationParams(0.0, cfg.theta2, cfg.theta3).axis
     grid = np.linspace(0.0, cfg.theta1, args.grid_points)
     exact_rows = sweep_probabilities(state, basis, grid, u)
@@ -178,6 +200,7 @@ def cmd_probabilities(args) -> int:
                 float(np.max(np.abs(bell - exact[:4]))),
             ]
         )
+    _warn_theta1(cfg.theta1)
     payload = {
         "state": cfg.state,
         "axis": list(u),
@@ -195,7 +218,11 @@ def cmd_circuit_verify(args) -> int:
     cfg = RunConfig.resolve(args)
     if args.circuit:
         with open(args.circuit) as fh:
-            circuit = circuit_sim.Circuit.from_json_dict(json.load(fh))
+            data = json.load(fh)
+        try:
+            circuit = circuit_sim.Circuit.from_json_dict(data)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed circuit file {args.circuit}: {exc!r}") from None
         rng = np.random.default_rng(cfg.seed)
         drifts = []
         for _ in range(20):
@@ -236,12 +263,12 @@ def cmd_estimate(args) -> int:
     cfg = RunConfig.resolve(args)
     state = _load_state(cfg.state)
     params = _params(cfg)
-    _warn_theta1(cfg.theta1)
     pipelines = ("optimal", "bell") if args.pipeline == "both" else (args.pipeline,)
     reports = {
         pipe: qcrb_experiment(state, params, cfg.n, cfg.trials, cfg.seed, pipe)
         for pipe in pipelines
     }
+    _warn_theta1(cfg.theta1)
     if cfg.format == "csv":
         if len(pipelines) != 1:
             raise ValueError("CSV output needs a single pipeline (--pipeline optimal|bell)")

@@ -4,9 +4,16 @@ Repeats n-shot measurement rounds of a rotated probe, extracts |theta1| and
 the axis magnitudes from the observed frequencies, and compares the
 empirical spread of the estimates with the Cramer-Rao prediction
 1/sqrt(n F), F = 4 J (J+1) / 3.  Rounds can be generated either from the
-optimal-basis probabilities or from the Bell-pair aggregation; per-trial
-RNG streams are derived from (seed, trial) so results do not depend on
-execution order.
+optimal-basis probabilities or from the Bell-pair aggregation.
+
+Trials are arrays: `sample_outcomes` draws every trial's counts into one
+(trials, 5) matrix and `estimate_params` inverts all rows in one call.
+Row t comes from its own RNG stream derived from (seed, t), so trial t
+gives the same counts whatever the number of trials, and the two pipelines
+are paired trial by trial.  One shared stream would be cheaper but would
+unpair them: a binomial draw consumes a variable number of random numbers,
+so a small difference between two probability vectors shifts every later
+row.
 """
 
 from __future__ import annotations
@@ -27,72 +34,52 @@ from .measurement import (
 from .spin_core import RotationParams, SpinState
 
 
-@dataclass(frozen=True)
-class OutcomeCounts:
-    counts: np.ndarray
-    n: int
-    seed: object
+def sample_outcomes(dist, n: int, trials: int, seed: int) -> np.ndarray:
+    """Read-only (trials, k) matrix of multinomial n-shot counts.
 
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64).copy()
-        if counts.min() < 0 or counts.sum() != self.n:
-            raise ValueError("counts must be non-negative and sum to n")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-
-def sample_outcomes(dist, n: int, seed) -> OutcomeCounts:
-    """Multinomial sample of n shots; deterministic for a given seed.
-
-    dist may be an OutcomeDistribution or a plain probability vector.
+    dist may be an OutcomeDistribution or a plain probability vector; it is
+    clipped at zero and renormalised once.  Row t is drawn from its own
+    stream default_rng(SeedSequence((seed, t))), so it depends only on
+    (seed, t, n, p): a run of k trials gives the first k rows of a longer
+    run, and two distributions sampled with one seed stay paired row by row.
     """
     p = dist.p if isinstance(dist, OutcomeDistribution) else np.asarray(dist, dtype=float)
     if n < 1:
         raise ValueError("n must be positive")
+    if trials < 1:
+        raise ValueError("trials must be positive")
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
-    rng = np.random.default_rng(seed)
-    return OutcomeCounts(rng.multinomial(n, p), n, seed)
+    counts = np.empty((trials, p.size), dtype=np.int64)
+    for t in range(trials):
+        counts[t] = np.random.default_rng(np.random.SeedSequence((seed, t))).multinomial(n, p)
+    counts.setflags(write=False)
+    return counts
 
 
-@dataclass(frozen=True)
-class EstimateReport:
-    """Magnitude estimates |theta1| and |u_i| (signs are unobservable)."""
-
-    theta1_hat: float
-    u_hat_abs: np.ndarray | None
-    n: int
-    J: float
-    axis_defined: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "theta1_hat": self.theta1_hat,
-            "u_hat_abs": None if self.u_hat_abs is None else list(self.u_hat_abs),
-            "n": self.n,
-            "J": self.J,
-            "axis_defined": self.axis_defined,
-        }
-
-
-def estimate_params(counts: OutcomeCounts, j) -> EstimateReport:
+def estimate_params(counts, j) -> tuple[np.ndarray, np.ndarray]:
     """Invert the small-angle law: |theta1| = sqrt(3(1-P0)/(J(J+1))), |u_i| = sqrt(Pi/(1-P0)).
 
-    Rest-category counts are folded into P0; they are third order in theta1.
-    When every shot lands in P0 the rotation is indistinguishable from zero
-    and the axis is undefined.
+    Works row by row on counts of shape (..., 5); a row's shot number is its
+    sum.  Returns (theta1_hats, u_hats) of shapes (...) and (..., 3); signs
+    are unobservable.  Rest-category counts are folded into P0; they are
+    third order in theta1.  A row with every shot in P0 cannot tell the
+    rotation from zero: its theta1 estimate is 0 and its axis is NaN.
     """
-    if counts.counts.size != 5:
+    c = np.asarray(counts, dtype=np.int64)
+    if c.shape[-1:] != (5,):
         raise ValueError("expected counts over five categories")
+    if c.min() < 0:
+        raise ValueError("counts must be non-negative")
+    n = c.sum(-1)
+    if n.min() < 1:
+        raise ValueError("every row needs at least one shot")
     j = float(j)
-    c = counts.counts
-    signal = int(c[1] + c[2] + c[3])
-    frac = signal / counts.n
-    theta1 = math.sqrt(frac * 3.0 / (j * (j + 1.0)))
-    if signal == 0:
-        return EstimateReport(0.0, None, counts.n, j, axis_defined=False)
-    u_abs = np.sqrt(c[1:4] / signal)
-    return EstimateReport(theta1, u_abs, counts.n, j, axis_defined=True)
+    signal = c[..., 1:4].sum(-1)
+    theta1 = np.sqrt(signal / n * 3.0 / (j * (j + 1.0)))
+    with np.errstate(invalid="ignore"):  # 0/0 is the NaN axis of a signal-free row
+        u_abs = np.sqrt(c[..., 1:4] / signal[..., None])
+    return theta1, u_abs
 
 
 @dataclass(frozen=True)
@@ -201,25 +188,19 @@ def qcrb_experiment(
 
     Valid in the small-rotation regime (theta1 <= 0.05 documented); the
     report carries the exact-vs-small-angle probability gap so the
-    breakdown at larger angles is visible.  Per-trial seeds come from
-    (seed, trial); the same trial indices are used for every pipeline, so
-    pipeline comparisons are paired.
+    breakdown at larger angles is visible, and theta1 with
+    theta1^2 J(J+1)/3 > 1, where that expansion has no probabilities, is
+    rejected.  Trial t draws from the stream of (seed, t) for every
+    pipeline, so pipeline comparisons are paired.
     """
     if trials < 2:
         raise ValueError("need at least two trials for a spread estimate")
     p = exact_probabilities(phi0, _pipeline_measurement(phi0, pipeline), params).p
     p_exact = exact_probabilities(phi0, optimal_basis(phi0), params).p
     p_small = small_angle_probabilities(phi0.J, params.theta1, params.axis).p
-    reports = [
-        estimate_params(sample_outcomes(p, n, np.random.SeedSequence((seed, t))), phi0.J)
-        for t in range(trials)
-    ]
-
-    theta_hats = np.array([r.theta1_hat for r in reports])
-    degenerate = sum(1 for r in reports if not r.axis_defined)
-    u_hats = np.array(
-        [r.u_hat_abs if r.axis_defined else np.full(3, np.nan) for r in reports]
-    )
+    counts = sample_outcomes(p, n, trials, seed)
+    theta_hats, u_hats = estimate_params(counts, phi0.J)
+    degenerate = int(np.isnan(u_hats[:, 0]).sum())
     if degenerate >= trials - 1:  # too few valid trials for axis statistics
         mean_u = np.full(3, np.nan)
         sigma_u = np.full(3, np.nan)

@@ -202,8 +202,3 @@ class TestCircuitSerialization:
         out_a = run_circuit(circuit, QubitState.basis(6))
         out_b = run_circuit(back, QubitState.basis(6))
         assert np.linalg.norm(out_a.amps - out_b.amps) <= 1e-12
-
-    def test_measured_mask_round_trip(self):
-        circuit = Circuit(3, (Gate("H", (0,)),), measured=(0, 2))
-        back = Circuit.from_json_dict(circuit.to_json_dict())
-        assert back.measured == (0, 2)

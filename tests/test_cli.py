@@ -78,6 +78,23 @@ class TestFisher:
         assert code != 0
         assert "unknown config keys" in err
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            (["estimate", "--pipeline", "optimal", "--n", "10"], {"trials": "5"}),
+            (["estimate", "--pipeline", "optimal", "--n", "10"], {"theta1": True}),
+            (["fisher"], {"state": 5}),
+            (["fisher"], []),
+            (["probabilities", "--grid-points", "2"], {"format": "xml"}),
+        ],
+    )
+    def test_config_rejects_bad_values(self, command, config, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(command + ["--config", str(path)], capsys)
+        assert_single_error(code, err)
+        assert out == ""
+
 
 class TestProbabilities:
     def test_csv_sweep(self, tmp_path, capsys):
@@ -151,6 +168,22 @@ class TestCircuitVerify:
         assert data["max_norm_drift"] <= 1e-12
         assert data["fidelity_vs_state"] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "circuit",
+        [
+            [{"kind": "H", "targets": [0]}],
+            {"n_qubits": 2},
+            {"n_qubits": 2, "gates": [{"targets": [0]}]},
+            {"n_qubits": 2, "gates": ["H"]},
+        ],
+    )
+    def test_malformed_circuit_file(self, circuit, tmp_path, capsys):
+        path = tmp_path / "circ.json"
+        path.write_text(json.dumps(circuit))
+        code, _, err = run_cli(["circuit-verify", "--circuit", str(path)], capsys)
+        assert_single_error(code, err)
+        assert "malformed circuit file" in err
+
 
 class TestEstimate:
     def test_seed_repeatable(self, tmp_path, capsys):
@@ -206,6 +239,15 @@ class TestEstimate:
             capsys,
         )
         assert_single_error(code, err)
+
+    @pytest.mark.parametrize(
+        "command", [["estimate", "--trials", "5", "--n", "1000"], ["probabilities"]]
+    )
+    def test_rejects_theta1_past_small_angle_range(self, command, capsys):
+        # tetra2: theta1^2 J(J+1)/3 = 1.28 > 1 at theta1 = 0.8
+        code, _, err = run_cli(command + ["--state", "tetra2", "--theta1", "0.8"], capsys)
+        assert_single_error(code, err)
+        assert "small-angle validity range" in err
 
     def test_large_angle_warns(self, capsys):
         code, _, err = run_cli(
