@@ -1,12 +1,11 @@
 """Rotation sensing with second-order anti-coherent polarization states."""
 
 from .bell_analysis import (
-    BellProductAmplitudes,
     aggregate_probabilities,
     bell_decompose,
     bell_measurement,
-    bell_recompose,
     bell_states,
+    singlet_weight,
     verify_tabulated_decompositions,
 )
 from .circuit_sim import (

@@ -52,78 +52,27 @@ def bell_states() -> tuple[QubitState, QubitState, QubitState, QubitState]:
     return tuple(QubitState(2, row) for row in _BELL_MATRIX)
 
 
-def default_pairing(n_qubits: int) -> tuple:
-    return tuple((2 * k, 2 * k + 1) for k in range(n_qubits // 2))
+def bell_decompose(state: QubitState) -> np.ndarray:
+    """Amplitudes <phi_{l1} ... phi_{lk}|psi> as a (4,) * k array indexed by label tuples.
 
-
-@dataclass(frozen=True)
-class BellProductAmplitudes:
-    """Amplitudes <phi_{l1} ... phi_{lk} | psi> indexed by label tuples."""
-
-    pairing: tuple
-    amps: np.ndarray  # shape (4,) * n_pairs
-
-    @property
-    def n_pairs(self) -> int:
-        return self.amps.ndim
-
-    def amp(self, labels) -> complex:
-        return complex(self.amps[tuple(labels)])
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
-    def singlet_weight(self) -> float:
-        """Total probability on label tuples containing the singlet."""
-        keep = [SYMMETRIC_LABELS] * self.n_pairs
-        symmetric_part = self.amps[np.ix_(*keep)]
-        return float(np.sum(np.abs(self.amps) ** 2) - np.sum(np.abs(symmetric_part) ** 2))
-
-    def to_json_dict(self) -> dict:
-        amps = {}
-        for idx in np.ndindex(self.amps.shape):
-            z = self.amps[idx]
-            amps[",".join(map(str, idx))] = [z.real, z.imag]
-        return {"pairing": [list(p) for p in self.pairing], "amps": amps}
-
-
-def _check_pairing(n_qubits: int, pairing) -> tuple:
-    pairing = tuple(tuple(int(q) for q in pair) for pair in pairing)
-    flat = [q for pair in pairing for q in pair]
-    if any(len(pair) != 2 for pair in pairing) or sorted(flat) != list(range(n_qubits)):
-        raise ValueError("pairing must be a perfect matching of the qubit indices")
-    return pairing
-
-
-def bell_decompose(state: QubitState, pairing=None) -> BellProductAmplitudes:
-    """Change of basis from the computational basis to Bell products."""
+    Photons are paired (0,1), (2,3), ...; a permutation-symmetric state
+    gives the same array under every pairing.
+    """
     n = state.n_qubits
     if n % 2:
         raise ValueError("Bell decomposition needs an even number of qubits")
-    pairing = _check_pairing(n, pairing if pairing is not None else default_pairing(n))
     n_pairs = n // 2
-    tensor = state.amps.reshape([2] * n)
-    order = [q for pair in pairing for q in pair]
-    tensor = np.transpose(tensor, order).reshape([4] * n_pairs)
+    tensor = state.amps.reshape([4] * n_pairs)
     for _ in range(n_pairs):
         # contract leading pair axis with <phi_l|; cycles axes so order is restored
         tensor = np.tensordot(tensor, _BELL_MATRIX.conj(), axes=([0], [1]))
-    return BellProductAmplitudes(pairing=pairing, amps=tensor)
+    return tensor
 
 
-def _recompose_raw(bp: BellProductAmplitudes) -> np.ndarray:
-    n_pairs = bp.n_pairs
-    tensor = bp.amps
-    for _ in range(n_pairs):
-        tensor = np.tensordot(tensor, _BELL_MATRIX, axes=([0], [0]))
-    tensor = tensor.reshape([2] * (2 * n_pairs))
-    order = [q for pair in bp.pairing for q in pair]
-    return np.transpose(tensor, np.argsort(order)).reshape(-1)
-
-
-def bell_recompose(bp: BellProductAmplitudes) -> QubitState:
-    """Inverse of bell_decompose (exact up to rounding)."""
-    return QubitState(2 * bp.n_pairs, _recompose_raw(bp))
+def singlet_weight(amps: np.ndarray) -> float:
+    """Total probability on label tuples containing the singlet."""
+    symmetric_part = amps[np.ix_(*[SYMMETRIC_LABELS] * amps.ndim)]
+    return float(np.sum(np.abs(amps) ** 2) - np.sum(np.abs(symmetric_part) ** 2))
 
 
 # Aggregation of Bell-pair probabilities into the optimal-basis outcomes.
@@ -151,16 +100,16 @@ AGGREGATION_N6 = {
 _AGGREGATION = {4: AGGREGATION_N4, 6: AGGREGATION_N6}
 
 
-def aggregate_probabilities(bp: BellProductAmplitudes, n_photons: int) -> np.ndarray:
+def aggregate_probabilities(amps: np.ndarray, n_photons: int) -> np.ndarray:
     """Sum Bell-tuple probabilities into estimates of [P0, P1, P2, P3].
 
     The qubit-picture reference for ``bell_measurement``.
     """
     groups = _AGGREGATION.get(n_photons)
-    if groups is None or bp.n_pairs != n_photons // 2:
-        raise ValueError(f"aggregation defined for 2 or 3 pairs, got {bp.n_pairs} pairs "
+    if groups is None or amps.ndim != n_photons // 2:
+        raise ValueError(f"aggregation defined for 2 or 3 pairs, got {amps.ndim} pairs "
                          f"with n_photons={n_photons}")
-    probs = bp.probabilities()
+    probs = np.abs(amps) ** 2
     return np.array([sum(probs[t] for t in groups[mu]) for mu in range(4)])
 
 
@@ -179,7 +128,7 @@ def bell_measurement(n_photons: int) -> Measurement:
     j = n_photons / 2.0
     # bell_decompose . dicke_to_qubit is linear: its columns are the images of |J,m>
     image = np.stack(
-        [bell_decompose(dicke_to_qubit(SpinState(j, e))).amps for e in np.eye(n_photons + 1)],
+        [bell_decompose(dicke_to_qubit(SpinState(j, e))) for e in np.eye(n_photons + 1)],
         axis=-1,
     )
     rows = np.array([image[t] for mu in range(4) for t in groups[mu]])
@@ -284,41 +233,34 @@ class DecompositionCheck:
         }
 
 
-def _reconstruct(table: dict, n_pairs: int) -> QubitState:
-    amps = np.zeros((4,) * n_pairs, dtype=complex)
-    for labels, coeff in table.items():
-        amps[labels] = coeff
-    bp = BellProductAmplitudes(pairing=default_pairing(2 * n_pairs), amps=amps)
-    # a table row that fails to normalize is itself a discrepancy to report,
-    # not a reason to crash
-    return QubitState.normalized(2 * n_pairs, _recompose_raw(bp))
-
-
 def _check_one(label: str, table: dict, direct: SpinState, tol: float) -> DecompositionCheck:
-    n_pairs = len(next(iter(table)))
-    recon = _reconstruct(table, n_pairs)
-    direct_q = dicke_to_qubit(direct)
-    fid = float(abs(np.vdot(recon.amps, direct_q.amps)) ** 2)
+    bp = bell_decompose(dicke_to_qubit(direct))
+    tabulated_amps = np.zeros(bp.shape, dtype=complex)
+    for labels, coeff in table.items():
+        tabulated_amps[labels] = coeff
+    # Bell products are orthonormal, so the overlap is taken in Bell
+    # coordinates; dividing by the table's norm reports a row that fails to
+    # normalize as a discrepancy rather than rejecting it
+    fid = float(
+        abs(np.vdot(tabulated_amps, bp)) ** 2 / np.vdot(tabulated_amps, tabulated_amps).real
+    )
     ok = bool(fid >= 1.0 - tol)
     mismatches = []
     if not ok:
         # report the direct state's coefficients, phase-aligned to the table
         # on its largest tabulated entry
-        bp = bell_decompose(direct_q)
         anchor = max(table, key=lambda t: abs(table[t]))
-        recomputed_anchor = bp.amp(anchor)
+        recomputed_anchor = complex(bp[anchor])
         phase = (
             table[anchor] / recomputed_anchor
             if abs(recomputed_anchor) > 1e-12
             else 1.0
         )
         phase /= abs(phase) if abs(phase) > 0 else 1.0
-        seen = set(table) | {
-            idx for idx in np.ndindex(bp.amps.shape) if abs(bp.amps[idx]) > 1e-10
-        }
+        seen = set(table) | {idx for idx in np.ndindex(bp.shape) if abs(bp[idx]) > 1e-10}
         for labels in sorted(seen):
             tabulated = table.get(labels, 0.0)
-            recomputed = phase * bp.amp(labels)
+            recomputed = phase * complex(bp[labels])
             if abs(tabulated - recomputed) > 1e-8:
                 mismatches.append(
                     (
@@ -327,7 +269,7 @@ def _check_one(label: str, table: dict, direct: SpinState, tol: float) -> Decomp
                         [recomputed.real, recomputed.imag],
                     )
                 )
-    return DecompositionCheck(label, float(fid), ok, tuple(mismatches))
+    return DecompositionCheck(label, fid, ok, tuple(mismatches))
 
 
 @dataclass(frozen=True)
@@ -343,7 +285,7 @@ class DecompositionReport:
 
 
 def verify_tabulated_decompositions(tol: float = 1e-9) -> DecompositionReport:
-    """Reconstruct every tabulated state and compare with the direct computation.
+    """Compare every tabulated decomposition with the direct basis-change computation.
 
     Discrepancies are report content: each failing state is listed with the
     recomputed coefficients, never patched silently.

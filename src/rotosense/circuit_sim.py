@@ -3,7 +3,8 @@
 Gates are single-qubit unitaries with any number of control qubits (closed
 controls fire on |1>, open controls on |0>), which covers the whole gate
 set used by the preparation and Bell-analysis circuits: H, X, Z, S, CNOT,
-multi-controlled X/Z/H, and the custom 2x2 unitaries.  Measurement is
+multi-controlled X/Z/H, and the named 2x2 unitaries U1, U2 and U; a user
+circuit may also give any 2x2 unitary as a custom gate.  Measurement is
 projective in the computational basis and returns the full outcome
 distribution; sampling lives in the estimation layer.  Circuit outputs are
 diagnostic only: all downstream physics uses analytically constructed
@@ -183,12 +184,11 @@ def fidelity(a: QubitState, b: QubitState) -> float:
 
 def tetra_prep_circuit() -> Circuit:
     """Four-qubit preparation of the J=2 anti-coherent probe (exact)."""
-    u1, u2 = gate_matrix("U1"), gate_matrix("U2")
     gates = (
         Gate("H", (0,)),
-        Gate("custom", (2,), matrix=u1),
+        Gate("U1", (2,)),
         Gate("X", (1,), (0,)),
-        Gate("custom", (3,), (2,), matrix=u2),
+        Gate("U2", (3,), (2,)),
         Gate("Z", (1,), (2, 3)),
         Gate("X", (2,)),
         Gate("X", (3,)),
@@ -213,12 +213,11 @@ def balanced_n6_prep_circuit() -> Circuit:
     of q2; it is the unique reading (up to relabeling q4/q5) that reproduces
     the target exactly.
     """
-    u = gate_matrix("U")
     gates = (
         # mode register and the two Bell pairs
         Gate("H", (0,)),
         Gate("H", (2,)),
-        Gate("custom", (4,), matrix=u),
+        Gate("U", (4,)),
         Gate("X", (1,), (0,)),
         Gate("X", (3,), (2,)),
         Gate("H", (5,), (4,)),
@@ -344,13 +343,11 @@ class AnalyzerReport:
         }
 
 
-def analyzer_distinguishability_report(
-    apply_bit_flip: bool = True, support_floor: float = 1e-10
-) -> AnalyzerReport:
+def analyzer_distinguishability_report() -> AnalyzerReport:
     """Feed each Bell state (tensored with |ud>) through the analyzer.
 
-    With apply_bit_flip the first polarization qubit is flipped before
-    analysis, matching how the rotated pairs reach the measurement.  The
+    The first polarization qubit is flipped before analysis, matching how
+    the rotated pairs reach the measurement.  The
     symmetric inputs phi0, phi1, phi3 must land on pairwise disjoint outcome
     sets, and the singlet phi2 on a fourth disjoint set.
     """
@@ -359,16 +356,15 @@ def analyzer_distinguishability_report(
     circuit = bell_analyzer_circuit()
     path_ud = np.zeros(4, dtype=complex)
     path_ud[1] = 1.0  # |u> -> |0>, |d> -> |1>
-    preamble = (Gate("X", (0,)),) if apply_bit_flip else ()
     supports = {}
     for label, phi in zip(("phi0", "phi1", "phi2", "phi3"), bell_states()):
         amps = np.kron(phi.amps, path_ud)
-        out = _apply_gates(amps, (*preamble, *circuit.gates), 4)
+        out = _apply_gates(amps, (Gate("X", (0,)), *circuit.gates), 4)
         probs = np.abs(out) ** 2
         supports[label] = {
             format(i, "04b"): float(probs[i])
             for i in range(16)
-            if probs[i] > support_floor
+            if probs[i] > 1e-10
         }
     tv = {}
     disjoint = True

@@ -34,6 +34,9 @@ from .states import REGISTRY, get_state
 # balance) is where the second-order probabilities stop existing; `estimate`
 # and `probabilities` reject theta1 beyond it.
 THETA1_WARN = 0.05
+# Largest theta1 grid `probabilities` evaluates; its rows are held in memory
+# and written as one report.
+MAX_GRID_POINTS = 10**5
 
 _DEFAULTS = {
     "state": "tetra2",
@@ -171,8 +174,10 @@ def cmd_fisher(args) -> int:
 
 def cmd_probabilities(args) -> int:
     cfg = RunConfig.resolve(args)
-    if args.grid_points < 1:
-        raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
+    if not 1 <= args.grid_points <= MAX_GRID_POINTS:
+        raise ValueError(
+            f"--grid-points must be in 1..{MAX_GRID_POINTS}, got {args.grid_points}"
+        )
     state = _load_state(cfg.state)
     basis = optimal_basis(state)
     u = RotationParams(0.0, cfg.theta2, cfg.theta3).axis
@@ -293,20 +298,24 @@ def cmd_decompose(args) -> int:
         state.J, rotation_unitary(state.J, params) @ state.amps
     )
     bp = bell_analysis.bell_decompose(dicke_to_qubit(rotated))
+    decomposition = {
+        "pairing": [[2 * k, 2 * k + 1] for k in range(bp.ndim)],
+        "amps": {",".join(map(str, t)): [z.real, z.imag] for t, z in np.ndenumerate(bp)},
+    }
     payload = {
         "state": cfg.state,
         "theta1": params.theta1,
         "theta2": params.theta2,
         "theta3": params.theta3,
-        "decomposition": bp.to_json_dict(),
-        "singlet_weight": bp.singlet_weight(),
+        "decomposition": decomposition,
+        "singlet_weight": bell_analysis.singlet_weight(bp),
     }
     if args.verify_tables:
         payload["table_verification"] = bell_analysis.verify_tabulated_decompositions().to_dict()
     if cfg.format == "csv":
         rows = [
             [labels, z[0], z[1], z[0] ** 2 + z[1] ** 2]
-            for labels, z in sorted(bp.to_json_dict()["amps"].items())
+            for labels, z in sorted(decomposition["amps"].items())
         ]
         _emit(cfg, None, csv_rows=rows, csv_header=["labels", "re", "im", "prob"])
         return 0

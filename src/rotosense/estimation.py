@@ -33,6 +33,12 @@ from .measurement import (
 )
 from .spin_core import RotationParams, SpinState
 
+# Largest trial count sample_outcomes draws: its (trials, 5) int64 count
+# matrix is allocated up front, 400 MB at this ceiling.
+MAX_TRIALS = 10**7
+# Counts are int64, so a round holds at most this many shots.
+_MAX_SHOTS = int(np.iinfo(np.int64).max)
+
 
 def sample_outcomes(dist, n: int, trials: int, seed: int) -> np.ndarray:
     """Read-only (trials, k) matrix of multinomial n-shot counts.
@@ -44,10 +50,10 @@ def sample_outcomes(dist, n: int, trials: int, seed: int) -> np.ndarray:
     run, and two distributions sampled with one seed stay paired row by row.
     """
     p = dist.p if isinstance(dist, OutcomeDistribution) else np.asarray(dist, dtype=float)
-    if n < 1:
-        raise ValueError("n must be positive")
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if not 1 <= n <= _MAX_SHOTS:
+        raise ValueError(f"n must be in 1..{_MAX_SHOTS}, got {n}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
     counts = np.empty((trials, p.size), dtype=np.int64)

@@ -87,14 +87,6 @@ class SpinState:
             amps[k] = amp
         return cls.normalized(j, amps)
 
-    @property
-    def dim(self) -> int:
-        return self.amps.size
-
-    @property
-    def m_values(self) -> np.ndarray:
-        return self.J - np.arange(self.dim)
-
     def to_json_dict(self) -> dict:
         return {"J": self.J, "amps": [[z.real, z.imag] for z in self.amps]}
 
@@ -130,10 +122,6 @@ class QubitState:
         amps = np.zeros(2**n_qubits, dtype=complex)
         amps[index] = 1.0
         return cls(n_qubits, amps)
-
-    @property
-    def dim(self) -> int:
-        return self.amps.size
 
     def to_json_dict(self) -> dict:
         return {"n_qubits": self.n_qubits, "amps": [[z.real, z.imag] for z in self.amps]}

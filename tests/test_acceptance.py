@@ -12,6 +12,7 @@ import numpy as np
 from rotosense.bell_analysis import (
     aggregate_probabilities,
     bell_decompose,
+    singlet_weight,
     verify_tabulated_decompositions,
 )
 from rotosense.circuit_sim import (
@@ -136,11 +137,11 @@ def test_criterion_06_bell_decomposition_exactness():
     with criterion(6, "Bell decomposition vs tabulated coefficients", 5.0):
         bp = bell_decompose(dicke_to_qubit(tetra2()))
         sq3 = math.sqrt(3.0)
-        assert abs(bp.amp((0, 0)) - (1 + 1j / sq3) / 2) <= 1e-10
-        assert abs(bp.amp((3, 3)) + (1 - 1j / sq3) / 2) <= 1e-10
-        assert abs(bp.amp((1, 1)) + 2j / sq3 / 2) <= 1e-10
+        assert abs(bp[0, 0] - (1 + 1j / sq3) / 2) <= 1e-10
+        assert abs(bp[3, 3] + (1 - 1j / sq3) / 2) <= 1e-10
+        assert abs(bp[1, 1] + 2j / sq3 / 2) <= 1e-10
         off_display = sum(
-            abs(bp.amp(t))
+            abs(bp[t])
             for t in np.ndindex(4, 4)
             if t not in ((0, 0), (3, 3), (1, 1))
         )
@@ -161,7 +162,7 @@ def test_criterion_07_singlet_exclusion():
             for _ in range(100):
                 params = RotationParams(*rng.uniform(-math.pi, math.pi, size=3))
                 bp = bell_decompose(dicke_to_qubit(rotated(state, params)))
-                assert bp.singlet_weight() <= 1e-10
+                assert singlet_weight(bp) <= 1e-10
 
 
 def test_criterion_08_aggregation_equivalence():
@@ -234,10 +235,8 @@ def test_criterion_10_multinomial_algebra():
         theta, n = 0.05, 10**6
         params = RotationParams.from_axis(theta, AXIS)
         probs = (
-            bell_decompose(dicke_to_qubit(rotated(tetra2(), params)))
-            .probabilities()
-            .reshape(-1)
-        )
+            np.abs(bell_decompose(dicke_to_qubit(rotated(tetra2(), params)))) ** 2
+        ).reshape(-1)
         indices = [4 * a + b for a, b in AGGREGATION_N4[0]]
         analytic = multinomial_stats(probs, n).subset_sum_variance(indices)
         assert abs(analytic - 2 * n * theta**2) <= 0.15 * 2 * n * theta**2

@@ -31,6 +31,13 @@ GOLDEN_SUPPORTS = {
 GOLDEN_RAW_PHI0 = {"0000", "0011", "1100", "1111"}
 
 
+def phi0_ud():
+    """phi0 on the polarization qubits 0-1 tensored with |ud> on the path qubits."""
+    path = np.zeros(4, dtype=complex)
+    path[1] = 1.0
+    return QubitState(4, np.kron(bell_states()[0].amps, path))
+
+
 class TestRunCircuit:
     def test_hadamard(self):
         circuit = Circuit(1, (Gate("H", (0,)),))
@@ -173,16 +180,13 @@ class TestBellAnalyzer:
             assert not (phi2 & set(report.supports[label]))
 
     def test_raw_phi0_support(self):
-        report = analyzer_distinguishability_report(apply_bit_flip=False)
-        assert set(report.supports["phi0"]) == GOLDEN_RAW_PHI0
+        # phi0 x |ud> straight into the analyzer, without the bit flip
+        probs = np.abs(run_circuit(bell_analyzer_circuit(), phi0_ud()).amps) ** 2
+        support = {format(i, "04b") for i in range(16) if probs[i] > 1e-10}
+        assert support == GOLDEN_RAW_PHI0
 
     def test_probabilities_sum_to_one(self):
-        circuit = bell_analyzer_circuit()
-        phi0 = bell_states()[0]
-        path = np.zeros(4, dtype=complex)
-        path[1] = 1.0
-        state = QubitState(4, np.kron(phi0.amps, path))
-        probs = np.abs(run_circuit(circuit, state).amps) ** 2
+        probs = np.abs(run_circuit(bell_analyzer_circuit(), phi0_ud()).amps) ** 2
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 

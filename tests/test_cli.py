@@ -136,6 +136,13 @@ class TestProbabilities:
         assert_single_error(code, err)
         assert out == ""
 
+    def test_rejects_oversized_grid(self, capsys):
+        code, out, err = run_cli(
+            ["probabilities", "--state", "tetra2", "--grid-points", "1000000000"], capsys
+        )
+        assert_single_error(code, err)
+        assert out == ""
+
     def test_saturation_included(self, capsys):
         code, out, _ = run_cli(["probabilities", "--state", "tetra2"], capsys)
         data = json.loads(out)
@@ -239,6 +246,18 @@ class TestEstimate:
             capsys,
         )
         assert_single_error(code, err)
+
+    @pytest.mark.parametrize(
+        "size",
+        [
+            ["--trials", "2", "--n", "100000000000000000000"],  # past int64 counts
+            ["--trials", "1000000000"],  # a 40 GB count matrix
+        ],
+    )
+    def test_rejects_oversized_run(self, size, capsys):
+        code, out, err = run_cli(["estimate", "--state", "tetra2", *size], capsys)
+        assert_single_error(code, err)
+        assert out == ""
 
     @pytest.mark.parametrize(
         "command", [["estimate", "--trials", "5", "--n", "1000"], ["probabilities"]]

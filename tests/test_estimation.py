@@ -160,7 +160,7 @@ class TestMultinomialStats:
         rotated = SpinState.normalized(
             state.J, rotation_unitary(state.J, params) @ state.amps
         )
-        probs = bell_decompose(dicke_to_qubit(rotated)).probabilities().reshape(-1)
+        probs = (np.abs(bell_decompose(dicke_to_qubit(rotated))) ** 2).reshape(-1)
         stats = multinomial_stats(probs, n)
         indices = [4 * a + b for a, b in AGGREGATION_N4[0]]
         analytic = stats.subset_sum_variance(indices)

@@ -141,10 +141,6 @@ class TestStateTypes:
         with pytest.raises(ValueError):
             SpinState.from_m_amplitudes(1, {1.5: 1.0})
 
-    def test_m_values_descending(self):
-        st_ = SpinState.from_m_amplitudes(1.5, {1.5: 1.0})
-        np.testing.assert_allclose(st_.m_values, [1.5, 0.5, -0.5, -1.5])
-
     def test_json_round_trip(self):
         st_ = SpinState.from_m_amplitudes(2, {2: 0.5, -2: 0.5, 0: 0.5j * math.sqrt(2)})
         back = SpinState.from_json_dict(st_.to_json_dict())
