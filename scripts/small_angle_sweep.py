@@ -30,8 +30,14 @@ def main():
     state = get_state(args.state)
     u = RotationParams(0.0, args.theta2, args.theta3).axis
     grid = np.geomspace(1e-3, 5e-2, args.points)
-    exact_rows = sweep_probabilities(state, optimal_basis(state), grid, u)
-    bell_rows = sweep_probabilities(state, bell_measurement(int(round(2 * state.J))), grid, u)
+    exact = sweep_probabilities(state, optimal_basis(state), grid, u)
+    bell = sweep_probabilities(state, bell_measurement(int(round(2 * state.J))), grid, u)
+    small = small_angle_probabilities(state.J, grid, u)
+    gaps_small = np.abs(exact[:, :4] - small[:, :4]).max(axis=1)
+    gaps_bell = np.abs(bell[:, :4] - exact[:, :4]).max(axis=1)
+    table = np.column_stack(
+        [grid, np.broadcast_to(u, (grid.size, 3)), exact, gaps_small, gaps_bell]
+    )
 
     out = open(args.out, "w") if args.out else sys.stdout
     writer = csv.writer(out, lineterminator="\n")
@@ -39,14 +45,7 @@ def main():
         ["theta1", "u1", "u2", "u3", "P0", "P1", "P2", "P3", "Prest",
          "gap_small", "gap_bell"]
     )
-    gaps_small, gaps_bell = [], []
-    for theta, exact, bell in zip(grid, exact_rows, bell_rows):
-        small = small_angle_probabilities(state.J, float(theta), u).p
-        gap_s = float(np.max(np.abs(exact[:4] - small[:4])))
-        gap_b = float(np.max(np.abs(bell[:4] - exact[:4])))
-        gaps_small.append(gap_s)
-        gaps_bell.append(gap_b)
-        writer.writerow([f"{x:.12g}" for x in (theta, *u, *exact, gap_s, gap_b)])
+    writer.writerows([f"{x:.12g}" for x in row] for row in table.tolist())
     if args.out:
         out.close()
 

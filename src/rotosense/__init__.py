@@ -28,7 +28,6 @@ from .estimation import (
 )
 from .measurement import (
     Measurement,
-    OutcomeDistribution,
     ProjectorBasis,
     classical_fisher,
     exact_probabilities,
@@ -39,7 +38,6 @@ from .measurement import (
 )
 from .metrology import (
     AnticoherenceReport,
-    GeneratorCoeffs,
     anticoherence_report,
     fisher_single,
     generator_coeffs,

@@ -180,11 +180,12 @@ def cmd_probabilities(args) -> int:
         )
     state = _load_state(cfg.state)
     basis = optimal_basis(state)
-    u = RotationParams(0.0, cfg.theta2, cfg.theta3).axis
+    u = _params(cfg).axis  # also rejects a non-finite theta1 before the sweep
     grid = np.linspace(0.0, cfg.theta1, args.grid_points)
-    exact_rows = sweep_probabilities(state, basis, grid, u)
+    exact = sweep_probabilities(state, basis, grid, u)
     analyzer = bell_analysis.bell_measurement(int(round(2 * state.J)))
-    bell_rows = sweep_probabilities(state, analyzer, grid, u)[:, :4]
+    bell = sweep_probabilities(state, analyzer, grid, u)[:, :4]
+    small = small_angle_probabilities(state.J, grid, u)[:, :4]
     header = [
         "theta1", "u1", "u2", "u3",
         "P0", "P1", "P2", "P3", "Prest",
@@ -192,19 +193,13 @@ def cmd_probabilities(args) -> int:
         "bell_P0", "bell_P1", "bell_P2", "bell_P3",
         "gap_small", "gap_bell",
     ]
-    rows = []
-    for theta, exact, bell in zip(grid, exact_rows, bell_rows):
-        small = small_angle_probabilities(state.J, float(theta), u).p
-        rows.append(
-            [
-                float(theta), *[float(x) for x in u],
-                *[float(x) for x in exact],
-                *[float(x) for x in small[:4]],
-                *[float(x) for x in bell],
-                float(np.max(np.abs(exact[:4] - small[:4]))),
-                float(np.max(np.abs(bell - exact[:4]))),
-            ]
-        )
+    rows = np.column_stack(
+        [
+            grid, np.broadcast_to(u, (grid.size, 3)), exact, small, bell,
+            np.abs(exact[:, :4] - small).max(axis=1),
+            np.abs(bell - exact[:, :4]).max(axis=1),
+        ]
+    ).tolist()
     _warn_theta1(cfg.theta1)
     payload = {
         "state": cfg.state,
@@ -291,6 +286,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_decompose(args) -> int:
     cfg = RunConfig.resolve(args)
+    if cfg.format == "csv" and args.verify_tables:
+        raise ValueError("--verify-tables needs JSON output (--format json)")
     state = _load_state(cfg.state)
     params = _params(cfg)
     _warn_theta1(cfg.theta1)

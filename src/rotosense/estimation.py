@@ -26,7 +26,6 @@ import numpy as np
 from .bell_analysis import bell_measurement
 from .measurement import (
     Measurement,
-    OutcomeDistribution,
     exact_probabilities,
     optimal_basis,
     small_angle_probabilities,
@@ -40,16 +39,16 @@ MAX_TRIALS = 10**7
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
-def sample_outcomes(dist, n: int, trials: int, seed: int) -> np.ndarray:
+def sample_outcomes(p, n: int, trials: int, seed: int) -> np.ndarray:
     """Read-only (trials, k) matrix of multinomial n-shot counts.
 
-    dist may be an OutcomeDistribution or a plain probability vector; it is
-    clipped at zero and renormalised once.  Row t is drawn from its own
-    stream default_rng(SeedSequence((seed, t))), so it depends only on
-    (seed, t, n, p): a run of k trials gives the first k rows of a longer
-    run, and two distributions sampled with one seed stay paired row by row.
+    The probability vector p is clipped at zero and renormalised once.
+    Row t is drawn from its own stream default_rng(SeedSequence((seed, t))),
+    so it depends only on (seed, t, n, p): a run of k trials gives the first
+    k rows of a longer run, and two vectors sampled with one seed stay
+    paired row by row.
     """
-    p = dist.p if isinstance(dist, OutcomeDistribution) else np.asarray(dist, dtype=float)
+    p = np.asarray(p, dtype=float)
     if not 1 <= n <= _MAX_SHOTS:
         raise ValueError(f"n must be in 1..{_MAX_SHOTS}, got {n}")
     if not 1 <= trials <= MAX_TRIALS:
@@ -116,9 +115,8 @@ class MultinomialStats:
         }
 
 
-def multinomial_stats(dist, n: int) -> MultinomialStats:
-    """Analytic variance/covariance of the outcome counts."""
-    p = dist.p if isinstance(dist, OutcomeDistribution) else np.asarray(dist, dtype=float)
+def multinomial_stats(p, n: int) -> MultinomialStats:
+    """Analytic variance/covariance of the outcome counts at probabilities p."""
     return MultinomialStats(p=np.array(p, dtype=float), n=int(n))
 
 
@@ -201,9 +199,9 @@ def qcrb_experiment(
     """
     if trials < 2:
         raise ValueError("need at least two trials for a spread estimate")
-    p = exact_probabilities(phi0, _pipeline_measurement(phi0, pipeline), params).p
-    p_exact = exact_probabilities(phi0, optimal_basis(phi0), params).p
-    p_small = small_angle_probabilities(phi0.J, params.theta1, params.axis).p
+    p = exact_probabilities(phi0, _pipeline_measurement(phi0, pipeline), params)
+    p_exact = exact_probabilities(phi0, optimal_basis(phi0), params)
+    p_small = small_angle_probabilities(phi0.J, params.theta1, params.axis)
     counts = sample_outcomes(p, n, trials, seed)
     theta_hats, u_hats = estimate_params(counts, phi0.J)
     degenerate = int(np.isnan(u_hats[:, 0]).sum())

@@ -48,37 +48,18 @@ class ProjectorBasis(Measurement):
 
 
 def _check_rows(p: np.ndarray) -> np.ndarray:
-    """Validate rows [P0, P1, P2, P3, Prest] (range, unit sum) and clip them into [0, 1]."""
+    """Validate rows [P0, P1, P2, P3, Prest] (range, unit sum); clip into [0, 1], read-only."""
     if p.shape[-1] != 5:
         raise ValueError("expected five outcome categories")
-    if p.min() < -1e-12 or p.max() > 1.0 + 1e-12:
+    if not (p.min() >= -1e-12 and p.max() <= 1.0 + 1e-12):  # NaN fails too
         raise ValueError("probabilities out of range")
-    total = np.atleast_1d(p.sum(axis=-1))
+    total = p.sum(axis=-1).ravel()
     worst = total[np.argmax(np.abs(total - 1.0))]
     if abs(worst - 1.0) > 1e-12:
         raise ValueError(f"probabilities sum to {worst}, not 1")
-    return np.clip(p, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Probabilities [P0, P1, P2, P3, Prest] for given rotation parameters."""
-
-    p: np.ndarray
-    params: RotationParams
-
-    def __post_init__(self):
-        p = _check_rows(np.asarray(self.p, dtype=float).reshape(-1))
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theta1": self.params.theta1,
-            "theta2": self.params.theta2,
-            "theta3": self.params.theta3,
-            "p": list(self.p),
-        }
+    p = np.clip(p, 0.0, 1.0)
+    p.setflags(write=False)
+    return p
 
 
 def optimal_basis(phi0: SpinState, tol: float = 1e-10) -> ProjectorBasis:
@@ -116,8 +97,8 @@ def _check_sector(phi0: SpinState, measurement: Measurement):
 def sweep_probabilities(phi0: SpinState, measurement: Measurement, theta1s, u) -> np.ndarray:
     """Rows [P0, P1, P2, P3, Prest], one per theta1 about the unit axis u.
 
-    One eigendecomposition of u . J rotates the whole grid; each row is
-    validated like an OutcomeDistribution.
+    One eigendecomposition of u . J rotates the whole grid; the rows are
+    validated and read-only.
     """
     _check_sector(phi0, measurement)
     psi = rotated_amplitudes(phi0, theta1s, u)
@@ -128,26 +109,33 @@ def sweep_probabilities(phi0: SpinState, measurement: Measurement, theta1s, u) -
 
 def exact_probabilities(
     phi0: SpinState, measurement: Measurement, params: RotationParams
-) -> OutcomeDistribution:
+) -> np.ndarray:
     """P_mu = ||K_mu exp(-i theta1 u.J) phi0||^2 with the rest aggregated."""
-    p = sweep_probabilities(phi0, measurement, [params.theta1], params.axis)
-    return OutcomeDistribution(p[0], params)
+    return sweep_probabilities(phi0, measurement, [params.theta1], params.axis)[0]
 
 
-def small_angle_probabilities(j, theta1: float, u) -> OutcomeDistribution:
-    """Second-order expansion P0 = 1 - theta1^2 J(J+1)/3, P_i = theta1^2 u_i^2 J(J+1)/3."""
+def small_angle_probabilities(j, theta1, u) -> np.ndarray:
+    """Second-order expansion P0 = 1 - theta1^2 J(J+1)/3, P_i = theta1^2 u_i^2 J(J+1)/3.
+
+    theta1 may be a number or an array of angles; the rows have shape
+    np.shape(theta1) + (5,).  The first theta1 with theta1^2 J(J+1)/3 > 1,
+    where the expansion has no probabilities, is named in the error.
+    """
     u = np.asarray(u, dtype=float)
     if abs(np.linalg.norm(u) - 1.0) > 1e-9:
         raise ValueError("u must be a unit 3-vector")
+    theta1 = np.asarray(theta1, dtype=float)
     jj = float(j) * (float(j) + 1.0) / 3.0
-    leak = theta1**2 * jj
-    if leak > 1.0:
+    with np.errstate(over="ignore"):  # an overflowing square is an infinite leak
+        leak = np.square(theta1) * jj
+    bad = np.flatnonzero(~(leak <= 1.0))  # NaN angles fail too
+    if bad.size:
         raise ValueError(
-            f"theta1={theta1} outside the small-angle validity range "
-            f"(theta1^2 J(J+1)/3 = {leak:.3g} > 1)"
+            f"theta1={float(theta1.flat[bad[0]])} outside the small-angle validity range "
+            f"(theta1^2 J(J+1)/3 = {leak.flat[bad[0]]:.3g} > 1)"
         )
-    p = np.array([1.0 - leak, *(leak * u**2), 0.0])
-    return OutcomeDistribution(p, RotationParams.from_axis(theta1, u))
+    leak = leak[..., None]
+    return _check_rows(np.concatenate([1.0 - leak, leak * u**2, np.zeros_like(leak)], axis=-1))
 
 
 def classical_fisher(

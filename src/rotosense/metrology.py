@@ -75,22 +75,10 @@ def anticoherence_report(state: SpinState, tol: float = 1e-12) -> AnticoherenceR
     return AnticoherenceReport(passed, max_mean, max_diag, max_off, tol)
 
 
-@dataclass(frozen=True)
-class GeneratorCoeffs:
-    """Coefficient vectors g_k with G_k = g_k . J for the three rotation parameters."""
-
-    g1: np.ndarray
-    g2: np.ndarray
-    g3: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        """3x3 matrix whose column k is g_{k+1}."""
-        return np.column_stack([self.g1, self.g2, self.g3])
-
-
-def generator_coeffs(params: RotationParams) -> GeneratorCoeffs:
+def generator_coeffs(params: RotationParams) -> np.ndarray:
     """Generator coefficients of exp(-i theta1 u . J) in the (theta1, theta2, theta3) chart.
 
+    Returns the 3x3 array whose column k-1 is g_k, with G_k = g_k . J:
     g1 = u, and for the axis angles
 
         g_k = sin(theta1) du/dtheta_k + (1 - cos(theta1)) (u x du/dtheta_k),
@@ -107,14 +95,14 @@ def generator_coeffs(params: RotationParams) -> GeneratorCoeffs:
     def coeff(du):
         return s * du + (1.0 - c) * np.cross(u, du)
 
-    return GeneratorCoeffs(g1=u, g2=coeff(du2), g3=coeff(du3))
+    return np.column_stack([u, coeff(du2), coeff(du3)])
 
 
 def generator_matrix(j, params: RotationParams, k: int) -> np.ndarray:
     """Hermitian generator G_k = i (dU/dtheta_k) U^dagger, evaluated as g_k . J."""
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
-    g = getattr(generator_coeffs(params), f"g{k}")
+    g = generator_coeffs(params)[:, k - 1]
     jx, jy, jz = spin_operators(j)
     return g[0] * jx + g[1] * jy + g[2] * jz
 
@@ -145,7 +133,6 @@ def qfi_matrix(state: SpinState, params: RotationParams) -> np.ndarray:
     """
     _, cov = j_expectations(state)
     r = rotation_matrix(params)
-    g = generator_coeffs(params).matrix()
-    rg = r @ g
+    rg = r @ generator_coeffs(params)
     q = 4.0 * rg.T @ cov @ rg
     return 0.5 * (q + q.T)

@@ -22,13 +22,16 @@ from functools import lru_cache
 import numpy as np
 
 MAX_QUBITS = 12  # largest register expanded into the 2^N-amplitude qubit picture
+MAX_SPIN = 512  # largest J: each dense (2J+1)^2 spin operator stays under 17 MB
 
 _NORM_SLACK = 1e-6  # constructor rejects inputs farther than this from unit norm
 
 
 def _check_spin(j) -> int:
-    """Validate a half-integer spin value, returning 2J as an int."""
+    """Validate a half-integer spin value up to MAX_SPIN, returning 2J as an int."""
     two_j = 2.0 * float(j)
+    if not two_j <= 2 * MAX_SPIN:  # also catches NaN and infinity
+        raise ValueError(f"J must be at most {MAX_SPIN}, got {j}")
     if two_j < 0 or abs(two_j - round(two_j)) > 1e-9:
         raise ValueError(f"J must be a non-negative half-integer, got {j}")
     return int(round(two_j))
@@ -123,14 +126,6 @@ class QubitState:
         amps[index] = 1.0
         return cls(n_qubits, amps)
 
-    def to_json_dict(self) -> dict:
-        return {"n_qubits": self.n_qubits, "amps": [[z.real, z.imag] for z in self.amps]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "QubitState":
-        amps = np.array([complex(re, im) for re, im in data["amps"]])
-        return cls.normalized(data["n_qubits"], amps)
-
 
 @dataclass(frozen=True)
 class RotationParams:
@@ -160,11 +155,6 @@ class RotationParams:
         theta2 = math.acos(min(1.0, max(-1.0, u[2])))
         theta3 = math.atan2(u[1], u[0])
         return cls(theta1, theta2, theta3)
-
-    def replace(self, **kwargs) -> "RotationParams":
-        values = {"theta1": self.theta1, "theta2": self.theta2, "theta3": self.theta3}
-        values.update(kwargs)
-        return RotationParams(**values)
 
 
 def axis_from_angles(theta2: float, theta3: float) -> np.ndarray:

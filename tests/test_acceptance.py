@@ -110,8 +110,8 @@ def test_criterion_04_small_angle_law():
             for t_idx, theta in enumerate(THETA_GRID):
                 for u in axes:
                     params = RotationParams.from_axis(float(theta), u)
-                    exact = exact_probabilities(state, basis, params).p[:4]
-                    small = small_angle_probabilities(state.J, float(theta), u).p[:4]
+                    exact = exact_probabilities(state, basis, params)[:4]
+                    small = small_angle_probabilities(state.J, float(theta), u)[:4]
                     gaps[:, t_idx] = np.maximum(
                         gaps[:, t_idx], np.abs(exact - small)
                     )
@@ -174,7 +174,7 @@ def test_criterion_08_aggregation_equivalence():
             for theta in THETA_GRID:
                 for u in axes:
                     params = RotationParams.from_axis(float(theta), u)
-                    exact = exact_probabilities(state, basis, params).p[:4]
+                    exact = exact_probabilities(state, basis, params)[:4]
                     agg = aggregate_probabilities(
                         bell_decompose(dicke_to_qubit(rotated(state, params))),
                         n_photons,

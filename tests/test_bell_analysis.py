@@ -167,7 +167,7 @@ class TestAggregation:
         for theta in np.geomspace(1e-3, 0.05, 6):
             for u in axes:
                 params = RotationParams.from_axis(theta, u)
-                exact = exact_probabilities(state, basis, params).p[:4]
+                exact = exact_probabilities(state, basis, params)[:4]
                 agg = aggregate_probabilities(
                     bell_decompose(rotated_qubit_state(state, params)), n_photons
                 )
@@ -186,7 +186,7 @@ class TestBellMeasurement:
     def test_matches_qubit_pipeline(self, factory, n_photons, theta1, theta2, theta3):
         state = factory()
         params = RotationParams(theta1, theta2, theta3)
-        blocks = exact_probabilities(state, bell_measurement(n_photons), params).p[:4]
+        blocks = exact_probabilities(state, bell_measurement(n_photons), params)[:4]
         reference = aggregate_probabilities(
             bell_decompose(rotated_qubit_state(state, params)), n_photons
         )

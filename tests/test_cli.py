@@ -26,6 +26,24 @@ def spin20_state(tmp_path):
     return f"file:{path}"
 
 
+@pytest.fixture
+def spin600_state(tmp_path):
+    """A valid-looking J = 600 state: past spin_core.MAX_SPIN = 512."""
+    path = tmp_path / "spin600.json"
+    path.write_text(json.dumps({"J": 600, "amps": [[1.0, 0.0]] + [[0.0, 0.0]] * 1200}))
+    return f"file:{path}"
+
+
+@pytest.mark.parametrize(
+    "command", [["fisher"], ["probabilities"], ["estimate", "--pipeline", "optimal"]]
+)
+def test_rejects_spin_above_ceiling(command, spin600_state, capsys):
+    code, out, err = run_cli(command + ["--state", spin600_state], capsys)
+    assert_single_error(code, err)
+    assert "at most 512" in err
+    assert out == ""
+
+
 class TestFisher:
     def test_tetra2_reports_bound(self, capsys):
         code, out, _ = run_cli(["fisher", "--state", "tetra2"], capsys)
@@ -268,6 +286,15 @@ class TestEstimate:
         assert_single_error(code, err)
         assert "small-angle validity range" in err
 
+    @pytest.mark.parametrize("theta1", ["1e200", "inf", "nan"])
+    @pytest.mark.parametrize(
+        "command", [["estimate", "--trials", "5", "--n", "1000"], ["probabilities"]]
+    )
+    def test_rejects_huge_or_non_finite_theta1(self, command, theta1, capsys):
+        code, out, err = run_cli(command + ["--theta1", theta1], capsys)
+        assert_single_error(code, err)
+        assert out == ""
+
     def test_large_angle_warns(self, capsys):
         code, _, err = run_cli(
             [
@@ -307,6 +334,13 @@ class TestDecompose:
         assert checks["n4_psi0"]["ok"]
         assert not checks["n6_psi2"]["ok"]
         assert checks["n6_psi2"]["mismatches"]
+
+    def test_csv_rejects_verify_tables(self, capsys):
+        code, out, err = run_cli(
+            ["decompose", "--format", "csv", "--verify-tables"], capsys
+        )
+        assert_single_error(code, err)
+        assert out == ""
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(

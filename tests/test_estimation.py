@@ -60,7 +60,7 @@ class TestSampling:
         state = tetra2()
         p = exact_probabilities(
             state, optimal_basis(state), RotationParams.from_axis(0.05, AXIS)
-        ).p
+        )
         counts = sample_outcomes(p, 10**6, 1, 2718)
         freq = counts[0] / 10**6
         bound = 5.0 * np.sqrt(p * (1 - p) / 10**6)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from rotosense.measurement import (
     multiparam_saturation_check,
     optimal_basis,
     small_angle_probabilities,
+    sweep_probabilities,
 )
 from rotosense.spin_core import RotationParams, SpinState
 from rotosense.states import balance, tetra1, tetra2
@@ -35,12 +37,12 @@ def central_difference_fisher(state, measurement, params, which, step=1e-5):
     name = f"theta{which}"
     shifted = [
         exact_probabilities(
-            state, measurement, params.replace(**{name: getattr(params, name) + h})
-        ).p
+            state, measurement, replace(params, **{name: getattr(params, name) + h})
+        )
         for h in (step, -step)
     ]
     deriv = (shifted[0] - shifted[1]) / (2.0 * step)
-    center = exact_probabilities(state, measurement, params).p
+    center = exact_probabilities(state, measurement, params)
     # outcomes at rounding level (the Bell rest outcome for four photons is
     # empty) give difference quotients of pure rounding noise
     mask = center > 1e-12
@@ -83,32 +85,32 @@ class TestOptimalBasis:
 class TestExactProbabilities:
     def test_zero_rotation(self):
         state = tetra2()
-        dist = exact_probabilities(state, optimal_basis(state), RotationParams(0.0, 1.0, 0.5))
-        np.testing.assert_allclose(dist.p, [1, 0, 0, 0, 0], atol=1e-12)
+        p = exact_probabilities(state, optimal_basis(state), RotationParams(0.0, 1.0, 0.5))
+        np.testing.assert_allclose(p, [1, 0, 0, 0, 0], atol=1e-12)
 
     def test_tetra2_z_axis(self):
         state = tetra2()
         params = RotationParams.from_axis(0.01, [0, 0, 1])
-        dist = exact_probabilities(state, optimal_basis(state), params)
-        assert abs(dist.p[0] - (1 - 2e-4)) <= 1e-6
-        assert abs(dist.p[3] - 2e-4) <= 1e-6
+        p = exact_probabilities(state, optimal_basis(state), params)
+        assert abs(p[0] - (1 - 2e-4)) <= 1e-6
+        assert abs(p[3] - 2e-4) <= 1e-6
         # closed form for a z rotation of this state: P0 = cos(theta)^4
-        assert abs(dist.p[0] - math.cos(0.01) ** 4) <= 1e-14
+        assert abs(p[0] - math.cos(0.01) ** 4) <= 1e-14
 
     def test_balance_x_axis(self):
         state = balance()
         params = RotationParams.from_axis(0.01, [1, 0, 0])
-        dist = exact_probabilities(state, optimal_basis(state), params)
-        assert abs(dist.p[1] - 4e-4) <= 1e-6
+        p = exact_probabilities(state, optimal_basis(state), params)
+        assert abs(p[1] - 4e-4) <= 1e-6
 
     def test_distribution_valid(self):
         state = balance()
         basis = optimal_basis(state)
         rng = np.random.default_rng(7)
         for _ in range(20):
-            dist = exact_probabilities(state, basis, RotationParams(*rng.uniform(-1, 1, 3)))
-            assert dist.p.min() >= 0.0
-            assert abs(dist.p.sum() - 1.0) <= 1e-12
+            p = exact_probabilities(state, basis, RotationParams(*rng.uniform(-1, 1, 3)))
+            assert p.min() >= 0.0
+            assert abs(p.sum() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("factory", [tetra2, balance])
     @given(theta1=ANGLE, theta2=ANGLE, theta3=ANGLE)
@@ -117,9 +119,14 @@ class TestExactProbabilities:
         state = factory()
         params = RotationParams(theta1, theta2, theta3)
         for measurement in measurements(state):
-            p = exact_probabilities(state, measurement, params).p
+            p = exact_probabilities(state, measurement, params)
             assert p.min() >= 0.0
             assert abs(p.sum() - 1.0) <= 1e-12
+
+    def test_rejects_nan_angle(self):
+        state = tetra2()
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="out of range"):
+            sweep_probabilities(state, optimal_basis(state), [0.1, math.nan], [0, 0, 1])
 
     def test_rejects_other_spin_sector(self):
         with pytest.raises(ValueError, match="spin sectors"):
@@ -128,24 +135,42 @@ class TestExactProbabilities:
 
 class TestSmallAngle:
     def test_tetra_values(self):
-        dist = small_angle_probabilities(2, 0.1, [0, 0, 1])
-        np.testing.assert_allclose(dist.p, [0.98, 0, 0, 0.02, 0], atol=1e-15)
+        p = small_angle_probabilities(2, 0.1, [0, 0, 1])
+        np.testing.assert_allclose(p, [0.98, 0, 0, 0.02, 0], atol=1e-15)
 
     def test_balance_values(self):
-        dist = small_angle_probabilities(3, 0.1, [1, 0, 0])
-        np.testing.assert_allclose(dist.p, [0.96, 0.04, 0, 0, 0], atol=1e-15)
+        p = small_angle_probabilities(3, 0.1, [1, 0, 0])
+        np.testing.assert_allclose(p, [0.96, 0.04, 0, 0, 0], atol=1e-15)
 
     def test_zero_angle(self):
-        dist = small_angle_probabilities(5, 0.0, [0, 1, 0])
-        np.testing.assert_allclose(dist.p, [1, 0, 0, 0, 0], atol=1e-15)
+        p = small_angle_probabilities(5, 0.0, [0, 1, 0])
+        np.testing.assert_allclose(p, [1, 0, 0, 0, 0], atol=1e-15)
 
     def test_exact_sum(self):
-        dist = small_angle_probabilities(3, 0.04, np.array([1.0, 2.0, 2.0]) / 3)
-        assert dist.p.sum() == pytest.approx(1.0, abs=1e-15)
+        p = small_angle_probabilities(3, 0.04, np.array([1.0, 2.0, 2.0]) / 3)
+        assert p.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_large_angle(self):
         with pytest.raises(ValueError):
             small_angle_probabilities(3, 0.8, [0, 0, 1])
+
+    def test_grid_matches_single_angles(self):
+        u = np.array([1.0, 2.0, 2.0]) / 3
+        grid = np.linspace(0.0, 0.3, 21).reshape(3, 7)
+        rows = small_angle_probabilities(2, grid, u)
+        assert rows.shape == (3, 7, 5)
+        assert not rows.flags.writeable
+        for idx, theta in np.ndenumerate(grid):
+            single = small_angle_probabilities(2, theta, u)
+            assert not single.flags.writeable
+            np.testing.assert_array_equal(rows[idx], single)
+
+    def test_grid_names_first_angle_out_of_range(self):
+        # J = 3: theta1^2 J(J+1)/3 = 4 theta1^2 passes 1 beyond theta1 = 0.5
+        with pytest.raises(ValueError, match=r"theta1=0\.6 outside .* = 1\.44 > 1"):
+            small_angle_probabilities(3, [0.1, 0.6, 0.2, 0.9], [0, 0, 1])
+        with pytest.raises(ValueError, match="theta1=nan outside"):
+            small_angle_probabilities(3, [0.1, math.nan], [0, 0, 1])
 
     def test_rejects_non_unit_axis(self):
         with pytest.raises(ValueError):
@@ -243,5 +268,5 @@ class TestSmallAngleConsistency:
             for u in axes:
                 rest = exact_probabilities(
                     state, basis, RotationParams.from_axis(theta, u)
-                ).p[4]
+                )[4]
                 assert rest <= 1.0 * theta**3

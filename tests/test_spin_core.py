@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rotosense.spin_core import (
     MAX_QUBITS,
-    QubitState,
+    MAX_SPIN,
     RotationParams,
     SpinState,
     axis_from_angles,
@@ -145,9 +145,19 @@ class TestStateTypes:
         st_ = SpinState.from_m_amplitudes(2, {2: 0.5, -2: 0.5, 0: 0.5j * math.sqrt(2)})
         back = SpinState.from_json_dict(st_.to_json_dict())
         np.testing.assert_allclose(back.amps, st_.amps, atol=1e-15)
-        qs = QubitState.basis(3, 5)
-        back_q = QubitState.from_json_dict(qs.to_json_dict())
-        np.testing.assert_allclose(back_q.amps, qs.amps, atol=1e-15)
+
+    def test_spin_ceiling(self):
+        # J = MAX_SPIN holds 2J+1 amplitudes; one more half step is refused
+        # before any (2J+1)^2 operator is built
+        assert SpinState.from_m_amplitudes(MAX_SPIN, {0: 1.0}).amps.size == 2 * MAX_SPIN + 1
+        too_big = MAX_SPIN + 0.5
+        for build in (
+            lambda: SpinState(too_big, np.ones(2 * MAX_SPIN + 2) / math.sqrt(2 * MAX_SPIN + 2)),
+            lambda: SpinState.from_m_amplitudes(too_big, {0.5: 1.0}),
+            lambda: spin_operators(too_big),
+        ):
+            with pytest.raises(ValueError, match=f"at most {MAX_SPIN}"):
+                build()
 
     def test_params_axis_round_trip(self):
         u = np.array([1.0, 2.0, 2.0]) / 3.0
