@@ -22,14 +22,13 @@ from .circuit_sim import (
 )
 from .estimation import (
     estimate_params,
-    multinomial_stats,
     qcrb_experiment,
     sample_outcomes,
 )
 from .measurement import (
     Measurement,
     ProjectorBasis,
-    classical_fisher,
+    classical_fisher_matrix,
     exact_probabilities,
     multiparam_saturation_check,
     optimal_basis,
@@ -41,10 +40,9 @@ from .metrology import (
     anticoherence_report,
     fisher_single,
     generator_coeffs,
-    generator_matrix,
     j_expectations,
     qfi_matrix,
-    rotation_matrix,
+    rotated_frame,
 )
 from .spin_core import (
     QubitState,

@@ -49,6 +49,13 @@ def gate_matrix(name: str) -> np.ndarray:
         raise ValueError(f"unknown gate {name!r}; known: {sorted(_NAMED_2X2)}") from None
 
 
+def _qubit_list(key: str, value) -> tuple:
+    """A JSON list of qubit indices; strings, floats and bools are rejected."""
+    if not isinstance(value, list) or any(type(q) is not int for q in value):
+        raise TypeError(f"{key} must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class Gate:
     """A single-qubit gate with optional closed (|1>) and open (|0>) controls."""
@@ -102,9 +109,9 @@ class Gate:
             )
         return cls(
             kind=data["kind"],
-            targets=tuple(data["targets"]),
-            controls=tuple(data.get("controls", ())),
-            open_controls=tuple(data.get("open_controls", ())),
+            targets=_qubit_list("targets", data["targets"]),
+            controls=_qubit_list("controls", data.get("controls", [])),
+            open_controls=_qubit_list("open_controls", data.get("open_controls", [])),
             matrix=matrix,
         )
 
@@ -131,6 +138,8 @@ class Circuit:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Circuit":
+        if type(data["n_qubits"]) is not int:  # a bool or a float would be truncated
+            raise TypeError(f"n_qubits must be an integer, got {data['n_qubits']!r}")
         return cls(
             n_qubits=data["n_qubits"],
             gates=tuple(Gate.from_json_dict(g) for g in data["gates"]),

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -201,14 +202,16 @@ def cmd_probabilities(args) -> int:
         ]
     ).tolist()
     _warn_theta1(cfg.theta1)
+    saturation_params = RotationParams(min(cfg.theta1, 0.02), cfg.theta2, cfg.theta3)
     payload = {
         "state": cfg.state,
         "axis": list(u),
         "columns": header,
         "rows": rows,
-        "saturation": multiparam_saturation_check(
-            state, RotationParams(min(cfg.theta1, 0.02), cfg.theta2, cfg.theta3)
-        ).to_dict(),
+        "saturation": {
+            name: multiparam_saturation_check(state, measurement, saturation_params).to_dict()
+            for name, measurement in (("optimal", basis), ("bell", analyzer))
+        },
     }
     _emit(cfg, payload, csv_rows=rows, csv_header=header)
     return 0
@@ -320,6 +323,23 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with the CLI's error contract and negative exponent values.
+
+    A usage error prints one ``error: ...`` line and exits 2.  A value such
+    as ``-1e-3`` reads as a number, not an option: argparse's own
+    negative-number pattern has no exponent, so ``--theta3 -1e-3`` would
+    fail with "expected one argument".
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _add_common(parser: argparse.ArgumentParser):
     # defaults resolve through RunConfig so a --config file can fill them in
     parser.add_argument("--state", help="tetra1|tetra2|balance|file:PATH")
@@ -335,7 +355,7 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rotosense",
         description="Rotation-sensing analysis with anti-coherent polarization probes",
     )

@@ -87,39 +87,6 @@ def estimate_params(counts, j) -> tuple[np.ndarray, np.ndarray]:
     return theta1, u_abs
 
 
-@dataclass(frozen=True)
-class MultinomialStats:
-    """Moments of multinomial category counts for n trials at probabilities p."""
-
-    p: np.ndarray
-    n: int
-
-    def variances(self) -> np.ndarray:
-        return self.n * self.p * (1.0 - self.p)
-
-    def covariance(self) -> np.ndarray:
-        cov = -self.n * np.outer(self.p, self.p)
-        np.fill_diagonal(cov, self.variances())
-        return cov
-
-    def subset_sum_variance(self, indices) -> float:
-        q = float(np.sum(self.p[list(indices)]))
-        return self.n * q * (1.0 - q)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": list(self.p),
-            "var": list(self.variances()),
-            "cov": [list(row) for row in self.covariance()],
-        }
-
-
-def multinomial_stats(p, n: int) -> MultinomialStats:
-    """Analytic variance/covariance of the outcome counts at probabilities p."""
-    return MultinomialStats(p=np.array(p, dtype=float), n=int(n))
-
-
 def _pipeline_measurement(phi0: SpinState, pipeline: str) -> Measurement:
     """The measurement a pipeline name selects: "optimal" or "bell"."""
     if pipeline == "optimal":

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrology import anticoherence_report, generator_matrix, qfi_matrix
+from .metrology import anticoherence_report, qfi_matrix, rotated_frame
 from .spin_core import RotationParams, SpinState, rotated_amplitudes, spin_operators
 
 _P_FLOOR = 1e-15  # outcomes below this are treated as exactly zero in Fisher sums
@@ -138,35 +138,39 @@ def small_angle_probabilities(j, theta1, u) -> np.ndarray:
     return _check_rows(np.concatenate([1.0 - leak, leak * u**2, np.zeros_like(leak)], axis=-1))
 
 
-def classical_fisher(
-    phi0: SpinState, measurement: Measurement, params: RotationParams, which: int
-) -> float:
-    """Multinomial Fisher information sum_mu (dP_mu/dtheta_k)^2 / P_mu.
+def classical_fisher_matrix(
+    phi0: SpinState, measurement: Measurement, params: RotationParams
+) -> np.ndarray:
+    """Multinomial Fisher matrix F_kl = sum_mu dP_mu/dtheta_k dP_mu/dtheta_l / P_mu.
 
-    With psi the rotated probe and G_k the generator of theta_k, the exact
-    derivatives are dP_mu = 2 Im <K_mu psi, K_mu G_k psi> and
-    dP_rest = -sum_mu dP_mu.  Outcomes with P_mu below the floor contribute
-    zero (their probability and derivative vanish together).
+    With psi the rotated probe and G_k psi its generator images
+    (``metrology.rotated_frame``), the exact derivatives are
+    dP_mu/dtheta_k = 2 Im <K_mu psi, K_mu G_k psi>.  The rest outcome is the
+    complement I - R^dagger R of all rows R, a projector for both
+    measurements here (orthonormal or isometric rows), and takes the same
+    form with K_rest psi = psi - R^dagger R psi.  Its amplitudes keep the
+    relative precision that 1 - sum_mu P_mu loses when the rest is small,
+    and P_rest and dP_rest come from one vector, so F <= Q holds to rounding.
+    Outcomes with P_mu below the floor contribute zero (their probability
+    and derivative vanish together).
     """
-    if which not in (1, 2, 3):
-        raise ValueError("which must be 1, 2 or 3")
     _check_sector(phi0, measurement)
-    psi = rotated_amplitudes(phi0, [params.theta1], params.axis)[:, 0]
-    k_psi = measurement.rows @ psi
-    k_g_psi = measurement.rows @ (generator_matrix(phi0.J, params, which) @ psi)
-    p = _block_sums(measurement, np.abs(k_psi) ** 2)
-    dp = 2.0 * _block_sums(measurement, (k_psi.conj() * k_g_psi).imag)
-    p = np.append(p, max(0.0, 1.0 - p.sum()))
-    dp = np.append(dp, -dp.sum())
+    frame = np.column_stack(rotated_frame(phi0, params))  # psi, G_1 psi, G_2 psi, G_3 psi
+    blocks = measurement.rows @ frame
+    amps = np.vstack([blocks, frame - measurement.rows.conj().T @ blocks])
+    starts = (*measurement.starts, len(blocks))
+    p = np.add.reduceat(np.abs(amps[:, 0]) ** 2, starts)
+    dp = 2.0 * np.add.reduceat((amps[:, :1].conj() * amps[:, 1:]).imag, starts, axis=0)
     mask = p > _P_FLOOR
-    return float(np.sum(dp[mask] ** 2 / p[mask]))
+    f = dp[mask].T @ (dp[mask] / p[mask, None])
+    return 0.5 * (f + f.T)
 
 
 @dataclass(frozen=True)
 class SaturationReport:
-    """Classical Fisher information F(theta_k) against the quantum matrix diagonal."""
+    """Classical Fisher matrix diagonal F_kk against the quantum matrix diagonal Q_kk."""
 
-    fisher: np.ndarray  # F(theta_k), k = 1, 2, 3
+    fisher: np.ndarray  # F_kk, k = 1, 2, 3
     qfi_diag: np.ndarray  # Q_kk
     relative_dev: tuple  # F/Q - 1, or None where Q_kk vanishes
 
@@ -178,17 +182,17 @@ class SaturationReport:
         }
 
 
-def multiparam_saturation_check(phi0: SpinState, params: RotationParams) -> SaturationReport:
-    """Compare F(theta_k) with Q_kk for k = 1, 2, 3 at the given parameters.
+def multiparam_saturation_check(
+    phi0: SpinState, measurement: Measurement, params: RotationParams
+) -> SaturationReport:
+    """Compare F_kk of the measurement with Q_kk for k = 1, 2, 3 at the given parameters.
 
     Meaningful for small theta1 with sin(theta1) != 0; at theta2 in {0, pi}
     the azimuth generator vanishes and Q_33 = 0 is reported with a None
     deviation rather than an error.
     """
-    basis = optimal_basis(phi0)
-    fisher = np.array([classical_fisher(phi0, basis, params, k) for k in (1, 2, 3)])
-    q = qfi_matrix(phi0, params)
-    qdiag = np.diag(q).copy()
+    fisher = np.diag(classical_fisher_matrix(phi0, measurement, params)).copy()
+    qdiag = np.diag(qfi_matrix(phi0, params)).copy()
     rel = tuple(
         (float(f / qk - 1.0) if qk > 1e-12 else None) for f, qk in zip(fisher, qdiag)
     )

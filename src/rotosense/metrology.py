@@ -4,9 +4,11 @@ The single-parameter quantum Fisher information of a pure probe is four
 times the variance of the rotation generator; for an unknown axis this
 becomes ``F = 4 u^T Cov(J) u``, maximized by second-order anti-coherent
 states, for which every diagonal entry of the covariance equals J(J+1)/3.
-The multi-parameter Fisher matrix is assembled from the generator
-coefficient vectors g_k, the 3x3 conjugation rotation R, and the spin
-covariance of the unrotated probe.
+The multi-parameter Fisher matrices are computed in the rotated frame: the
+probe is rotated once, and the generator coefficient vectors g_k turn it
+into the three images G_k psi that both the quantum matrix here and the
+classical matrix of any measurement (``measurement.classical_fisher_matrix``)
+read.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import RotationParams, SpinState, rotation_unitary, spin_operators
+from .spin_core import RotationParams, SpinState, rotated_amplitudes, spin_operators
 
 
 def j_expectations(state: SpinState) -> tuple[np.ndarray, np.ndarray]:
@@ -98,41 +100,25 @@ def generator_coeffs(params: RotationParams) -> np.ndarray:
     return np.column_stack([u, coeff(du2), coeff(du3)])
 
 
-def generator_matrix(j, params: RotationParams, k: int) -> np.ndarray:
-    """Hermitian generator G_k = i (dU/dtheta_k) U^dagger, evaluated as g_k . J."""
-    if k not in (1, 2, 3):
-        raise ValueError("k must be 1, 2 or 3")
-    g = generator_coeffs(params)[:, k - 1]
-    jx, jy, jz = spin_operators(j)
-    return g[0] * jx + g[1] * jy + g[2] * jz
+def rotated_frame(state: SpinState, params: RotationParams) -> tuple[np.ndarray, np.ndarray]:
+    """The rotated probe psi = exp(-i theta1 u.J) phi0 and its generator images.
 
-
-def rotation_matrix(params: RotationParams) -> np.ndarray:
-    """3x3 rotation R with U^dagger J_i U = sum_j R_ij J_j.
-
-    Extracted by conjugating the spin-1/2 operators; R is orthogonal with
-    determinant +1 and leaves the rotation axis fixed.
+    Returns psi and the (2J+1, 3) array whose column k-1 is
+    G_k psi = sum_i g_k[i] J_i psi, with g_k the generator_coeffs columns.
     """
-    ops = spin_operators(0.5)
-    unitary = rotation_unitary(0.5, params)
-    r = np.empty((3, 3))
-    for i in range(3):
-        conj = unitary.conj().T @ ops[i] @ unitary
-        for jdx in range(3):
-            # Tr(J_a J_b) = delta_ab / 2 at spin 1/2
-            r[i, jdx] = 2.0 * np.trace(conj @ ops[jdx]).real
-    return r
+    psi = rotated_amplitudes(state, [params.theta1], params.axis)[:, 0]
+    j_psi = np.column_stack([op @ psi for op in spin_operators(state.J)])
+    return psi, j_psi @ generator_coeffs(params)
 
 
 def qfi_matrix(state: SpinState, params: RotationParams) -> np.ndarray:
     """Multi-parameter quantum Fisher information matrix.
 
-    Q_ij = 4 (R g_i)^T Cov(J) (R g_j), using the full covariance of the
-    unrotated probe.  For anti-coherent probes this reduces to
-    (4 J (J+1) / 3) * G^T G with G the column matrix of the g_k.
+    Q_kl = 4 Re Cov_psi(G_k, G_l) over the rotated probe psi.  For
+    anti-coherent probes this reduces to (4 J (J+1) / 3) * G^T G with G the
+    column matrix of the g_k.
     """
-    _, cov = j_expectations(state)
-    r = rotation_matrix(params)
-    rg = r @ generator_coeffs(params)
-    q = 4.0 * rg.T @ cov @ rg
+    psi, g_psi = rotated_frame(state, params)
+    mean = (psi.conj() @ g_psi).real
+    q = 4.0 * ((g_psi.conj().T @ g_psi).real - np.outer(mean, mean))
     return 0.5 * (q + q.T)

@@ -44,6 +44,39 @@ def test_rejects_spin_above_ceiling(command, spin600_state, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fisher", "--trials", "abc"],
+        ["fisher", "--no-such-flag"],
+        ["estimate", "--pipeline", "xx"],
+        [],
+    ],
+)
+def test_usage_errors_are_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert_single_error(exit_info.value.code, captured.err)
+    assert captured.out == ""
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fisher", "-h"])
+    assert exit_info.value.code == 0
+    assert "--theta1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--theta1", "--theta2", "--theta3"])
+def test_negative_exponent_value_parses(flag, capsys):
+    code, spaced, _ = run_cli(["fisher", flag, "-1e-3"], capsys)
+    assert code == 0
+    code, joined, _ = run_cli(["fisher", f"{flag}=-1e-3"], capsys)
+    assert code == 0
+    assert spaced == joined
+
+
 class TestFisher:
     def test_tetra2_reports_bound(self, capsys):
         code, out, _ = run_cli(["fisher", "--state", "tetra2"], capsys)
@@ -163,12 +196,12 @@ class TestProbabilities:
 
     def test_saturation_included(self, capsys):
         code, out, _ = run_cli(["probabilities", "--state", "tetra2"], capsys)
-        data = json.loads(out)
-        ratios = [
-            f / q for f, q in zip(data["saturation"]["fisher"], data["saturation"]["qfi_diag"])
-        ]
-        for r in ratios:
-            assert r == pytest.approx(1.0, abs=0.05)
+        saturation = json.loads(out)["saturation"]
+        assert set(saturation) == {"optimal", "bell"}
+        for block in saturation.values():
+            assert set(block) == {"fisher", "qfi_diag", "relative_dev"}
+            for f, q in zip(block["fisher"], block["qfi_diag"]):
+                assert f / q == pytest.approx(1.0, abs=0.05)
 
 
 class TestCircuitVerify:
@@ -208,6 +241,26 @@ class TestCircuitVerify:
         code, _, err = run_cli(["circuit-verify", "--circuit", str(path)], capsys)
         assert_single_error(code, err)
         assert "malformed circuit file" in err
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"controls": "12"},  # a string: its characters would read as qubits 1 and 2
+            {"targets": [True]},
+            {"open_controls": [1.0]},
+            {"n_qubits": 2.7},  # would be truncated to 2
+        ],
+    )
+    def test_rejects_mistyped_circuit_fields(self, field, tmp_path, capsys):
+        gate = {"kind": "X", "targets": [0]}
+        circuit = {"n_qubits": 3, "gates": [gate]}
+        (circuit if "n_qubits" in field else gate).update(field)
+        path = tmp_path / "circ.json"
+        path.write_text(json.dumps(circuit))
+        code, out, err = run_cli(["circuit-verify", "--circuit", str(path)], capsys)
+        assert_single_error(code, err)
+        assert "malformed circuit file" in err
+        assert out == ""
 
 
 class TestEstimate:

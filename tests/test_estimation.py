@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import multinomial_stats
 from rotosense.estimation import (
     estimate_params,
-    multinomial_stats,
     qcrb_experiment,
     sample_outcomes,
 )

@@ -8,18 +8,20 @@ from hypothesis import strategies as st
 
 from rotosense.bell_analysis import bell_measurement
 from rotosense.measurement import (
-    classical_fisher,
+    classical_fisher_matrix,
     exact_probabilities,
     multiparam_saturation_check,
     optimal_basis,
     small_angle_probabilities,
     sweep_probabilities,
 )
+from rotosense.metrology import qfi_matrix
 from rotosense.spin_core import RotationParams, SpinState
 from rotosense.states import balance, tetra1, tetra2
 
 
 ANGLE = st.floats(min_value=-math.pi, max_value=math.pi)
+REFERENCE = RotationParams(0.02, 1.0, 0.5)
 
 
 def random_axes(rng, count):
@@ -32,21 +34,23 @@ def measurements(state):
     return optimal_basis(state), bell_measurement(int(round(2 * state.J)))
 
 
-def central_difference_fisher(state, measurement, params, which, step=1e-5):
-    """Oracle: Fisher information from central differences of the probabilities."""
-    name = f"theta{which}"
-    shifted = [
-        exact_probabilities(
-            state, measurement, replace(params, **{name: getattr(params, name) + h})
-        )
-        for h in (step, -step)
-    ]
-    deriv = (shifted[0] - shifted[1]) / (2.0 * step)
+def central_difference_fisher(state, measurement, params, step=1e-5):
+    """Oracle: the Fisher matrix from central differences of the probabilities."""
     center = exact_probabilities(state, measurement, params)
+    derivs = []
+    for name in ("theta1", "theta2", "theta3"):
+        shifted = [
+            exact_probabilities(
+                state, measurement, replace(params, **{name: getattr(params, name) + h})
+            )
+            for h in (step, -step)
+        ]
+        derivs.append((shifted[0] - shifted[1]) / (2.0 * step))
     # outcomes at rounding level (the Bell rest outcome for four photons is
     # empty) give difference quotients of pure rounding noise
     mask = center > 1e-12
-    return float(np.sum(deriv[mask] ** 2 / center[mask]))
+    d = np.array(derivs)[:, mask]
+    return d @ (d / center[mask]).T
 
 
 class TestOptimalBasis:
@@ -182,20 +186,22 @@ class TestClassicalFisher:
         state = tetra2()
         basis = optimal_basis(state)
         params = RotationParams.from_axis(1e-3, np.array([2.0, -1.0, 2.0]) / 3)
-        assert classical_fisher(state, basis, params, 1) == pytest.approx(8.0, rel=0.01)
+        fisher = classical_fisher_matrix(state, basis, params)
+        assert fisher[0, 0] == pytest.approx(8.0, rel=0.01)
 
     def test_balance_saturates(self):
         state = balance()
         basis = optimal_basis(state)
         params = RotationParams.from_axis(1e-3, [0, 1, 0])
-        assert classical_fisher(state, basis, params, 1) == pytest.approx(16.0, rel=0.01)
+        fisher = classical_fisher_matrix(state, basis, params)
+        assert fisher[0, 0] == pytest.approx(16.0, rel=0.01)
 
     def test_axis_independence(self):
         state = tetra2()
         basis = optimal_basis(state)
         rng = np.random.default_rng(19)
         values = [
-            classical_fisher(state, basis, RotationParams.from_axis(1e-3, u), 1)
+            classical_fisher_matrix(state, basis, RotationParams.from_axis(1e-3, u))[0, 0]
             for u in random_axes(rng, 3)
         ]
         for v in values:
@@ -208,51 +214,68 @@ class TestClassicalFisher:
         u = np.array([1.0, 2.0, 2.0]) / 3
         grid = [0.05, 0.02, 0.01, 0.005, 0.002]
         errors = [
-            abs(classical_fisher(state, basis, RotationParams.from_axis(t, u), 1) - 8.0)
+            abs(
+                classical_fisher_matrix(state, basis, RotationParams.from_axis(t, u))[0, 0]
+                - 8.0
+            )
             for t in grid
         ]
         for earlier, later in zip(errors, errors[1:]):
             assert later <= earlier + 1e-6
 
-    def test_rejects_bad_index(self):
-        state = tetra2()
-        with pytest.raises(ValueError):
-            classical_fisher(state, optimal_basis(state), RotationParams(0.01, 1, 1), 0)
-
     @pytest.mark.parametrize("factory", [tetra2, balance])
     @pytest.mark.parametrize("which", [1, 2, 3])
     def test_matches_central_differences(self, factory, which):
+        # every F_kl; `which` picks the random parameter set
         state = factory()
         rng = np.random.default_rng(10 * which + int(state.J))
         for measurement in measurements(state):
             for _ in range(4):
                 params = RotationParams(rng.uniform(0.01, 1.0), *rng.uniform(0.2, 2.9, 2))
-                exact = classical_fisher(state, measurement, params, which)
-                oracle = central_difference_fisher(state, measurement, params, which)
+                exact = classical_fisher_matrix(state, measurement, params)
+                oracle = central_difference_fisher(state, measurement, params)
                 assert exact == pytest.approx(oracle, rel=1e-5, abs=1e-8)
+
+    @pytest.mark.parametrize("factory", [tetra2, balance])
+    @given(theta1=ANGLE, theta2=ANGLE, theta3=ANGLE)
+    @settings(max_examples=60, deadline=None)
+    def test_bounded_by_qfi_matrix(self, factory, theta1, theta2, theta3):
+        # quantum Cramer-Rao: Q - F is positive semidefinite for every measurement
+        state = factory()
+        params = RotationParams(theta1, theta2, theta3)
+        q = qfi_matrix(state, params)
+        for measurement in measurements(state):
+            f = classical_fisher_matrix(state, measurement, params)
+            assert np.linalg.eigvalsh(q - f).min() >= -1e-10
 
 
 class TestSaturationCheck:
     def test_tetra2_reference_point(self):
-        report = multiparam_saturation_check(tetra2(), RotationParams(0.02, 1.0, 0.5))
+        state = tetra2()
+        report = multiparam_saturation_check(state, optimal_basis(state), REFERENCE)
         assert report.fisher[0] / report.qfi_diag[0] == pytest.approx(1.0, abs=0.02)
         assert report.fisher[1] / report.qfi_diag[1] == pytest.approx(1.0, abs=0.05)
         assert report.fisher[2] / report.qfi_diag[2] == pytest.approx(1.0, abs=0.05)
 
     def test_balance_reference_point(self):
-        report = multiparam_saturation_check(balance(), RotationParams(0.02, 1.0, 0.5))
+        state = balance()
+        report = multiparam_saturation_check(state, optimal_basis(state), REFERENCE)
         for f, q in zip(report.fisher, report.qfi_diag):
             assert f / q == pytest.approx(1.0, abs=0.05)
 
     def test_axis_generators_vanish_at_zero(self):
-        report = multiparam_saturation_check(tetra2(), RotationParams(1e-8, 1.0, 0.5))
+        state = tetra2()
+        report = multiparam_saturation_check(
+            state, optimal_basis(state), RotationParams(1e-8, 1.0, 0.5)
+        )
         assert report.qfi_diag[1] <= 1e-12
         assert report.qfi_diag[2] <= 1e-12
         assert report.relative_dev[1] is None
         assert report.relative_dev[2] is None
 
     def test_report_serializes(self):
-        report = multiparam_saturation_check(tetra2(), RotationParams(0.02, 1.0, 0.5))
+        state = tetra2()
+        report = multiparam_saturation_check(state, optimal_basis(state), REFERENCE)
         data = report.to_dict()
         assert set(data) == {"fisher", "qfi_diag", "relative_dev"}
 

@@ -8,10 +8,8 @@ from rotosense.metrology import (
     anticoherence_report,
     fisher_single,
     generator_coeffs,
-    generator_matrix,
     j_expectations,
     qfi_matrix,
-    rotation_matrix,
 )
 from rotosense.spin_core import (
     RotationParams,
@@ -30,6 +28,41 @@ def random_axis(rng):
 def random_state(rng, j):
     dim = int(round(2 * j)) + 1
     return SpinState.normalized(j, rng.normal(size=dim) + 1j * rng.normal(size=dim))
+
+
+def generator_matrix(j, params, k):
+    """Oracle: the dense Hermitian generator G_k = g_k . J of theta_k."""
+    g = generator_coeffs(params)[:, k - 1]
+    jx, jy, jz = spin_operators(j)
+    return g[0] * jx + g[1] * jy + g[2] * jz
+
+
+def rotation_matrix(params):
+    """Oracle: the 3x3 rotation R with U^dagger J_i U = sum_j R_ij J_j.
+
+    Extracted by conjugating the spin-1/2 operators; R is orthogonal with
+    determinant +1 and leaves the rotation axis fixed.
+    """
+    ops = spin_operators(0.5)
+    unitary = rotation_unitary(0.5, params)
+    r = np.empty((3, 3))
+    for i in range(3):
+        conj = unitary.conj().T @ ops[i] @ unitary
+        for jdx in range(3):
+            # Tr(J_a J_b) = delta_ab / 2 at spin 1/2
+            r[i, jdx] = 2.0 * np.trace(conj @ ops[jdx]).real
+    return r
+
+
+def r_form_qfi_matrix(state, params):
+    """Oracle: Q = 4 (R^T g)^T Cov(J) (R^T g) from the covariance of the unrotated probe.
+
+    U^dagger (g . J) U = (R^T g) . J.  The untransposed R g agrees only where
+    Cov(J) is a multiple of the identity (anti-coherent probes).
+    """
+    _, cov = j_expectations(state)
+    rg = rotation_matrix(params).T @ generator_coeffs(params)
+    return 4.0 * rg.T @ cov @ rg
 
 
 class TestJExpectations:
@@ -162,10 +195,6 @@ class TestGenerators:
         g = generator_matrix(2, RotationParams(0.4, 0.0, 0.0), 1)
         np.testing.assert_allclose(g, spin_operators(2)[2], atol=1e-12)
 
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            generator_matrix(2, RotationParams(0.1, 0.2, 0.3), 4)
-
 
 class TestRotationMatrix:
     def test_identity_at_zero(self):
@@ -228,6 +257,16 @@ class TestQfiMatrix:
         # theta2 = 0 makes the azimuth generator vanish: rank-deficient, not an error
         q = qfi_matrix(tetra2(), RotationParams(0.3, 0.0, 0.7))
         assert abs(q[2, 2]) <= 1e-12
+
+    @pytest.mark.parametrize("j", [0.5, 1.5, 2, 3])
+    def test_matches_r_form(self, j):
+        # rotated-frame covariance against the conjugation form, generic probes
+        rng = np.random.default_rng(int(2 * j) + 200)
+        for _ in range(20):
+            state = random_state(rng, j)
+            params = RotationParams(*rng.uniform(-3, 3, size=3))
+            oracle = r_form_qfi_matrix(state, params)
+            assert np.abs(qfi_matrix(state, params) - oracle).max() <= 1e-10
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(43)
