@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -133,10 +135,40 @@ def _warn_theta1(theta1: float):
         )
 
 
+def _json_text(payload) -> str:
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True)``.
+
+    json's indenting encoder runs in pure Python, and a 101-point sweep
+    table would spend most of a report's time in it, so a top-level
+    ``rows`` table of finite floats is written by ``_float_table`` and
+    spliced in.  Every other payload goes through json alone.
+    """
+    table = _float_table(payload.get("rows")) if isinstance(payload, dict) else None
+    if table is None:
+        return json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps({**payload, "rows": []}, indent=2, sort_keys=True)
+    # strings escape newlines, so only the top-level key starts a line at indent 2
+    return text.replace('\n  "rows": []', '\n  "rows": ' + table, 1)
+
+
+def _float_table(rows) -> str | None:
+    """json's text of a non-empty list of non-empty float lists at indent 2,
+    or None where it would differ: other values, NaN and the infinities."""
+    if not (type(rows) is list and rows and all(type(row) is list and row for row in rows)):
+        return None
+    try:
+        lines = [",\n      ".join(map(float.__repr__, row)) for row in rows]
+    except TypeError:  # a cell that is not a float
+        return None
+    if not math.isfinite(sum(map(sum, rows))):  # json spells NaN and inf its own way
+        return None
+    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(lines) + "\n    ]\n  ]"
+
+
 def _emit(cfg: RunConfig, json_payload, csv_rows=None, csv_header=None):
     """Write the report in the requested format to --out or stdout."""
     if cfg.format == "json":
-        text = json.dumps(json_payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(json_payload) + "\n"
     else:
         if csv_rows is None:
             raise ValueError("this command only supports --format json")
@@ -202,6 +234,9 @@ def cmd_probabilities(args) -> int:
         ]
     ).tolist()
     _warn_theta1(cfg.theta1)
+    if cfg.format == "csv":
+        _emit(cfg, None, csv_rows=rows, csv_header=header)
+        return 0
     saturation_params = RotationParams(min(cfg.theta1, 0.02), cfg.theta2, cfg.theta3)
     payload = {
         "state": cfg.state,
@@ -213,7 +248,7 @@ def cmd_probabilities(args) -> int:
             for name, measurement in (("optimal", basis), ("bell", analyzer))
         },
     }
-    _emit(cfg, payload, csv_rows=rows, csv_header=header)
+    _emit(cfg, payload)
     return 0
 
 
@@ -354,7 +389,13 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="JSON file with the same keys; flags win")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every ``main`` call.
+
+    Parsing leaves the parser unchanged (each call gets a fresh namespace),
+    so sharing it is safe; callers must not add to it.
+    """
     parser = _Parser(
         prog="rotosense",
         description="Rotation-sensing analysis with anti-coherent polarization probes",

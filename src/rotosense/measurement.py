@@ -23,9 +23,6 @@ import numpy as np
 from .metrology import anticoherence_report, qfi_matrix, rotated_frame
 from .spin_core import RotationParams, SpinState, rotated_amplitudes, spin_operators
 
-_P_FLOOR = 1e-15  # outcomes below this are treated as exactly zero in Fisher sums
-
-
 @dataclass(frozen=True)
 class Measurement:
     """Four outcomes on the |J,m> basis, given by row blocks K_0..K_3.
@@ -151,8 +148,12 @@ def classical_fisher_matrix(
     form with K_rest psi = psi - R^dagger R psi.  Its amplitudes keep the
     relative precision that 1 - sum_mu P_mu loses when the rest is small,
     and P_rest and dP_rest come from one vector, so F <= Q holds to rounding.
-    Outcomes with P_mu below the floor contribute zero (their probability
-    and derivative vanish together).
+    Each term dP_mu^2 / P_mu is at most 4 ||K_mu G_k psi||^2
+    (Cauchy-Schwarz) and stays finite as P_mu -> 0: at small theta1 the
+    signal outcomes have P ~ theta1^2 and still carry F = Q.  So every
+    outcome counts except those whose amplitudes are at the rounding level
+    of the unit frame, P_mu <= ((2J+1) eps)^2, where dP^2/P would be a
+    ratio of rounding errors.
     """
     _check_sector(phi0, measurement)
     frame = np.column_stack(rotated_frame(phi0, params))  # psi, G_1 psi, G_2 psi, G_3 psi
@@ -161,7 +162,7 @@ def classical_fisher_matrix(
     starts = (*measurement.starts, len(blocks))
     p = np.add.reduceat(np.abs(amps[:, 0]) ** 2, starts)
     dp = 2.0 * np.add.reduceat((amps[:, :1].conj() * amps[:, 1:]).imag, starts, axis=0)
-    mask = p > _P_FLOOR
+    mask = p > (len(frame) * np.finfo(float).eps) ** 2
     f = dp[mask].T @ (dp[mask] / p[mask, None])
     return 0.5 * (f + f.T)
 

@@ -2,8 +2,10 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from rotosense.cli import main
+from rotosense.cli import _json_text, build_parser, main
 
 
 def run_cli(args, capsys):
@@ -75,6 +77,54 @@ def test_negative_exponent_value_parses(flag, capsys):
     code, joined, _ = run_cli(["fisher", f"{flag}=-1e-3"], capsys)
     assert code == 0
     assert spaced == joined
+
+
+class TestSharedParser:
+    ARGV = ["probabilities", "--state", "balance", "--theta1", "0.03", "--grid-points", "5"]
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_failed_parse_leaves_no_trace(self, capsys):
+        code, first, _ = run_cli(self.ARGV, capsys)
+        assert code == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["probabilities", "--grid-points", "many", "--format", "csv"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        assert run_cli(self.ARGV, capsys) == (0, first, "")
+
+    def test_defaults_do_not_leak(self, capsys):
+        assert run_cli(["probabilities", "--grid-points", "101"], capsys)[0] == 0
+        code, out, _ = run_cli(["probabilities"], capsys)
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == 21
+
+
+FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1.7e308, math.nan, math.inf, -math.inf])
+TABLES = st.lists(st.lists(FLOATS, min_size=1, max_size=5), min_size=1, max_size=4)
+KEYS = st.text(max_size=6) | st.just("rows")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=3),
+    max_leaves=12,
+)
+PAYLOADS = st.builds(
+    lambda rest, rows: rest if rows is None else {**rest, "rows": rows},
+    st.dictionaries(KEYS, JSON_VALUES, max_size=4),
+    st.none() | TABLES | JSON_VALUES,
+)
+
+
+@given(PAYLOADS)
+@example({"rows": [[-0.0, 5e-324, 1.7e308]], "state": "tetra2"})
+@example({"rows": [[1.0, math.nan], [math.inf, -math.inf]]})
+@example({"rows": [[0.25]]})
+@example({"axis": [0.0, 1.0], "saturation": {"bell": {"rows": [], "fisher": [8.0]}}})
+@example({"a": {"rows": []}, "rows": [[1.5, 2.0], [3.0, 1e-300]], "z": {"x": [1.0]}})
+@example({"rows": [[1.0], [2]]})
+def test_json_text_is_jsons_text(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 class TestFisher:

@@ -223,6 +223,26 @@ class TestClassicalFisher:
         for earlier, later in zip(errors, errors[1:]):
             assert later <= earlier + 1e-6
 
+    @pytest.mark.parametrize("theta1", [1e-8, 1e-10])
+    @pytest.mark.parametrize("factory", [tetra2, balance])
+    def test_saturates_at_tiny_rotations(self, factory, theta1):
+        # the signal outcomes have P ~ theta1^2 far below 1e-15, yet each
+        # keeps its finite share dP^2/P of F_11 = 4J(J+1)/3
+        state = factory()
+        bound = 4.0 * state.J * (state.J + 1.0) / 3.0
+        for measurement in measurements(state):
+            f = classical_fisher_matrix(state, measurement, RotationParams(theta1, 1.0, 0.5))
+            assert f[0, 0] == pytest.approx(bound, rel=1e-6)
+
+    @pytest.mark.parametrize("factory", [tetra2, balance])
+    def test_rounding_level_outcomes_add_nothing(self, factory):
+        # unrotated, only P0 = 1 is populated: the other outcomes' amplitudes
+        # are rounding errors, and their ratio dP^2/P is no information
+        state = factory()
+        for measurement in measurements(state):
+            f = classical_fisher_matrix(state, measurement, RotationParams(0.0, 1.0, 0.5))
+            assert np.abs(f).max() <= 1e-12
+
     @pytest.mark.parametrize("factory", [tetra2, balance])
     @pytest.mark.parametrize("which", [1, 2, 3])
     def test_matches_central_differences(self, factory, which):
