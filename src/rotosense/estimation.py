@@ -8,24 +8,26 @@ optimal-basis probabilities or from the Bell-pair aggregation.
 
 Trials are arrays: `sample_outcomes` draws every trial's counts into one
 (trials, 5) matrix and `estimate_params` inverts all rows in one call.
-Row t comes from its own RNG stream derived from (seed, t), so trial t
-gives the same counts whatever the number of trials, and the two pipelines
-are paired trial by trial.  One shared stream would be cheaper but would
-unpair them: a binomial draw consumes a variable number of random numbers,
-so a small difference between two probability vectors shifts every later
-row.
+Row t comes from its own RNG stream, the PCG64 stream that
+SeedSequence((seed, t)) seeds, so trial t gives the same counts whatever
+the number of trials, and the two pipelines are paired trial by trial.
+One shared stream would unpair them: a binomial draw consumes a variable
+number of random numbers, so a small difference between two probability
+vectors shifts every later row.  Building a SeedSequence per row is what
+costs, so `_pcg64_states` hashes the seeds of all rows at once and one
+generator is reseeded per row.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bell_analysis import bell_measurement
 from .measurement import (
-    Measurement,
     exact_probabilities,
     optimal_basis,
     small_angle_probabilities,
@@ -38,26 +40,113 @@ MAX_TRIALS = 10**7
 # Counts are int64, so a round holds at most this many shots.
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
 
+# SeedSequence's entropy hash (numpy/random/bit_generator.pyx, pool of four
+# uint32 words) and PCG64's 128-bit LCG multiplier (pcg64.h).  Python ints,
+# so that updating them never overflows a numpy scalar.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Rows hashed per pass: large enough to amortise the numpy calls, small
+# enough that the block's arrays and ints stay far below the count matrix.
+_HASH_BLOCK = 4096
+
+
+def _seed_words(seed) -> list[int]:
+    """The uint32 words SeedSequence reads from an integer seed, low word first."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    return words
+
+
+def _pcg64_states(seed, trials: int):
+    """Yield PCG64's (state, inc) after seeding from SeedSequence((seed, t)), t < trials.
+
+    Runs SeedSequence's pool mixing and generate_state(4, uint64) as uint32
+    array operations over a block of trials (the entropy of row t is the
+    seed's words followed by t), then PCG64's srandom in 128-bit ints.
+    Blocks of _HASH_BLOCK rows keep the memory flat in trials.
+    """
+    seed_words = _seed_words(seed)
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> 16
+
+    for start in range(0, trials, _HASH_BLOCK):
+        t = np.arange(start, min(start + _HASH_BLOCK, trials), dtype=np.uint32)
+        entropy = [np.full(t.size, w, dtype=np.uint32) for w in seed_words]
+        entropy.append(t)  # t < MAX_TRIALS: one word
+        zero = np.zeros(t.size, dtype=np.uint32)
+        hash_const = _INIT_A
+        pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = mix(pool[dst], hashmix(word))
+
+        hash_const = _INIT_B
+        words = []
+        for i in range(8):  # generate_state(4, uint64): eight words cycling over the pool
+            value = pool[i % _POOL_SIZE] ^ hash_const
+            hash_const = hash_const * _MULT_B & _MASK32
+            value = value * hash_const
+            words.append((value ^ value >> 16).astype(np.uint64))
+        # uint64 k is words 2k (low) and 2k+1; seed = (u0 << 64) | u1, stream = (u2 << 64) | u3
+        u = [(words[2 * k] | words[2 * k + 1] << 32).tolist() for k in range(4)]
+        for u0, u1, u2, u3 in zip(*u):
+            inc = ((u2 << 64 | u3) << 1 | 1) & _MASK128
+            yield ((inc + (u0 << 64 | u1)) * _PCG_MULT + inc) & _MASK128, inc
+
 
 def sample_outcomes(p, n: int, trials: int, seed: int) -> np.ndarray:
     """Read-only (trials, k) matrix of multinomial n-shot counts.
 
-    The probability vector p is clipped at zero and renormalised once.
-    Row t is drawn from its own stream default_rng(SeedSequence((seed, t))),
-    so it depends only on (seed, t, n, p): a run of k trials gives the first
-    k rows of a longer run, and two vectors sampled with one seed stay
-    paired row by row.
+    The probability vector p is clipped at zero and renormalised once; it
+    needs finite weights with a positive sum.  Row t is drawn from its own
+    stream, the one default_rng(SeedSequence((seed, t))) would give, so it
+    depends only on (seed, t, n, p): a run of k trials gives the first k
+    rows of a longer run, and two vectors sampled with one seed stay paired
+    row by row.  The seed is a non-negative integer.
     """
-    p = np.asarray(p, dtype=float)
     if not 1 <= n <= _MAX_SHOTS:
         raise ValueError(f"n must be in 1..{_MAX_SHOTS}, got {n}")
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
-    p = np.clip(p, 0.0, None)
-    p = p / p.sum()
+    p = np.clip(np.asarray(p, dtype=float), 0.0, None)
+    with np.errstate(over="ignore"):  # a sum past the float range is rejected below
+        total = p.sum()
+    if not 0.0 < total < math.inf:
+        raise ValueError("p needs finite weights with a positive sum")
+    p = p / total
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
     counts = np.empty((trials, p.size), dtype=np.int64)
-    for t in range(trials):
-        counts[t] = np.random.default_rng(np.random.SeedSequence((seed, t))).multinomial(n, p)
+    for t, (state, inc) in enumerate(_pcg64_states(seed, trials)):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        counts[t] = rng.multinomial(n, p)
     counts.setflags(write=False)
     return counts
 
@@ -85,15 +174,6 @@ def estimate_params(counts, j) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(invalid="ignore"):  # 0/0 is the NaN axis of a signal-free row
         u_abs = np.sqrt(c[..., 1:4] / signal[..., None])
     return theta1, u_abs
-
-
-def _pipeline_measurement(phi0: SpinState, pipeline: str) -> Measurement:
-    """The measurement a pipeline name selects: "optimal" or "bell"."""
-    if pipeline == "optimal":
-        return optimal_basis(phi0)
-    if pipeline == "bell":
-        return bell_measurement(int(round(2 * phi0.J)))
-    raise ValueError(f"unknown pipeline {pipeline!r}")
 
 
 @dataclass(frozen=True)
@@ -166,8 +246,12 @@ def qcrb_experiment(
     """
     if trials < 2:
         raise ValueError("need at least two trials for a spread estimate")
-    p = exact_probabilities(phi0, _pipeline_measurement(phi0, pipeline), params)
+    if pipeline == "bell":
+        analyzer = bell_measurement(int(round(2 * phi0.J)))
+    elif pipeline != "optimal":
+        raise ValueError(f"unknown pipeline {pipeline!r}")
     p_exact = exact_probabilities(phi0, optimal_basis(phi0), params)
+    p = exact_probabilities(phi0, analyzer, params) if pipeline == "bell" else p_exact
     p_small = small_angle_probabilities(phi0.J, params.theta1, params.axis)
     counts = sample_outcomes(p, n, trials, seed)
     theta_hats, u_hats = estimate_params(counts, phi0.J)

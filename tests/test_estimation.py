@@ -54,6 +54,22 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_outcomes(np.array([1.0, 0, 0, 0, 0]), 10, 0, 1)
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [0.0, 0.0, 0.0, 0.0, 0.0],
+            [-0.2, -0.3, -0.1, -0.25, -0.15],
+            [np.inf, 0.0, 0.0, 0.0, 0.0],
+            [-np.inf, -np.inf, -np.inf, -np.inf, -np.inf],
+            [np.nan, 0.5, 0.5, 0.0, 0.0],
+            [1e308, 1e308, 0.0, 0.0, 0.0],
+        ],
+        ids=["zero", "negative", "inf", "minus-inf", "nan", "sum-overflows"],
+    )
+    def test_rejects_unsampleable_p(self, p):
+        with pytest.raises(ValueError, match="finite weights with a positive sum"):
+            sample_outcomes(np.array(p), 1000, 3, 42)
+
     def test_frequency_convergence(self):
         from rotosense.measurement import exact_probabilities, optimal_basis
 
@@ -65,6 +81,44 @@ class TestSampling:
         freq = counts[0] / 10**6
         bound = 5.0 * np.sqrt(p * (1 - p) / 10**6)
         assert np.all(np.abs(freq - p) <= bound + 1e-12)
+
+
+# seeds on either side of SeedSequence's 32-bit word boundaries; from 2**96
+# on, the seed and trial words overflow its pool of four words
+BOUNDARY_SEEDS = [
+    0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**64, 2**96 - 1, 2**96,
+    2**128 - 1, 2**128, 2**128 + 1, 2**160,
+]
+
+
+class TestSeeding:
+    @given(
+        seed=st.sampled_from(BOUNDARY_SEEDS) | st.integers(0, 2**200),
+        trials=st.integers(1, 64),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_seed_sequence_streams(self, seed, trials):
+        p = np.array([0.9, 0.04, 0.03, 0.02, 0.01])
+        counts = sample_outcomes(p, 10**6, trials, seed)
+        for t in range(trials):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
+            assert np.array_equal(counts[t], rng.multinomial(10**6, p))
+        if seed <= np.iinfo(np.int64).max:
+            np.testing.assert_array_equal(
+                sample_outcomes(p, 10**6, trials, np.int64(seed)), counts
+            )
+
+    def test_rows_across_hash_blocks(self):
+        # the seeds are hashed 4096 rows at a time
+        p = np.array([0.9, 0.04, 0.03, 0.02, 0.01])
+        counts = sample_outcomes(p, 1000, 8200, 2**64 + 3)
+        for t in (4095, 4096, 4097, 8191, 8192, 8199):
+            rng = np.random.default_rng(np.random.SeedSequence((2**64 + 3, t)))
+            assert np.array_equal(counts[t], rng.multinomial(1000, p))
+
+    def test_negative_seed_keeps_numpy_message(self):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            sample_outcomes(np.array([0.2, 0.3, 0.1, 0.25, 0.15]), 1000, 3, -1)
 
 
 class TestEstimateParams:
