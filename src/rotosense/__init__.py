@@ -36,7 +36,6 @@ from .measurement import (
     sweep_probabilities,
 )
 from .metrology import (
-    AnticoherenceReport,
     anticoherence_report,
     fisher_single,
     generator_coeffs,

@@ -16,7 +16,6 @@ symmetric states; label 2 is the singlet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
@@ -212,28 +211,8 @@ def _n6_reference_states() -> list[SpinState]:
     return [*basis.states, extra4, extra5, extra6]
 
 
-@dataclass(frozen=True)
-class DecompositionCheck:
-    """Fidelity of one tabulated Bell decomposition against the direct state."""
-
-    label: str
-    fidelity: float
-    ok: bool
-    mismatches: tuple  # (labels, tabulated [re, im], recomputed [re, im])
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "fidelity": self.fidelity,
-            "ok": self.ok,
-            "mismatches": [
-                {"labels": list(t), "tabulated": tab, "recomputed": rec}
-                for t, tab, rec in self.mismatches
-            ],
-        }
-
-
-def _check_one(label: str, table: dict, direct: SpinState, tol: float) -> DecompositionCheck:
+def _check_one(label: str, table: dict, direct: SpinState, tol: float) -> dict:
+    """{"label", "fidelity", "ok", "mismatches": [{"labels", "tabulated", "recomputed"}]}."""
     bp = bell_decompose(dicke_to_qubit(direct))
     tabulated_amps = np.zeros(bp.shape, dtype=complex)
     for labels, coeff in table.items():
@@ -263,36 +242,25 @@ def _check_one(label: str, table: dict, direct: SpinState, tol: float) -> Decomp
             recomputed = phase * complex(bp[labels])
             if abs(tabulated - recomputed) > 1e-8:
                 mismatches.append(
-                    (
-                        labels,
-                        [complex(tabulated).real, complex(tabulated).imag],
-                        [recomputed.real, recomputed.imag],
-                    )
+                    {
+                        "labels": list(labels),
+                        "tabulated": [complex(tabulated).real, complex(tabulated).imag],
+                        "recomputed": [recomputed.real, recomputed.imag],
+                    }
                 )
-    return DecompositionCheck(label, fid, ok, tuple(mismatches))
+    return {"label": label, "fidelity": fid, "ok": ok, "mismatches": mismatches}
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    checks: tuple
-
-    @property
-    def all_ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {"all_ok": self.all_ok, "checks": [c.to_dict() for c in self.checks]}
-
-
-def verify_tabulated_decompositions(tol: float = 1e-9) -> DecompositionReport:
+def verify_tabulated_decompositions(tol: float = 1e-9) -> dict:
     """Compare every tabulated decomposition with the direct basis-change computation.
 
-    Discrepancies are report content: each failing state is listed with the
-    recomputed coefficients, never patched silently.
+    Returns the JSON-ready report {"all_ok", "checks"}, one check per
+    tabulated state.  Discrepancies are report content: each failing state
+    is listed with the recomputed coefficients, never patched silently.
     """
     checks = []
     for idx, (table, direct) in enumerate(zip(TABULATED_BELL_N4, _n4_reference_states())):
         checks.append(_check_one(f"n4_psi{idx}", table, direct, tol))
     for idx, (table, direct) in enumerate(zip(TABULATED_BELL_N6, _n6_reference_states())):
         checks.append(_check_one(f"n6_psi{idx}", table, direct, tol))
-    return DecompositionReport(checks=tuple(checks))
+    return {"all_ok": all(check["ok"] for check in checks), "checks": checks}

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -92,14 +93,6 @@ class Gate:
     def matrix_2x2(self) -> np.ndarray:
         return self.matrix if self.kind == "custom" else gate_matrix(self.kind)
 
-    def to_json_dict(self) -> dict:
-        data = {"kind": self.kind, "targets": list(self.targets), "controls": list(self.controls)}
-        if self.open_controls:
-            data["open_controls"] = list(self.open_controls)
-        if self.kind == "custom":
-            data["matrix"] = [[[z.real, z.imag] for z in row] for row in self.matrix]
-        return data
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "Gate":
         matrix = None
@@ -132,9 +125,6 @@ class Circuit:
                     raise ValueError(f"gate {g.kind} touches qubit {q}, out of range")
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "gates", gates)
-
-    def to_json_dict(self) -> dict:
-        return {"n_qubits": self.n_qubits, "gates": [g.to_json_dict() for g in self.gates]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Circuit":
@@ -286,28 +276,12 @@ def bell_analyzer_circuit() -> Circuit:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrepCircuitReport:
-    name: str
-    n_qubits: int
-    gate_count: int
-    fidelity: float
-    norm_drift: float
-    note: str
+def prep_circuit_report(name: str) -> dict:
+    """Run a named preparation circuit on |0...0> and compare with its target.
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n_qubits": self.n_qubits,
-            "gate_count": self.gate_count,
-            "fidelity": self.fidelity,
-            "norm_drift": self.norm_drift,
-            "note": self.note,
-        }
-
-
-def prep_circuit_report(name: str) -> PrepCircuitReport:
-    """Run a named preparation circuit on |0...0> and compare with its target."""
+    Returns the JSON-ready report {"name", "n_qubits", "gate_count",
+    "fidelity", "norm_drift", "note"}.
+    """
     if name == "tetra":
         circuit, target = tetra_prep_circuit(), dicke_to_qubit(tetra2())
         note = "transcribed column by column; no ambiguous glyphs"
@@ -326,64 +300,47 @@ def prep_circuit_report(name: str) -> PrepCircuitReport:
     )
     drift = abs(float(np.linalg.norm(raw)) - 1.0)
     out = QubitState(circuit.n_qubits, raw)
-    return PrepCircuitReport(
-        name=name,
-        n_qubits=circuit.n_qubits,
-        gate_count=len(circuit.gates),
-        fidelity=fidelity(out, target),
-        norm_drift=drift,
-        note=note,
-    )
+    return {
+        "name": name,
+        "n_qubits": circuit.n_qubits,
+        "gate_count": len(circuit.gates),
+        "fidelity": fidelity(out, target),
+        "norm_drift": drift,
+        "note": note,
+    }
 
 
-@dataclass(frozen=True)
-class AnalyzerReport:
-    """Outcome supports of the Bell analyzer for each Bell-state input."""
-
-    supports: dict  # input label -> {outcome bitstring: probability}
-    pairwise_tv: dict  # "a|b" -> total variation distance
-    all_disjoint: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "supports": self.supports,
-            "pairwise_tv": self.pairwise_tv,
-            "all_disjoint": self.all_disjoint,
-        }
-
-
-def analyzer_distinguishability_report() -> AnalyzerReport:
+def analyzer_distinguishability_report() -> dict:
     """Feed each Bell state (tensored with |ud>) through the analyzer.
 
     The first polarization qubit is flipped before analysis, matching how
     the rotated pairs reach the measurement.  The
     symmetric inputs phi0, phi1, phi3 must land on pairwise disjoint outcome
-    sets, and the singlet phi2 on a fourth disjoint set.
+    sets, and the singlet phi2 on a fourth disjoint set.  Returns the
+    JSON-ready report {"supports": {input: {outcome bitstring: probability}},
+    "pairwise_tv": {"a|b": total variation distance}, "all_disjoint"};
+    probabilities at or below 1e-10 count as zero.
     """
     from .bell_analysis import bell_states
 
     circuit = bell_analyzer_circuit()
     path_ud = np.zeros(4, dtype=complex)
     path_ud[1] = 1.0  # |u> -> |0>, |d> -> |1>
-    supports = {}
+    probs = {}
     for label, phi in zip(("phi0", "phi1", "phi2", "phi3"), bell_states()):
         amps = np.kron(phi.amps, path_ud)
         out = _apply_gates(amps, (Gate("X", (0,)), *circuit.gates), 4)
-        probs = np.abs(out) ** 2
-        supports[label] = {
-            format(i, "04b"): float(probs[i])
-            for i in range(16)
-            if probs[i] > 1e-10
-        }
-    tv = {}
-    disjoint = True
-    labels = list(supports)
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            pa = np.array([supports[a].get(format(k, "04b"), 0.0) for k in range(16)])
-            pb = np.array([supports[b].get(format(k, "04b"), 0.0) for k in range(16)])
-            dist = 0.5 * float(np.abs(pa - pb).sum())
-            tv[f"{a}|{b}"] = dist
-            if dist < 1.0 - 1e-10:
-                disjoint = False
-    return AnalyzerReport(supports=supports, pairwise_tv=tv, all_disjoint=disjoint)
+        p = np.abs(out) ** 2
+        probs[label] = np.where(p > 1e-10, p, 0.0)
+    tv = {
+        f"{a}|{b}": 0.5 * float(np.abs(probs[a] - probs[b]).sum())
+        for a, b in combinations(probs, 2)
+    }
+    return {
+        "supports": {
+            label: {format(i, "04b"): float(p[i]) for i in range(16) if p[i] > 0.0}
+            for label, p in probs.items()
+        },
+        "pairwise_tv": tv,
+        "all_disjoint": all(dist >= 1.0 - 1e-10 for dist in tv.values()),
+    }

@@ -102,6 +102,8 @@ class RunConfig:
             values[key] = flag if flag is not None else config.get(key, default)
         if values["format"] not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {values['format']!r}")
+        if values["seed"] < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {values['seed']}")
         return cls(command=args.command, **values)
 
 
@@ -189,13 +191,12 @@ def cmd_fisher(args) -> int:
     state = _load_state(cfg.state)
     params = _params(cfg)
     mean, cov = j_expectations(state)
-    anti = anticoherence_report(state, tol=1e-10)
     payload = {
         "state": cfg.state,
         "J": state.J,
         "mean": list(mean),
         "cov": [list(row) for row in cov],
-        "anticoherence": anti.to_dict(),
+        "anticoherence": anticoherence_report(state, tol=1e-10),
         "fisher_single": fisher_single(state, params.axis),
         "axis": list(params.axis),
         "qfi": [list(row) for row in qfi_matrix(state, params)],
@@ -244,7 +245,7 @@ def cmd_probabilities(args) -> int:
         "columns": header,
         "rows": rows,
         "saturation": {
-            name: multiparam_saturation_check(state, measurement, saturation_params).to_dict()
+            name: multiparam_saturation_check(state, measurement, saturation_params)
             for name, measurement in (("optimal", basis), ("bell", analyzer))
         },
     }
@@ -288,10 +289,10 @@ def cmd_circuit_verify(args) -> int:
         return 0
     payload = {
         "prep": {
-            name: circuit_sim.prep_circuit_report(name).to_dict()
+            name: circuit_sim.prep_circuit_report(name)
             for name in ("tetra", "n6")
         },
-        "bell_analyzer": circuit_sim.analyzer_distinguishability_report().to_dict(),
+        "bell_analyzer": circuit_sim.analyzer_distinguishability_report(),
     }
     _emit(cfg, payload)
     return 0
@@ -346,7 +347,7 @@ def cmd_decompose(args) -> int:
         "singlet_weight": bell_analysis.singlet_weight(bp),
     }
     if args.verify_tables:
-        payload["table_verification"] = bell_analysis.verify_tabulated_decompositions().to_dict()
+        payload["table_verification"] = bell_analysis.verify_tabulated_decompositions()
     if cfg.format == "csv":
         rows = [
             [labels, z[0], z[1], z[0] ** 2 + z[1] ** 2]

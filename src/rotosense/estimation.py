@@ -242,12 +242,24 @@ def qcrb_experiment(
     breakdown at larger angles is visible, and theta1 with
     theta1^2 J(J+1)/3 > 1, where that expansion has no probabilities, is
     rejected.  Trial t draws from the stream of (seed, t) for every
-    pipeline, so pipeline comparisons are paired.
+    pipeline, so pipeline comparisons are paired.  The Bell pipeline needs
+    a probe that the analyzer's outcome 0 holds wholly before the
+    rotation, as it holds tetra2 and balance, for which its aggregation
+    groups were built; any other probe is rejected.
     """
     if trials < 2:
         raise ValueError("need at least two trials for a spread estimate")
     if pipeline == "bell":
         analyzer = bell_measurement(int(round(2 * phi0.J)))
+        # elsewhere the counts do not follow the small-angle law that
+        # estimate_params inverts
+        weight = float(np.sum(np.abs(analyzer.rows[: analyzer.starts[1]] @ phi0.amps) ** 2))
+        if weight < 1.0 - 1e-9:
+            raise ValueError(
+                f"the Bell analyzer puts {weight:.6g} of this unrotated probe on outcome 0, "
+                "not 1: it is built for the reference probes tetra2 and balance; "
+                "use --pipeline optimal"
+            )
     elif pipeline != "optimal":
         raise ValueError(f"unknown pipeline {pipeline!r}")
     p_exact = exact_probabilities(phi0, optimal_basis(phi0), params)

@@ -66,11 +66,12 @@ def optimal_basis(phi0: SpinState, tol: float = 1e-10) -> ProjectorBasis:
     not orthogonal and no valid projector set exists.
     """
     report = anticoherence_report(phi0, tol)
-    if not report.passed:
+    if not report["pass"]:
+        dev = report["deviations"]
         raise ValueError(
             "optimal_basis requires a second-order anti-coherent state "
-            f"(max deviations: mean {report.max_mean_abs:.3g}, "
-            f"diag {report.max_diagonal_dev:.3g}, offdiag {report.max_offdiagonal_abs:.3g})"
+            f"(max deviations: mean {dev['max_mean_abs']:.3g}, "
+            f"diag {dev['max_diagonal_dev']:.3g}, offdiag {dev['max_offdiagonal_abs']:.3g})"
         )
     scale = math.sqrt(phi0.J * (phi0.J + 1) / 3.0)
     states = [phi0]
@@ -167,34 +168,17 @@ def classical_fisher_matrix(
     return 0.5 * (f + f.T)
 
 
-@dataclass(frozen=True)
-class SaturationReport:
-    """Classical Fisher matrix diagonal F_kk against the quantum matrix diagonal Q_kk."""
-
-    fisher: np.ndarray  # F_kk, k = 1, 2, 3
-    qfi_diag: np.ndarray  # Q_kk
-    relative_dev: tuple  # F/Q - 1, or None where Q_kk vanishes
-
-    def to_dict(self) -> dict:
-        return {
-            "fisher": list(self.fisher),
-            "qfi_diag": list(self.qfi_diag),
-            "relative_dev": list(self.relative_dev),
-        }
-
-
 def multiparam_saturation_check(
     phi0: SpinState, measurement: Measurement, params: RotationParams
-) -> SaturationReport:
+) -> dict:
     """Compare F_kk of the measurement with Q_kk for k = 1, 2, 3 at the given parameters.
 
-    Meaningful for small theta1 with sin(theta1) != 0; at theta2 in {0, pi}
-    the azimuth generator vanishes and Q_33 = 0 is reported with a None
-    deviation rather than an error.
+    Returns the JSON-ready report {"fisher": F_kk, "qfi_diag": Q_kk,
+    "relative_dev": F/Q - 1}.  Meaningful for small theta1 with
+    sin(theta1) != 0; at theta2 in {0, pi} the azimuth generator vanishes
+    and Q_33 = 0 is reported with a None deviation rather than an error.
     """
-    fisher = np.diag(classical_fisher_matrix(phi0, measurement, params)).copy()
-    qdiag = np.diag(qfi_matrix(phi0, params)).copy()
-    rel = tuple(
-        (float(f / qk - 1.0) if qk > 1e-12 else None) for f, qk in zip(fisher, qdiag)
-    )
-    return SaturationReport(fisher=fisher, qfi_diag=qdiag, relative_dev=rel)
+    fisher = np.diag(classical_fisher_matrix(phi0, measurement, params)).tolist()
+    qdiag = np.diag(qfi_matrix(phi0, params)).tolist()
+    rel = [f / qk - 1.0 if qk > 1e-12 else None for f, qk in zip(fisher, qdiag)]
+    return {"fisher": fisher, "qfi_diag": qdiag, "relative_dev": rel}

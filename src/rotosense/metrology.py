@@ -14,7 +14,6 @@ read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,38 +42,21 @@ def fisher_single(state: SpinState, u) -> float:
     return float(4.0 * u @ cov @ u)
 
 
-@dataclass(frozen=True)
-class AnticoherenceReport:
-    """Deviations from the second-order anti-coherence conditions."""
+def anticoherence_report(state: SpinState, tol: float = 1e-12) -> dict:
+    """Check <J_i> = 0 and Cov(J)_ij = delta_ij J(J+1)/3 within tol.
 
-    passed: bool
-    max_mean_abs: float
-    max_diagonal_dev: float
-    max_offdiagonal_abs: float
-    tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "pass": self.passed,
-            "deviations": {
-                "max_mean_abs": self.max_mean_abs,
-                "max_diagonal_dev": self.max_diagonal_dev,
-                "max_offdiagonal_abs": self.max_offdiagonal_abs,
-            },
-            "tol": self.tol,
-        }
-
-
-def anticoherence_report(state: SpinState, tol: float = 1e-12) -> AnticoherenceReport:
-    """Check <J_i> = 0 and Cov(J)_ij = delta_ij J(J+1)/3 within tol."""
+    Returns the JSON-ready report {"pass", "deviations": {"max_mean_abs",
+    "max_diagonal_dev", "max_offdiagonal_abs"}, "tol"}.
+    """
     mean, cov = j_expectations(state)
     target = state.J * (state.J + 1) / 3.0
-    max_mean = float(np.max(np.abs(mean)))
-    max_diag = float(np.max(np.abs(np.diag(cov) - target)))
-    off = cov - np.diag(np.diag(cov))
-    max_off = float(np.max(np.abs(off)))
-    passed = bool(max_mean <= tol and max_diag <= tol and max_off <= tol)
-    return AnticoherenceReport(passed, max_mean, max_diag, max_off, tol)
+    deviations = {
+        "max_mean_abs": float(np.max(np.abs(mean))),
+        "max_diagonal_dev": float(np.max(np.abs(np.diag(cov) - target))),
+        "max_offdiagonal_abs": float(np.max(np.abs(cov - np.diag(np.diag(cov))))),
+    }
+    passed = all(dev <= tol for dev in deviations.values())
+    return {"pass": passed, "deviations": deviations, "tol": tol}
 
 
 def generator_coeffs(params: RotationParams) -> np.ndarray:

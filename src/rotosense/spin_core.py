@@ -90,9 +90,6 @@ class SpinState:
             amps[k] = amp
         return cls.normalized(j, amps)
 
-    def to_json_dict(self) -> dict:
-        return {"J": self.J, "amps": [[z.real, z.imag] for z in self.amps]}
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "SpinState":
         amps = np.array([complex(re, im) for re, im in data["amps"]])

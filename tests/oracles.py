@@ -1,4 +1,4 @@
-"""Reference implementations that only tests compare against."""
+"""Reference implementations and data that only tests compare against."""
 
 from dataclasses import dataclass
 
@@ -28,3 +28,54 @@ class MultinomialStats:
 def multinomial_stats(p, n: int) -> MultinomialStats:
     """Analytic variance/covariance of the outcome counts at probabilities p."""
     return MultinomialStats(p=np.array(p, dtype=float), n=int(n))
+
+
+# the circuit file of tetra_prep_circuit(), written out by hand
+TETRA_PREP_JSON = {
+    "n_qubits": 4,
+    "gates": [
+        {"kind": "H", "targets": [0]},
+        {"kind": "U1", "targets": [2]},
+        {"kind": "X", "targets": [1], "controls": [0]},
+        {"kind": "U2", "targets": [3], "controls": [2]},
+        {"kind": "Z", "targets": [1], "controls": [2, 3]},
+        {"kind": "X", "targets": [2]},
+        {"kind": "X", "targets": [3]},
+        {"kind": "X", "targets": [1], "controls": [2, 3]},
+        {"kind": "X", "targets": [3]},
+        {"kind": "H", "targets": [3]},
+        {"kind": "X", "targets": [2], "controls": [3]},
+    ],
+}
+
+# the circuit file of balanced_n6_prep_circuit(), written out by hand
+N6_PREP_JSON = {
+    "n_qubits": 6,
+    "gates": [
+        {"kind": "H", "targets": [0]},
+        {"kind": "H", "targets": [2]},
+        {"kind": "U", "targets": [4]},
+        {"kind": "X", "targets": [1], "controls": [0]},
+        {"kind": "X", "targets": [3], "controls": [2]},
+        {"kind": "H", "targets": [5], "controls": [4]},
+        {"kind": "X", "targets": [1], "controls": [2, 4], "open_controls": [5]},
+        {"kind": "X", "targets": [3], "controls": [2, 4], "open_controls": [5]},
+        {"kind": "X", "targets": [2], "controls": [4], "open_controls": [5]},
+        {"kind": "H", "targets": [3], "controls": [4], "open_controls": [5]},
+        {"kind": "X", "targets": [2], "controls": [3, 4], "open_controls": [5]},
+        {"kind": "X", "targets": [4]},
+        {"kind": "Z", "targets": [1], "controls": [2, 4], "open_controls": [5]},
+        {"kind": "X", "targets": [3], "controls": [2, 4], "open_controls": [5]},
+        {"kind": "H", "targets": [2], "controls": [4], "open_controls": [5]},
+        {"kind": "X", "targets": [3], "controls": [2, 4], "open_controls": [5]},
+        {"kind": "X", "targets": [4]},
+        {"kind": "X", "targets": [1], "controls": [2, 4, 5]},
+        {"kind": "X", "targets": [2], "controls": [4, 5]},
+        {"kind": "Z", "targets": [1], "controls": [2, 4, 5]},
+        {"kind": "H", "targets": [3], "controls": [4, 5]},
+        {"kind": "X", "targets": [2], "controls": [3, 4, 5]},
+        {"kind": "X", "targets": [4]},
+        {"kind": "H", "targets": [5]},
+        {"kind": "X", "targets": [4], "controls": [5]},
+    ],
+}

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import N6_PREP_JSON, TETRA_PREP_JSON
 
 from rotosense.bell_analysis import bell_states
 from rotosense.circuit_sim import (
@@ -128,13 +129,13 @@ class TestGateIdentities:
 class TestPreparationCircuits:
     def test_tetra_prep_exact(self):
         report = prep_circuit_report("tetra")
-        assert report.fidelity == pytest.approx(1.0, abs=1e-12)
-        assert report.gate_count == len(tetra_prep_circuit().gates)
+        assert report["fidelity"] == pytest.approx(1.0, abs=1e-12)
+        assert report["gate_count"] == len(tetra_prep_circuit().gates)
 
     def test_n6_prep_exact(self):
         report = prep_circuit_report("n6")
-        assert report.fidelity == pytest.approx(1.0, abs=1e-12)
-        assert report.gate_count == len(balanced_n6_prep_circuit().gates)
+        assert report["fidelity"] == pytest.approx(1.0, abs=1e-12)
+        assert report["gate_count"] == len(balanced_n6_prep_circuit().gates)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -165,19 +166,19 @@ class TestPreparationCircuits:
 class TestBellAnalyzer:
     def test_golden_supports(self):
         report = analyzer_distinguishability_report()
-        assert {k: set(v) for k, v in report.supports.items()} == GOLDEN_SUPPORTS
+        assert {k: set(v) for k, v in report["supports"].items()} == GOLDEN_SUPPORTS
 
     def test_all_disjoint(self):
         report = analyzer_distinguishability_report()
-        assert report.all_disjoint
-        for dist in report.pairwise_tv.values():
+        assert report["all_disjoint"]
+        for dist in report["pairwise_tv"].values():
             assert dist == pytest.approx(1.0, abs=1e-10)
 
     def test_singlet_type_input_disjoint_from_symmetric(self):
         report = analyzer_distinguishability_report()
-        phi2 = set(report.supports["phi2"])
+        phi2 = set(report["supports"]["phi2"])
         for label in ("phi0", "phi1", "phi3"):
-            assert not (phi2 & set(report.supports[label]))
+            assert not (phi2 & set(report["supports"][label]))
 
     def test_raw_phi0_support(self):
         # phi0 x |ud> straight into the analyzer, without the bit flip
@@ -193,7 +194,7 @@ class TestBellAnalyzer:
 class TestCircuitSerialization:
     def test_json_round_trip(self):
         circuit = tetra_prep_circuit()
-        back = Circuit.from_json_dict(circuit.to_json_dict())
+        back = Circuit.from_json_dict(TETRA_PREP_JSON)
         assert back.n_qubits == circuit.n_qubits
         assert len(back.gates) == len(circuit.gates)
         out_a = run_circuit(circuit, QubitState.basis(4))
@@ -202,7 +203,7 @@ class TestCircuitSerialization:
 
     def test_open_controls_round_trip(self):
         circuit = balanced_n6_prep_circuit()
-        back = Circuit.from_json_dict(circuit.to_json_dict())
+        back = Circuit.from_json_dict(N6_PREP_JSON)
         out_a = run_circuit(circuit, QubitState.basis(6))
         out_b = run_circuit(back, QubitState.basis(6))
         assert np.linalg.norm(out_a.amps - out_b.amps) <= 1e-12

@@ -1,11 +1,15 @@
+import functools
 import json
 import math
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from oracles import TETRA_PREP_JSON
 
 from rotosense.cli import _json_text, build_parser, main
+from rotosense.spin_core import RotationParams, rotation_unitary
+from rotosense.states import tetra2
 
 
 def run_cli(args, capsys):
@@ -197,6 +201,34 @@ class TestFisher:
         assert out == ""
 
 
+class TestNegativeSeed:
+    """A negative seed is refused by name, from a flag or from a config file."""
+
+    def test_flag(self, capsys):
+        code, out, err = run_cli(["estimate", "--seed", "-1", "--trials", "5"], capsys)
+        assert_single_error(code, err)
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert out == ""
+
+    def test_config_file(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"seed": -5}))
+        code, out, err = run_cli(["estimate", "--config", str(path), "--trials", "5"], capsys)
+        assert_single_error(code, err)
+        assert err == "error: seed must be a non-negative integer, got -5\n"
+        assert out == ""
+
+    def test_circuit_file_run(self, tmp_path, capsys):
+        path = tmp_path / "circ.json"
+        path.write_text(json.dumps(TETRA_PREP_JSON))
+        code, out, err = run_cli(
+            ["circuit-verify", "--circuit", str(path), "--seed", "-1"], capsys
+        )
+        assert_single_error(code, err)
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert out == ""
+
+
 class TestProbabilities:
     def test_csv_sweep(self, tmp_path, capsys):
         out_file = tmp_path / "sweep.csv"
@@ -264,10 +296,8 @@ class TestCircuitVerify:
         assert data["bell_analyzer"]["all_disjoint"]
 
     def test_custom_circuit_file(self, tmp_path, capsys):
-        from rotosense.circuit_sim import tetra_prep_circuit
-
         path = tmp_path / "circ.json"
-        path.write_text(json.dumps(tetra_prep_circuit().to_json_dict()))
+        path.write_text(json.dumps(TETRA_PREP_JSON))
         code, out, _ = run_cli(
             ["circuit-verify", "--circuit", str(path), "--state", "tetra2"], capsys
         )
@@ -361,6 +391,24 @@ class TestEstimate:
         assert code != 0
         assert "single pipeline" in err
 
+    @pytest.mark.parametrize("probe", ["tetra1", "rotated-tetra2"])
+    def test_bell_rejects_other_probes(self, probe, tmp_path, capsys):
+        # the Bell analyzer's outcome 0 holds all of tetra2 and balance, but
+        # 1/6 of tetra1 and 0.35 of tetra2 turned by theta1 = 0.7
+        if probe == "rotated-tetra2":
+            amps = rotation_unitary(2, RotationParams(0.7, 1.0, 0.5)) @ tetra2().amps
+            path = tmp_path / "rotated.json"
+            path.write_text(json.dumps({"J": 2, "amps": [[z.real, z.imag] for z in amps]}))
+            probe = f"file:{path}"
+        code, out, err = run_cli(["estimate", "--state", probe, "--trials", "5"], capsys)
+        assert_single_error(code, err)
+        assert "--pipeline optimal" in err
+        assert out == ""
+        code, _, _ = run_cli(
+            ["estimate", "--state", probe, "--trials", "5", "--pipeline", "optimal"], capsys
+        )
+        assert code == 0
+
     def test_bell_rejects_oversized_state(self, spin20_state, capsys):
         code, _, err = run_cli(
             ["estimate", "--state", spin20_state, "--pipeline", "bell", "--trials", "5"],
@@ -453,3 +501,120 @@ class TestDecompose:
         lines = out.splitlines()
         assert lines[0] == "labels,re,im,prob"
         assert len(lines) == 17  # 16 label tuples
+
+
+def key_tree(value):
+    """The key layout of a JSON value: a dict maps each key to its value's
+    tree, a list holds the merged tree of its elements, and any other
+    value is None.  Merging the elements reaches the mismatch entries,
+    which the first tabulated check lacks."""
+    if isinstance(value, dict):
+        return {k: key_tree(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [functools.reduce(_merge_trees, map(key_tree, value), None)]
+    return None
+
+
+def _merge_trees(a, b):
+    if isinstance(a, dict) and isinstance(b, dict):
+        return {k: _merge_trees(a.get(k), b.get(k)) for k in a.keys() | b.keys()}
+    if isinstance(a, list) and isinstance(b, list):
+        return [_merge_trees(a[0], b[0])]
+    return b if a is None else a
+
+
+_SATURATION = {"fisher": [None], "qfi_diag": [None], "relative_dev": [None]}
+_PREP = dict.fromkeys(["name", "n_qubits", "gate_count", "fidelity", "norm_drift", "note"])
+_QCRB = {
+    **dict.fromkeys(
+        [
+            "pipeline", "theta1", "theta2", "theta3", "n", "trials", "seed", "J",
+            "mean_theta1_hat", "sigma_empirical", "sigma_predicted", "sigma_ratio",
+            "degenerate_trials", "max_exact_vs_smallangle_gap", "max_pipeline_vs_exact_gap",
+        ]
+    ),
+    "u_true_abs": [None],
+    "mean_u_abs": [None],
+    "sigma_u_abs": [None],
+}
+JSON_LAYOUTS = {
+    "fisher": {
+        "state": None,
+        "J": None,
+        "mean": [None],
+        "cov": [[None]],
+        "anticoherence": {
+            "pass": None,
+            "deviations": dict.fromkeys(
+                ["max_mean_abs", "max_diagonal_dev", "max_offdiagonal_abs"]
+            ),
+            "tol": None,
+        },
+        "fisher_single": None,
+        "axis": [None],
+        "qfi": [[None]],
+        "theta1": None,
+    },
+    "probabilities": {
+        "state": None,
+        "axis": [None],
+        "columns": [None],
+        "rows": [[None]],
+        "saturation": {"optimal": _SATURATION, "bell": _SATURATION},
+    },
+    "circuit-verify": {
+        "prep": {"tetra": _PREP, "n6": _PREP},
+        "bell_analyzer": {
+            "supports": {
+                "phi0": dict.fromkeys(["0100", "0111"]),
+                "phi1": dict.fromkeys(["0000", "0011", "1100", "1111"]),
+                "phi2": dict.fromkeys(["0001", "0010", "1101", "1110"]),
+                "phi3": dict.fromkeys(["1001", "1010"]),
+            },
+            "pairwise_tv": dict.fromkeys(
+                ["phi0|phi1", "phi0|phi2", "phi0|phi3", "phi1|phi2", "phi1|phi3", "phi2|phi3"]
+            ),
+            "all_disjoint": None,
+        },
+    },
+    "decompose": {
+        "state": None,
+        "theta1": None,
+        "theta2": None,
+        "theta3": None,
+        "decomposition": {
+            "pairing": [[None]],
+            "amps": {f"{a},{b}": [None] for a in range(4) for b in range(4)},
+        },
+        "singlet_weight": None,
+        "table_verification": {
+            "all_ok": None,
+            "checks": [
+                {
+                    "label": None,
+                    "fidelity": None,
+                    "ok": None,
+                    "mismatches": [{"labels": [None], "tabulated": [None], "recomputed": [None]}],
+                }
+            ],
+        },
+    },
+    "estimate": {"optimal": _QCRB, "bell": _QCRB},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fisher"],
+        ["probabilities", "--grid-points", "3"],
+        ["circuit-verify"],
+        ["decompose", "--verify-tables"],
+        ["estimate", "--trials", "5", "--n", "1000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_key_layout(argv, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert key_tree(json.loads(out)) == JSON_LAYOUTS[argv[0]]

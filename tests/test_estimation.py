@@ -10,7 +10,7 @@ from rotosense.estimation import (
     sample_outcomes,
 )
 from rotosense.spin_core import RotationParams
-from rotosense.states import balance, tetra2
+from rotosense.states import balance, tetra1, tetra2
 
 AXIS = np.array([1.0, 2.0, 2.0]) / 3.0
 
@@ -295,6 +295,11 @@ class TestQcrbExperiment:
     def test_rejects_unknown_pipeline(self):
         with pytest.raises(ValueError):
             qcrb_experiment(tetra2(), RotationParams(0.05, 1, 1), 100, 10, 1, "tomography")
+
+    def test_bell_rejects_probe_off_outcome_0(self):
+        # the analyzer's outcome 0 holds 1/6 of the unrotated tetra1
+        with pytest.raises(ValueError, match="puts 0.166667 of this unrotated probe"):
+            qcrb_experiment(tetra1(), RotationParams(0.05, 1, 1), 100, 10, 1, "bell")
 
     def test_rows_format(self):
         params = RotationParams.from_axis(0.05, AXIS)

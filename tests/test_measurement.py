@@ -273,14 +273,14 @@ class TestSaturationCheck:
     def test_tetra2_reference_point(self):
         state = tetra2()
         report = multiparam_saturation_check(state, optimal_basis(state), REFERENCE)
-        assert report.fisher[0] / report.qfi_diag[0] == pytest.approx(1.0, abs=0.02)
-        assert report.fisher[1] / report.qfi_diag[1] == pytest.approx(1.0, abs=0.05)
-        assert report.fisher[2] / report.qfi_diag[2] == pytest.approx(1.0, abs=0.05)
+        assert report["fisher"][0] / report["qfi_diag"][0] == pytest.approx(1.0, abs=0.02)
+        assert report["fisher"][1] / report["qfi_diag"][1] == pytest.approx(1.0, abs=0.05)
+        assert report["fisher"][2] / report["qfi_diag"][2] == pytest.approx(1.0, abs=0.05)
 
     def test_balance_reference_point(self):
         state = balance()
         report = multiparam_saturation_check(state, optimal_basis(state), REFERENCE)
-        for f, q in zip(report.fisher, report.qfi_diag):
+        for f, q in zip(report["fisher"], report["qfi_diag"]):
             assert f / q == pytest.approx(1.0, abs=0.05)
 
     def test_axis_generators_vanish_at_zero(self):
@@ -288,15 +288,14 @@ class TestSaturationCheck:
         report = multiparam_saturation_check(
             state, optimal_basis(state), RotationParams(1e-8, 1.0, 0.5)
         )
-        assert report.qfi_diag[1] <= 1e-12
-        assert report.qfi_diag[2] <= 1e-12
-        assert report.relative_dev[1] is None
-        assert report.relative_dev[2] is None
+        assert report["qfi_diag"][1] <= 1e-12
+        assert report["qfi_diag"][2] <= 1e-12
+        assert report["relative_dev"][1] is None
+        assert report["relative_dev"][2] is None
 
     def test_report_serializes(self):
         state = tetra2()
-        report = multiparam_saturation_check(state, optimal_basis(state), REFERENCE)
-        data = report.to_dict()
+        data = multiparam_saturation_check(state, optimal_basis(state), REFERENCE)
         assert set(data) == {"fisher", "qfi_diag", "relative_dev"}
 
 

@@ -130,12 +130,12 @@ class TestFisherSingle:
 class TestAnticoherence:
     @pytest.mark.parametrize("factory", [tetra1, tetra2, balance])
     def test_known_states_pass(self, factory):
-        assert anticoherence_report(factory(), 1e-12).passed
+        assert anticoherence_report(factory(), 1e-12)["pass"]
 
     def test_polarized_state_fails(self):
         report = anticoherence_report(SpinState.from_m_amplitudes(3, {3: 1.0}), 1e-12)
-        assert not report.passed
-        assert abs(report.max_mean_abs - 3.0) <= 1e-12
+        assert not report["pass"]
+        assert abs(report["deviations"]["max_mean_abs"] - 3.0) <= 1e-12
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(23)
@@ -145,7 +145,7 @@ class TestAnticoherence:
             rotated = SpinState.normalized(
                 state.J, rotation_unitary(state.J, params) @ state.amps
             )
-            assert anticoherence_report(rotated, 1e-9).passed
+            assert anticoherence_report(rotated, 1e-9)["pass"]
 
 
 class TestGenerators:

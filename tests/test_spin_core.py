@@ -143,7 +143,8 @@ class TestStateTypes:
 
     def test_json_round_trip(self):
         st_ = SpinState.from_m_amplitudes(2, {2: 0.5, -2: 0.5, 0: 0.5j * math.sqrt(2)})
-        back = SpinState.from_json_dict(st_.to_json_dict())
+        data = {"J": 2, "amps": [[0.5, 0], [0, 0], [0, 0.5 * math.sqrt(2)], [0, 0], [0.5, 0]]}
+        back = SpinState.from_json_dict(data)
         np.testing.assert_allclose(back.amps, st_.amps, atol=1e-15)
 
     def test_spin_ceiling(self):
