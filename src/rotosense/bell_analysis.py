@@ -136,6 +136,26 @@ def bell_measurement(n_photons: int) -> Measurement:
     return Measurement(J=j, rows=rows, starts=starts)
 
 
+def bell_misfit(state: SpinState) -> str | None:
+    """Why the Bell analyzer does not fit this unrotated probe, or None where it does.
+
+    It fits a probe that its outcome 0 holds wholly, as it holds tetra2 and
+    balance, for which its aggregation groups were built; for any other
+    probe its outcome probabilities do not follow the small-angle law.
+    """
+    n_photons = int(round(2 * state.J))
+    if n_photons not in _AGGREGATION:
+        return f"the Bell analyzer is defined for 4 or 6 photons, got {n_photons}"
+    analyzer = bell_measurement(n_photons)
+    weight = float(np.sum(np.abs(analyzer.rows[: analyzer.starts[1]] @ state.amps) ** 2))
+    if weight >= 1.0 - 1e-9:
+        return None
+    return (
+        f"the Bell analyzer puts {weight:.6g} of this unrotated probe on outcome 0, "
+        "not 1: it is built for the reference probes tetra2 and balance"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Tabulated Bell-product decompositions of the optimal-basis states and the
 # vectors completing them to the full symmetric subspace, kept verbatim for

@@ -53,6 +53,7 @@ _DEFAULTS = {
     "format": "json",
 }
 _NUMBER = (int, float)
+_FLOAT_MAX = sys.float_info.max  # a larger JSON integer has no float value
 _TYPES = {
     "state": str,
     "theta1": _NUMBER,
@@ -96,6 +97,8 @@ class RunConfig:
             for key, value in config.items():
                 if isinstance(value, bool) or not isinstance(value, _TYPES[key]):
                     raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
+                if _TYPES[key] is _NUMBER and type(value) is int and abs(value) > _FLOAT_MAX:
+                    raise ValueError(f"config key {key!r} is past the float range")
         values = {}
         for key, default in _DEFAULTS.items():
             flag = getattr(args, key, None)
@@ -117,7 +120,7 @@ def _load_state(selector: str) -> SpinState:
                 return SpinState.from_json_dict(json.load(fh))
         except FileNotFoundError:
             raise ValueError(f"state file not found: {path}") from None
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed state file {path}: {exc}") from None
     raise ValueError(
         f"unknown state {selector!r}; use one of {sorted(REGISTRY)} or file:PATH"
@@ -218,6 +221,13 @@ def cmd_probabilities(args) -> int:
     grid = np.linspace(0.0, cfg.theta1, args.grid_points)
     exact = sweep_probabilities(state, basis, grid, u)
     analyzer = bell_analysis.bell_measurement(int(round(2 * state.J)))
+    misfit = bell_analysis.bell_misfit(state)
+    if misfit:
+        print(
+            f"warning: {misfit}; the bell_P* columns and saturation.bell "
+            "do not describe this probe",
+            file=sys.stderr,
+        )
     bell = sweep_probabilities(state, analyzer, grid, u)[:, :4]
     small = small_angle_probabilities(state.J, grid, u)[:, :4]
     header = [

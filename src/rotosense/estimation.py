@@ -8,25 +8,21 @@ optimal-basis probabilities or from the Bell-pair aggregation.
 
 Trials are arrays: `sample_outcomes` draws every trial's counts into one
 (trials, 5) matrix and `estimate_params` inverts all rows in one call.
-Row t comes from its own RNG stream, the PCG64 stream that
-SeedSequence((seed, t)) seeds, so trial t gives the same counts whatever
-the number of trials, and the two pipelines are paired trial by trial.
-One shared stream would unpair them: a binomial draw consumes a variable
-number of random numbers, so a small difference between two probability
-vectors shifts every later row.  Building a SeedSequence per row is what
-costs, so `_pcg64_states` hashes the seeds of all rows at once and one
-generator is reseeded per row.
+Row t comes from its own RNG stream, PCG64(seed).jumped(t), so trial t
+gives the same counts whatever the number of trials, and the two
+pipelines are paired trial by trial.  One shared stream would unpair
+them: a binomial draw consumes a variable number of random numbers, so a
+small difference between two probability vectors shifts every later row.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bell_analysis import bell_measurement
+from .bell_analysis import bell_measurement, bell_misfit
 from .measurement import (
     exact_probabilities,
     optimal_basis,
@@ -39,92 +35,18 @@ from .spin_core import RotationParams, SpinState
 MAX_TRIALS = 10**7
 # Counts are int64, so a round holds at most this many shots.
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
-
-# SeedSequence's entropy hash (numpy/random/bit_generator.pyx, pool of four
-# uint32 words) and PCG64's 128-bit LCG multiplier (pcg64.h).  Python ints,
-# so that updating them never overflows a numpy scalar.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# Rows hashed per pass: large enough to amortise the numpy calls, small
-# enough that the block's arrays and ints stay far below the count matrix.
-_HASH_BLOCK = 4096
-
-
-def _seed_words(seed) -> list[int]:
-    """The uint32 words SeedSequence reads from an integer seed, low word first."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    words = [seed & _MASK32]
-    while seed := seed >> 32:
-        words.append(seed & _MASK32)
-    return words
-
-
-def _pcg64_states(seed, trials: int):
-    """Yield PCG64's (state, inc) after seeding from SeedSequence((seed, t)), t < trials.
-
-    Runs SeedSequence's pool mixing and generate_state(4, uint64) as uint32
-    array operations over a block of trials (the entropy of row t is the
-    seed's words followed by t), then PCG64's srandom in 128-bit ints.
-    Blocks of _HASH_BLOCK rows keep the memory flat in trials.
-    """
-    seed_words = _seed_words(seed)
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ value >> 16
-
-    def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ result >> 16
-
-    for start in range(0, trials, _HASH_BLOCK):
-        t = np.arange(start, min(start + _HASH_BLOCK, trials), dtype=np.uint32)
-        entropy = [np.full(t.size, w, dtype=np.uint32) for w in seed_words]
-        entropy.append(t)  # t < MAX_TRIALS: one word
-        zero = np.zeros(t.size, dtype=np.uint32)
-        hash_const = _INIT_A
-        pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for word in entropy[_POOL_SIZE:]:
-            for dst in range(_POOL_SIZE):
-                pool[dst] = mix(pool[dst], hashmix(word))
-
-        hash_const = _INIT_B
-        words = []
-        for i in range(8):  # generate_state(4, uint64): eight words cycling over the pool
-            value = pool[i % _POOL_SIZE] ^ hash_const
-            hash_const = hash_const * _MULT_B & _MASK32
-            value = value * hash_const
-            words.append((value ^ value >> 16).astype(np.uint64))
-        # uint64 k is words 2k (low) and 2k+1; seed = (u0 << 64) | u1, stream = (u2 << 64) | u3
-        u = [(words[2 * k] | words[2 * k + 1] << 32).tolist() for k in range(4)]
-        for u0, u1, u2, u3 in zip(*u):
-            inc = ((u2 << 64 | u3) << 1 | 1) & _MASK128
-            yield ((inc + (u0 << 64 | u1)) * _PCG_MULT + inc) & _MASK128, inc
 
 
 def sample_outcomes(p, n: int, trials: int, seed: int) -> np.ndarray:
     """Read-only (trials, k) matrix of multinomial n-shot counts.
 
     The probability vector p is clipped at zero and renormalised once; it
-    needs finite weights with a positive sum.  Row t is drawn from its own
-    stream, the one default_rng(SeedSequence((seed, t))) would give, so it
-    depends only on (seed, t, n, p): a run of k trials gives the first k
-    rows of a longer run, and two vectors sampled with one seed stay paired
-    row by row.  The seed is a non-negative integer.
+    needs finite weights with a positive sum.  Row t is
+    Generator(PCG64(seed).jumped(t)).multinomial(n, p), so it depends only
+    on (seed, t, n, p): a run of k trials gives the first k rows of a
+    longer run, and two vectors sampled with one seed stay paired row by
+    row.  The seed is a non-negative integer.
     """
     if not 1 <= n <= _MAX_SHOTS:
         raise ValueError(f"n must be in 1..{_MAX_SHOTS}, got {n}")
@@ -136,17 +58,28 @@ def sample_outcomes(p, n: int, trials: int, seed: int) -> np.ndarray:
     if not 0.0 < total < math.inf:
         raise ValueError("p needs finite weights with a positive sum")
     p = p / total
-    bit_generator = np.random.PCG64(0)
+    bit_generator = np.random.PCG64(seed)
     rng = np.random.Generator(bit_generator)
+    state = bit_generator.state
+    lcg = state["state"]
+    start = lcg["state"]
+
+    def jumped_from(s: int) -> int:
+        lcg["state"] = s
+        bit_generator.state = state
+        return bit_generator.jumped().state["state"]["state"]
+
+    # A jump keeps the increment, so it maps the 128-bit LCG state affinely,
+    # s -> a s + c (mod 2**128); stepping that map once per row is cheaper
+    # than building the jumped generator of every row.
+    c = jumped_from(0)
+    a = (jumped_from(1) - c) & _MASK128
+    lcg["state"] = start
     counts = np.empty((trials, p.size), dtype=np.int64)
-    for t, (state, inc) in enumerate(_pcg64_states(seed, trials)):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    for t in range(trials):
+        bit_generator.state = state
         counts[t] = rng.multinomial(n, p)
+        lcg["state"] = (a * lcg["state"] + c) & _MASK128
     counts.setflags(write=False)
     return counts
 
@@ -174,6 +107,11 @@ def estimate_params(counts, j) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(invalid="ignore"):  # 0/0 is the NaN axis of a signal-free row
         u_abs = np.sqrt(c[..., 1:4] / signal[..., None])
     return theta1, u_abs
+
+
+def _nan_to_none(values) -> list:
+    """JSON-ready list with None (null) where a value is NaN."""
+    return [None if math.isnan(v) else float(v) for v in values]
 
 
 @dataclass(frozen=True)
@@ -214,8 +152,8 @@ class QcrbReport:
             "sigma_predicted": self.sigma_predicted,
             "sigma_ratio": self.sigma_ratio,
             "u_true_abs": list(self.u_true_abs),
-            "mean_u_abs": list(self.mean_u_abs),
-            "sigma_u_abs": list(self.sigma_u_abs),
+            "mean_u_abs": _nan_to_none(self.mean_u_abs),
+            "sigma_u_abs": _nan_to_none(self.sigma_u_abs),
             "degenerate_trials": self.degenerate_trials,
             "max_exact_vs_smallangle_gap": self.max_exact_vs_smallangle_gap,
             "max_pipeline_vs_exact_gap": self.max_pipeline_vs_exact_gap,
@@ -242,24 +180,16 @@ def qcrb_experiment(
     breakdown at larger angles is visible, and theta1 with
     theta1^2 J(J+1)/3 > 1, where that expansion has no probabilities, is
     rejected.  Trial t draws from the stream of (seed, t) for every
-    pipeline, so pipeline comparisons are paired.  The Bell pipeline needs
-    a probe that the analyzer's outcome 0 holds wholly before the
-    rotation, as it holds tetra2 and balance, for which its aggregation
-    groups were built; any other probe is rejected.
+    pipeline, so pipeline comparisons are paired.  The Bell pipeline
+    rejects a probe that the analyzer does not fit (`bell_misfit`).
     """
     if trials < 2:
         raise ValueError("need at least two trials for a spread estimate")
     if pipeline == "bell":
+        misfit = bell_misfit(phi0)
+        if misfit:
+            raise ValueError(f"{misfit}; use --pipeline optimal")
         analyzer = bell_measurement(int(round(2 * phi0.J)))
-        # elsewhere the counts do not follow the small-angle law that
-        # estimate_params inverts
-        weight = float(np.sum(np.abs(analyzer.rows[: analyzer.starts[1]] @ phi0.amps) ** 2))
-        if weight < 1.0 - 1e-9:
-            raise ValueError(
-                f"the Bell analyzer puts {weight:.6g} of this unrotated probe on outcome 0, "
-                "not 1: it is built for the reference probes tetra2 and balance; "
-                "use --pipeline optimal"
-            )
     elif pipeline != "optimal":
         raise ValueError(f"unknown pipeline {pipeline!r}")
     p_exact = exact_probabilities(phi0, optimal_basis(phi0), params)

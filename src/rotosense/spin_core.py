@@ -92,8 +92,15 @@ class SpinState:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SpinState":
-        amps = np.array([complex(re, im) for re, im in data["amps"]])
-        return cls.normalized(data["J"], amps)
+        j, pairs = data["J"], data["amps"]
+        if type(j) not in (int, float):  # a bool would read as J = 0 or 1
+            raise TypeError(f"J must be a number, got {j!r}")
+        if type(pairs) is not list or not all(
+            type(z) is list and len(z) == 2 and all(type(x) in (int, float) for x in z)
+            for z in pairs
+        ):
+            raise TypeError("amps must be a list of [re, im] number pairs")
+        return cls.normalized(j, np.array([complex(re, im) for re, im in pairs]))
 
 
 @dataclass(frozen=True)

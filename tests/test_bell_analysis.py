@@ -11,6 +11,7 @@ from rotosense.bell_analysis import (
     aggregate_probabilities,
     bell_decompose,
     bell_measurement,
+    bell_misfit,
     bell_states,
     singlet_weight,
     verify_tabulated_decompositions,
@@ -23,7 +24,7 @@ from rotosense.spin_core import (
     dicke_to_qubit,
     rotation_unitary,
 )
-from rotosense.states import balance, tetra2
+from rotosense.states import balance, tetra1, tetra2
 
 SQ3 = math.sqrt(3.0)
 
@@ -225,3 +226,16 @@ class TestTabulatedDecompositions:
         assert len(data["checks"]) == 12
         for entry in data["checks"]:
             assert {"label", "fidelity", "ok", "mismatches"} <= set(entry)
+
+
+class TestBellMisfit:
+    @pytest.mark.parametrize("state", [tetra2, balance])
+    def test_fits_reference_probes(self, state):
+        assert bell_misfit(state()) is None
+
+    def test_names_the_weight_on_outcome_0(self):
+        assert "puts 0.166667 of this unrotated probe on outcome 0" in bell_misfit(tetra1())
+
+    def test_names_the_photon_number(self):
+        state = SpinState.from_m_amplitudes(4, {4: 1.0})
+        assert bell_misfit(state) == "the Bell analyzer is defined for 4 or 6 photons, got 8"

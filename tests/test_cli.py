@@ -165,6 +165,24 @@ class TestFisher:
         assert code != 0
         assert "unknown state" in err
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"J": True, "amps": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}, "J must be a number"),
+            ({"J": 1, "amps": ["x", [0.0, 0.0], [0.0, 0.0]]}, "[re, im] number pairs"),
+            ({"J": 10**400, "amps": [[1.0, 0.0]]}, "too large"),
+        ],
+        ids=["bool-J", "string-amplitude", "huge-J"],
+    )
+    def test_mistyped_state_file_names_the_file(self, data, message, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(["fisher", "--state", f"file:{path}"], capsys)
+        assert_single_error(code, err)
+        assert f"malformed state file {path}" in err
+        assert message in err
+        assert out == ""
+
     def test_config_file_fills_defaults_flags_win(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"state": "balance", "seed": 7}))
@@ -188,6 +206,7 @@ class TestFisher:
         [
             (["estimate", "--pipeline", "optimal", "--n", "10"], {"trials": "5"}),
             (["estimate", "--pipeline", "optimal", "--n", "10"], {"theta1": True}),
+            (["fisher"], {"theta1": 10**400}),
             (["fisher"], {"state": 5}),
             (["fisher"], []),
             (["probabilities", "--grid-points", "2"], {"format": "xml"}),
@@ -284,6 +303,23 @@ class TestProbabilities:
             assert set(block) == {"fisher", "qfi_diag", "relative_dev"}
             for f, q in zip(block["fisher"], block["qfi_diag"]):
                 assert f / q == pytest.approx(1.0, abs=0.05)
+
+    def test_warns_when_bell_analyzer_misfits_probe(self, capsys):
+        # the analyzer's outcome 0 holds 1/6 of tetra1; stdout is unchanged
+        code, out, err = run_cli(["probabilities", "--state", "tetra1"], capsys)
+        assert code == 0
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("warning: the Bell analyzer puts 0.166667 ")
+        assert "bell_P* columns and saturation.bell" in lines[0]
+        assert json.loads(out)["state"] == "tetra1"
+
+    @pytest.mark.parametrize("state", ["tetra2", "balance"])
+    @pytest.mark.parametrize("theta1", ["0.02", "0.05"])
+    def test_reference_probes_do_not_warn(self, state, theta1, capsys):
+        code, _, err = run_cli(["probabilities", "--state", state, "--theta1", theta1], capsys)
+        assert code == 0
+        assert err == ""
 
 
 class TestCircuitVerify:
@@ -408,6 +444,37 @@ class TestEstimate:
             ["estimate", "--state", probe, "--trials", "5", "--pipeline", "optimal"], capsys
         )
         assert code == 0
+
+    def test_bell_needs_four_or_six_photons(self, tmp_path, capsys):
+        # the cube state: J = 4, anti-coherent, eight photons
+        amps = [[0.0, 0.0]] * 9
+        amps[0] = amps[8] = [(5 / 24) ** 0.5, 0.0]
+        amps[4] = [(7 / 12) ** 0.5, 0.0]
+        path = tmp_path / "cube.json"
+        path.write_text(json.dumps({"J": 4, "amps": amps}))
+        code, out, err = run_cli(["estimate", "--state", f"file:{path}", "--trials", "5"], capsys)
+        assert_single_error(code, err)
+        assert "4 or 6 photons, got 8" in err
+        assert "--pipeline optimal" in err
+        code, _, _ = run_cli(
+            ["estimate", "--state", f"file:{path}", "--trials", "5", "--pipeline", "optimal"],
+            capsys,
+        )
+        assert code == 0
+
+    def test_undefined_axis_statistics_are_null(self, capsys):
+        # one shot per trial: every trial is degenerate, so the axis has no mean
+        code, out, _ = run_cli(
+            ["estimate", "--n", "1", "--trials", "3", "--pipeline", "optimal"], capsys
+        )
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads(out, parse_constant=reject)["optimal"]
+        assert report["mean_u_abs"] == [None] * 3
+        assert report["sigma_u_abs"] == [None] * 3
 
     def test_bell_rejects_oversized_state(self, spin20_state, capsys):
         code, _, err = run_cli(

@@ -1,0 +1,141 @@
+"""Fuzz the CLI boundary: every run ends in a report or in one `error:` line.
+
+Argv, config files and state files come from one grammar that mixes valid
+values with NaN, the infinities, huge, negative and wrong-typed ones.  Valid
+sizes stay small (trials <= 50, n <= 10^6, grid <= 101), so every run is
+quick; sizes past the ceilings are rejected before anything is allocated.
+"""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rotosense.cli import main
+
+NASTY_NUMBERS = ["nan", "inf", "-inf", "1e200", "-1e-3", "-7", "0", "abc", ""]
+THETA = st.floats(-0.06, 0.06).map(repr) | st.sampled_from(NASTY_NUMBERS)
+STATES = st.sampled_from(
+    ["tetra1", "tetra2", "balance", "nosuch", "file:{state}", "file:{missing}"]
+)
+
+# flag -> values, and the subcommands that take it
+COMMON = {
+    "--state": STATES,
+    "--theta1": THETA,
+    "--theta2": THETA,
+    "--theta3": THETA,
+    "--n": st.integers(1, 10**6).map(str) | st.sampled_from(["0", "-5", str(2**63), "1e6", "x"]),
+    "--trials": st.integers(1, 50).map(str)
+    | st.sampled_from(["0", "-3", str(10**9), "2.5", "x"]),
+    "--seed": st.integers(0, 2**70).map(str) | st.sampled_from(["-1", "1.5", "x"]),
+    "--format": st.sampled_from(["json", "csv", "xml"]),
+    "--out": st.just("{out}"),
+    "--config": st.just("{config}"),
+}
+EXTRA = {
+    "fisher": {},
+    "probabilities": {
+        "--grid-points": st.integers(1, 101).map(str)
+        | st.sampled_from(["0", "-1", str(10**6), "x"]),
+    },
+    "circuit-verify": {},
+    "estimate": {"--pipeline": st.sampled_from(["optimal", "bell", "both", "xx"])},
+    "decompose": {"--verify-tables": st.none()},
+}
+
+CONFIG_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 50),
+    st.sampled_from([10**400, 2**63, 10**9]),
+    st.floats(-0.06, 0.06),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e200]),
+    st.sampled_from(["tetra2", "balance", "file:{state}", "json", "csv", "x"]),
+    st.lists(st.integers(), max_size=2),
+)
+CONFIG_KEYS = st.sampled_from(
+    ["state", "theta1", "theta2", "theta3", "n", "trials", "seed", "out", "format", "bogus"]
+)
+CONFIGS = st.one_of(
+    st.dictionaries(CONFIG_KEYS, CONFIG_VALUES, max_size=4).map(json.dumps),
+    st.sampled_from(["[1, 2]", "{not json", ""]),
+)
+
+AMP = st.floats(-1, 1)
+PAIRS = st.tuples(AMP, AMP).map(list) | st.sampled_from(
+    [["x", 0], [math.nan, 0], [math.inf, 0], [1e308, 1e308], [1], [True, 0], "x", None]
+)
+STATE_FILES = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "J": st.sampled_from(
+                [0.5, 1, 2, 3, 4, 2.5, 1.3, -1, 600, 10**400, True, "2", None, math.nan, math.inf]
+            ),
+            "amps": st.lists(PAIRS, max_size=9),
+        }
+    ).map(json.dumps),
+    st.sampled_from(['{"J": 2}', "[1, 2]", "not json"]),
+)
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(sorted(EXTRA)))
+    flags = {**COMMON, **EXTRA[command]}
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=6)):
+        value = draw(flags[flag])
+        argv += [flag] if value is None else [flag, value]
+    config = draw(CONFIGS)
+    if '"out"' in config:  # only ever write inside the run's directory
+        data = json.loads(config)
+        data["out"] = "{out}" if isinstance(data["out"], str) else data["out"]
+        config = json.dumps(data)
+    return argv, config, draw(STATE_FILES)
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@given(invocations())
+@settings(max_examples=300, deadline=None)
+def test_cli_ends_in_report_or_one_error_line(invocation):
+    argv, config, state = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {
+            "state": f"{tmp}/state.json",
+            "missing": f"{tmp}/missing.json",
+            "config": f"{tmp}/config.json",
+            "out": f"{tmp}/out.txt",
+        }
+        Path(paths["state"]).write_text(state)
+        Path(paths["config"]).write_text(
+            config.replace("{state}", paths["state"]).replace("{out}", paths["out"])
+        )
+        argv = [arg.format(**paths) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        report = Path(paths["out"]).read_text() if Path(paths["out"]).exists() else ""
+    report = report or out.getvalue()
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2), (argv, config, state, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert all(line.startswith(("error:", "warning:")) for line in lines), lines
+    if code == 2:
+        assert sum(line.startswith("error:") for line in lines) == 1, lines
+    elif report.startswith("{"):
+        strict_json(report)

@@ -15,6 +15,11 @@ from rotosense.states import balance, tetra1, tetra2
 AXIS = np.array([1.0, 2.0, 2.0]) / 3.0
 
 
+def jumped_stream(seed, t):
+    """The generator that row t of sample_outcomes(..., seed) draws from."""
+    return np.random.Generator(np.random.PCG64(seed).jumped(t))
+
+
 class TestSampling:
     def test_deterministic(self):
         dist = np.array([0.2, 0.3, 0.1, 0.25, 0.15])
@@ -34,8 +39,7 @@ class TestSampling:
         p = np.array([0.2, 0.3, 0.1, 0.25, 0.15])
         counts = sample_outcomes(p, 1000, 4, 42)
         for t in range(4):
-            rng = np.random.default_rng(np.random.SeedSequence((42, t)))
-            assert np.array_equal(counts[t], rng.multinomial(1000, p))
+            assert np.array_equal(counts[t], jumped_stream(42, t).multinomial(1000, p))
 
     def test_point_mass(self):
         counts = sample_outcomes(np.array([1.0, 0, 0, 0, 0]), 500, 3, 7)
@@ -83,8 +87,8 @@ class TestSampling:
         assert np.all(np.abs(freq - p) <= bound + 1e-12)
 
 
-# seeds on either side of SeedSequence's 32-bit word boundaries; from 2**96
-# on, the seed and trial words overflow its pool of four words
+# seeds on either side of the 32-bit word boundaries of PCG64's seeding
+# SeedSequence, and past its pool of four words
 BOUNDARY_SEEDS = [
     0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**64, 2**96 - 1, 2**96,
     2**128 - 1, 2**128, 2**128 + 1, 2**160,
@@ -97,24 +101,22 @@ class TestSeeding:
         trials=st.integers(1, 64),
     )
     @settings(max_examples=60, deadline=None)
-    def test_rows_match_seed_sequence_streams(self, seed, trials):
+    def test_rows_match_jumped_streams(self, seed, trials):
         p = np.array([0.9, 0.04, 0.03, 0.02, 0.01])
         counts = sample_outcomes(p, 10**6, trials, seed)
         for t in range(trials):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-            assert np.array_equal(counts[t], rng.multinomial(10**6, p))
+            assert np.array_equal(counts[t], jumped_stream(seed, t).multinomial(10**6, p))
         if seed <= np.iinfo(np.int64).max:
             np.testing.assert_array_equal(
                 sample_outcomes(p, 10**6, trials, np.int64(seed)), counts
             )
 
-    def test_rows_across_hash_blocks(self):
-        # the seeds are hashed 4096 rows at a time
+    def test_rows_deep_in_a_run(self):
+        # each row's state is one affine step on from the row before
         p = np.array([0.9, 0.04, 0.03, 0.02, 0.01])
         counts = sample_outcomes(p, 1000, 8200, 2**64 + 3)
-        for t in (4095, 4096, 4097, 8191, 8192, 8199):
-            rng = np.random.default_rng(np.random.SeedSequence((2**64 + 3, t)))
-            assert np.array_equal(counts[t], rng.multinomial(1000, p))
+        for t in (0, 4095, 4096, 8199):
+            assert np.array_equal(counts[t], jumped_stream(2**64 + 3, t).multinomial(1000, p))
 
     def test_negative_seed_keeps_numpy_message(self):
         with pytest.raises(ValueError, match="^expected non-negative integer$"):
