@@ -1,7 +1,6 @@
 """Rotation sensing with second-order anti-coherent polarization states."""
 
 from .bell_analysis import (
-    aggregate_probabilities,
     bell_decompose,
     bell_measurement,
     bell_states,
@@ -37,7 +36,6 @@ from .measurement import (
 )
 from .metrology import (
     anticoherence_report,
-    fisher_single,
     generator_coeffs,
     j_expectations,
     qfi_matrix,
@@ -50,7 +48,6 @@ from .spin_core import (
     axis_from_angles,
     dicke_to_qubit,
     rotated_amplitudes,
-    rotation_unitary,
     spin_operators,
 )
 from .states import balance, get_state, tetra1, tetra2

@@ -4,9 +4,11 @@ Polarization rotations preserve permutation symmetry, so a rotated
 anti-coherent probe never acquires weight on any pair projected onto the
 antisymmetric singlet.  Decomposing the rotated state over tensor products
 of the four Bell states (under a fixed pairing of the photons) therefore
-captures the full state, and summing the Bell-pair outcome probabilities
-over small groups of label tuples reproduces the optimal-basis
-probabilities up to third order in the rotation angle.
+captures the full state.  Each optimal-basis state psi_mu of a probe lies
+on its own set of Bell products, its support; where the four supports are
+disjoint, summing the Bell-pair outcome probabilities over each support
+reproduces the optimal-basis probabilities up to third order in the
+rotation angle.
 
 Bell phase conventions: phi0 = (HH+VV)/sqrt2, phi1 = i(HV+VH)/sqrt2,
 phi2 = -(HV-VH)/sqrt2, phi3 = i(HH-VV)/sqrt2.  Labels 0, 1, 3 are the
@@ -21,7 +23,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .measurement import Measurement, optimal_basis
+from .measurement import Measurement, ProjectorBasis, optimal_basis
 from .spin_core import QubitState, SpinState, dicke_to_qubit
 from .states import balance, tetra2
 
@@ -74,86 +76,56 @@ def singlet_weight(amps: np.ndarray) -> float:
     return float(np.sum(np.abs(amps) ** 2) - np.sum(np.abs(symmetric_part) ** 2))
 
 
-# Aggregation of Bell-pair probabilities into the optimal-basis outcomes.
-# Four photons: the pair-label supports of psi0/psi4, psi1, psi2, psi3.
-AGGREGATION_N4 = {
-    0: ((0, 0), (3, 3), (1, 1)),
-    1: ((0, 1), (1, 0)),
-    2: ((1, 3), (3, 1)),
-    3: ((0, 3), (3, 0)),
-}
-# Six photons: each group holds every distinct permutation of its label
-# multiset exactly once; permutation symmetry of the states forces equal
-# weight on all orderings.  The (3,3,3) tuple belongs to the P2 group: the
-# J_2-image measurement state carries 3/8 of its weight there, and dropping
-# it loses that fraction of the u_2 signal at leading order (verified
-# against the exact probabilities in the tests).
-AGGREGATION_N6 = {
-    0: ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 3, 3), (3, 1, 3), (3, 3, 1), (1, 1, 1)),
-    1: ((0, 0, 0), (3, 3, 0), (0, 3, 3), (3, 0, 3), (0, 1, 1), (1, 0, 1), (1, 1, 0)),
-    2: ((0, 3, 0), (3, 0, 0), (0, 0, 3), (3, 1, 1), (1, 3, 1), (1, 1, 3), (3, 3, 3)),
-    3: ((0, 3, 1), (3, 0, 1), (1, 0, 3), (1, 3, 0), (0, 1, 3), (3, 1, 0)),
-}
-
-
-_AGGREGATION = {4: AGGREGATION_N4, 6: AGGREGATION_N6}
-
-
-def aggregate_probabilities(amps: np.ndarray, n_photons: int) -> np.ndarray:
-    """Sum Bell-tuple probabilities into estimates of [P0, P1, P2, P3].
-
-    The qubit-picture reference for ``bell_measurement``.
-    """
-    groups = _AGGREGATION.get(n_photons)
-    if groups is None or amps.ndim != n_photons // 2:
-        raise ValueError(f"aggregation defined for 2 or 3 pairs, got {amps.ndim} pairs "
-                         f"with n_photons={n_photons}")
-    probs = np.abs(amps) ** 2
-    return np.array([sum(probs[t] for t in groups[mu]) for mu in range(4)])
+# |<phi_t|psi_mu>|^2 above this puts the Bell product t in the support of
+# psi_mu; the probes checked (tetra1, tetra2, balance and a J = 4 one) hold
+# >= 0.033 on their supports and <= 6e-34 off them.
+_SUPPORT_TOL = 1e-12
 
 
 @lru_cache(maxsize=None)
-def bell_measurement(n_photons: int) -> Measurement:
-    """The Bell-product analyzer as row blocks over |J,m>, J = n_photons / 2.
+def _bell_image(n_photons: int) -> np.ndarray:
+    """Bell-product amplitudes of every |J,m>, J = n_photons / 2, built on first use.
 
-    Block mu has one row per label tuple t of aggregation group mu, holding
-    the Bell-product amplitude of t in each |J,m>; its outcome probability
-    is the group's aggregated Bell probability.  Built on first use for
-    each photon number.
+    bell_decompose . dicke_to_qubit is linear; entry [t + (k,)] is the
+    amplitude of the label tuple t in the k-th Dicke state.
     """
-    groups = _AGGREGATION.get(n_photons)
-    if groups is None:
-        raise ValueError(f"the Bell analyzer is defined for 4 or 6 photons, got {n_photons}")
     j = n_photons / 2.0
-    # bell_decompose . dicke_to_qubit is linear: its columns are the images of |J,m>
     image = np.stack(
         [bell_decompose(dicke_to_qubit(SpinState(j, e))) for e in np.eye(n_photons + 1)],
         axis=-1,
     )
-    rows = np.array([image[t] for mu in range(4) for t in groups[mu]])
-    rows.setflags(write=False)
-    starts = tuple(accumulate((len(groups[mu]) for mu in range(3)), initial=0))
-    return Measurement(J=j, rows=rows, starts=starts)
+    image.setflags(write=False)
+    return image
 
 
-def bell_misfit(state: SpinState) -> str | None:
-    """Why the Bell analyzer does not fit this unrotated probe, or None where it does.
+def bell_measurement(basis: ProjectorBasis) -> Measurement:
+    """The Bell-product analyzer of a probe, as row blocks over |J,m>.
 
-    It fits a probe that its outcome 0 holds wholly, as it holds tetra2 and
-    balance, for which its aggregation groups were built; for any other
-    probe its outcome probabilities do not follow the small-angle law.
+    Block mu holds the Bell products t in the support of the optimal-basis
+    state psi_mu, those with |<phi_t|psi_mu>|^2 > 1e-12: one row per t with
+    its amplitude in each |J,m>, so outcome mu sums the Bell probabilities
+    over that support.  The Bell products outside every support make up the
+    rest outcome.  The analyzer fits the probe only where the four supports
+    are disjoint; otherwise a ValueError names two outcomes that share a
+    Bell product.  It needs an even number of photons, at most
+    spin_core.MAX_QUBITS.
     """
-    n_photons = int(round(2 * state.J))
-    if n_photons not in _AGGREGATION:
-        return f"the Bell analyzer is defined for 4 or 6 photons, got {n_photons}"
-    analyzer = bell_measurement(n_photons)
-    weight = float(np.sum(np.abs(analyzer.rows[: analyzer.starts[1]] @ state.amps) ** 2))
-    if weight >= 1.0 - 1e-9:
-        return None
-    return (
-        f"the Bell analyzer puts {weight:.6g} of this unrotated probe on outcome 0, "
-        "not 1: it is built for the reference probes tetra2 and balance"
-    )
+    image = _bell_image(int(round(2 * basis.J)))
+    support = np.abs(image @ basis.rows.conj().T) ** 2 > _SUPPORT_TOL
+    shared = np.argwhere(support.sum(axis=-1) > 1)
+    if shared.size:
+        labels = tuple(int(x) for x in shared[0])
+        a, b = np.flatnonzero(support[labels])[:2]
+        raise ValueError(
+            f"the Bell analyzer does not fit this probe: outcomes {a} and {b} "
+            f"share the Bell product {labels}"
+        )
+    blocks = [image[support[..., mu]] for mu in range(4)]
+    starts = tuple(accumulate((len(block) for block in blocks[:3]), initial=0))
+    rows, rest = np.concatenate(blocks), image[~support.any(axis=-1)]
+    rows.setflags(write=False)
+    rest.setflags(write=False)
+    return Measurement(J=basis.J, rows=rows, starts=starts, rest=rest)
 
 
 # ---------------------------------------------------------------------------

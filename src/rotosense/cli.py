@@ -28,8 +28,8 @@ from .measurement import (
     small_angle_probabilities,
     sweep_probabilities,
 )
-from .metrology import anticoherence_report, fisher_single, j_expectations, qfi_matrix
-from .spin_core import RotationParams, SpinState, dicke_to_qubit, rotation_unitary
+from .metrology import anticoherence_report, j_expectations, qfi_matrix
+from .spin_core import RotationParams, SpinState, dicke_to_qubit, rotated_amplitudes
 from .states import REGISTRY, get_state
 
 # Small-angle validity: warn past this, never reject on it.  The separate
@@ -194,15 +194,16 @@ def cmd_fisher(args) -> int:
     state = _load_state(cfg.state)
     params = _params(cfg)
     mean, cov = j_expectations(state)
+    qfi = qfi_matrix(state, params)
     payload = {
         "state": cfg.state,
         "J": state.J,
         "mean": list(mean),
         "cov": [list(row) for row in cov],
         "anticoherence": anticoherence_report(state, tol=1e-10),
-        "fisher_single": fisher_single(state, params.axis),
+        "fisher_single": float(qfi[0, 0]),
         "axis": list(params.axis),
-        "qfi": [list(row) for row in qfi_matrix(state, params)],
+        "qfi": [list(row) for row in qfi],
         "theta1": params.theta1,
     }
     _emit(cfg, payload)
@@ -220,30 +221,30 @@ def cmd_probabilities(args) -> int:
     u = _params(cfg).axis  # also rejects a non-finite theta1 before the sweep
     grid = np.linspace(0.0, cfg.theta1, args.grid_points)
     exact = sweep_probabilities(state, basis, grid, u)
-    analyzer = bell_analysis.bell_measurement(int(round(2 * state.J)))
-    misfit = bell_analysis.bell_misfit(state)
-    if misfit:
-        print(
-            f"warning: {misfit}; the bell_P* columns and saturation.bell "
-            "do not describe this probe",
-            file=sys.stderr,
-        )
-    bell = sweep_probabilities(state, analyzer, grid, u)[:, :4]
     small = small_angle_probabilities(state.J, grid, u)[:, :4]
     header = [
         "theta1", "u1", "u2", "u3",
         "P0", "P1", "P2", "P3", "Prest",
         "small_P0", "small_P1", "small_P2", "small_P3",
-        "bell_P0", "bell_P1", "bell_P2", "bell_P3",
-        "gap_small", "gap_bell",
     ]
-    rows = np.column_stack(
-        [
-            grid, np.broadcast_to(u, (grid.size, 3)), exact, small, bell,
-            np.abs(exact[:, :4] - small).max(axis=1),
-            np.abs(bell - exact[:, :4]).max(axis=1),
-        ]
-    ).tolist()
+    columns = [grid, np.broadcast_to(u, (grid.size, 3)), exact, small]
+    gaps = [np.abs(exact[:, :4] - small).max(axis=1)]
+    measurements = {"optimal": basis}
+    try:
+        measurements["bell"] = bell_analysis.bell_measurement(basis)
+    except ValueError as exc:
+        print(
+            f"warning: {exc}; the report leaves out the bell_P* and gap_bell "
+            "columns and saturation.bell",
+            file=sys.stderr,
+        )
+    else:
+        bell = sweep_probabilities(state, measurements["bell"], grid, u)[:, :4]
+        header += ["bell_P0", "bell_P1", "bell_P2", "bell_P3"]
+        columns.append(bell)
+        gaps.append(np.abs(bell - exact[:, :4]).max(axis=1))
+    header += ["gap_small", "gap_bell"][: len(gaps)]
+    rows = np.column_stack(columns + gaps).tolist()
     _warn_theta1(cfg.theta1)
     if cfg.format == "csv":
         _emit(cfg, None, csv_rows=rows, csv_header=header)
@@ -256,7 +257,7 @@ def cmd_probabilities(args) -> int:
         "rows": rows,
         "saturation": {
             name: multiparam_saturation_check(state, measurement, saturation_params)
-            for name, measurement in (("optimal", basis), ("bell", analyzer))
+            for name, measurement in measurements.items()
         },
     }
     _emit(cfg, payload)
@@ -340,9 +341,7 @@ def cmd_decompose(args) -> int:
     state = _load_state(cfg.state)
     params = _params(cfg)
     _warn_theta1(cfg.theta1)
-    rotated = SpinState.normalized(
-        state.J, rotation_unitary(state.J, params) @ state.amps
-    )
+    rotated = SpinState(state.J, rotated_amplitudes(state, [params.theta1], params.axis)[:, 0])
     bp = bell_analysis.bell_decompose(dicke_to_qubit(rotated))
     decomposition = {
         "pairing": [[2 * k, 2 * k + 1] for k in range(bp.ndim)],
@@ -417,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_fisher)
 
-    p = sub.add_parser("probabilities", help="theta1 sweep: exact, small-angle, Bell-aggregated")
+    p = sub.add_parser("probabilities", help="theta1 sweep: exact, small-angle, Bell analyzer")
     _add_common(p)
     p.add_argument("--grid-points", type=int, default=21)
     p.set_defaults(func=cmd_probabilities)

@@ -4,7 +4,7 @@ Repeats n-shot measurement rounds of a rotated probe, extracts |theta1| and
 the axis magnitudes from the observed frequencies, and compares the
 empirical spread of the estimates with the Cramer-Rao prediction
 1/sqrt(n F), F = 4 J (J+1) / 3.  Rounds can be generated either from the
-optimal-basis probabilities or from the Bell-pair aggregation.
+optimal-basis probabilities or from the probe's Bell analyzer.
 
 Trials are arrays: `sample_outcomes` draws every trial's counts into one
 (trials, 5) matrix and `estimate_params` inverts all rows in one call.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell_analysis import bell_measurement, bell_misfit
+from .bell_analysis import bell_measurement
 from .measurement import (
     exact_probabilities,
     optimal_basis,
@@ -181,18 +181,19 @@ def qcrb_experiment(
     theta1^2 J(J+1)/3 > 1, where that expansion has no probabilities, is
     rejected.  Trial t draws from the stream of (seed, t) for every
     pipeline, so pipeline comparisons are paired.  The Bell pipeline
-    rejects a probe that the analyzer does not fit (`bell_misfit`).
+    rejects a probe that the Bell analyzer does not fit (`bell_measurement`).
     """
     if trials < 2:
         raise ValueError("need at least two trials for a spread estimate")
-    if pipeline == "bell":
-        misfit = bell_misfit(phi0)
-        if misfit:
-            raise ValueError(f"{misfit}; use --pipeline optimal")
-        analyzer = bell_measurement(int(round(2 * phi0.J)))
-    elif pipeline != "optimal":
+    if pipeline not in ("optimal", "bell"):
         raise ValueError(f"unknown pipeline {pipeline!r}")
-    p_exact = exact_probabilities(phi0, optimal_basis(phi0), params)
+    basis = optimal_basis(phi0)
+    if pipeline == "bell":
+        try:
+            analyzer = bell_measurement(basis)
+        except ValueError as exc:
+            raise ValueError(f"{exc}; use --pipeline optimal") from None
+    p_exact = exact_probabilities(phi0, basis, params)
     p = exact_probabilities(phi0, analyzer, params) if pipeline == "bell" else p_exact
     p_small = small_angle_probabilities(phi0.J, params.theta1, params.axis)
     counts = sample_outcomes(p, n, trials, seed)

@@ -3,8 +3,8 @@
 Every measurement is four row blocks K_mu over the |J,m> basis, with
 P_mu = ||K_mu psi||^2 and the remaining weight lumped into a rest outcome.
 The optimal projectors have one row each; the Bell-product analyzer
-(``bell_analysis.bell_measurement``) has one row per Bell label tuple of
-its aggregation group.
+(``bell_analysis.bell_measurement``) has one row per Bell product in the
+support of the matching optimal-basis state.
 
 For an anti-coherent probe phi0, the basis {phi0, J_1 phi0, J_2 phi0,
 J_3 phi0} (normalized) is orthonormal and, measured after a small rotation,
@@ -16,7 +16,7 @@ rest outcome; their weight is third order in the rotation angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,11 +30,15 @@ class Measurement:
     Outcome mu has probability P_mu = ||K_mu psi||^2, where K_mu is rows
     starts[mu] up to starts[mu+1] of ``rows``; the rest outcome takes
     1 - sum_mu P_mu.  Sums of squared moduli keep every P_mu >= 0 exactly.
+    ``rest`` holds the rows of the rest outcome; None means the rest is the
+    projector I - R^dagger R onto the complement of all rows R, as for the
+    optimal basis.
     """
 
     J: float
     rows: np.ndarray  # (rows of K_0, ..., rows of K_3) x (2J+1)
     starts: tuple  # first row of each block
+    rest: np.ndarray | None = field(default=None, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -143,10 +147,10 @@ def classical_fisher_matrix(
 
     With psi the rotated probe and G_k psi its generator images
     (``metrology.rotated_frame``), the exact derivatives are
-    dP_mu/dtheta_k = 2 Im <K_mu psi, K_mu G_k psi>.  The rest outcome is the
-    complement I - R^dagger R of all rows R, a projector for both
-    measurements here (orthonormal or isometric rows), and takes the same
-    form with K_rest psi = psi - R^dagger R psi.  Its amplitudes keep the
+    dP_mu/dtheta_k = 2 Im <K_mu psi, K_mu G_k psi>.  The rest outcome takes
+    the same form, with the measurement's ``rest`` rows or, for the
+    projector I - R^dagger R onto the complement of all rows R, with
+    K_rest psi = psi - R^dagger R psi.  Its amplitudes keep the
     relative precision that 1 - sum_mu P_mu loses when the rest is small,
     and P_rest and dP_rest come from one vector, so F <= Q holds to rounding.
     Each term dP_mu^2 / P_mu is at most 4 ||K_mu G_k psi||^2
@@ -159,7 +163,11 @@ def classical_fisher_matrix(
     _check_sector(phi0, measurement)
     frame = np.column_stack(rotated_frame(phi0, params))  # psi, G_1 psi, G_2 psi, G_3 psi
     blocks = measurement.rows @ frame
-    amps = np.vstack([blocks, frame - measurement.rows.conj().T @ blocks])
+    if measurement.rest is None:
+        rest = frame - measurement.rows.conj().T @ blocks
+    else:
+        rest = measurement.rest @ frame
+    amps = np.vstack([blocks, rest])
     starts = (*measurement.starts, len(blocks))
     p = np.add.reduceat(np.abs(amps[:, 0]) ** 2, starts)
     dp = 2.0 * np.add.reduceat((amps[:, :1].conj() * amps[:, 1:]).imag, starts, axis=0)

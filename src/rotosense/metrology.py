@@ -33,15 +33,6 @@ def j_expectations(state: SpinState) -> tuple[np.ndarray, np.ndarray]:
     return mean, second - np.outer(mean, mean)
 
 
-def fisher_single(state: SpinState, u) -> float:
-    """Quantum Fisher information 4 u^T Cov(J) u for rotations about unit axis u."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (3,) or abs(np.linalg.norm(u) - 1.0) > 1e-9:
-        raise ValueError("u must be a unit 3-vector")
-    _, cov = j_expectations(state)
-    return float(4.0 * u @ cov @ u)
-
-
 def anticoherence_report(state: SpinState, tol: float = 1e-12) -> dict:
     """Check <J_i> = 0 and Cov(J)_ij = delta_ij J(J+1)/3 within tol.
 

@@ -38,7 +38,7 @@ def _check_spin(j) -> int:
 
 
 def _rescaled(amps) -> np.ndarray:
-    """Amplitudes divided by their norm, for the ``normalized`` constructors."""
+    """Amplitudes divided by their norm, for ``SpinState.normalized``."""
     amps = np.asarray(amps, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(amps))
     if norm == 0.0:
@@ -121,10 +121,6 @@ class QubitState:
         object.__setattr__(self, "amps", amps)
 
     @classmethod
-    def normalized(cls, n_qubits, amps) -> "QubitState":
-        return cls(n_qubits, _rescaled(amps))
-
-    @classmethod
     def basis(cls, n_qubits: int, index: int = 0) -> "QubitState":
         amps = np.zeros(2**n_qubits, dtype=complex)
         amps[index] = 1.0
@@ -149,16 +145,6 @@ class RotationParams:
     @property
     def axis(self) -> np.ndarray:
         return axis_from_angles(self.theta2, self.theta3)
-
-    @classmethod
-    def from_axis(cls, theta1: float, u) -> "RotationParams":
-        u = np.asarray(u, dtype=float)
-        norm = np.linalg.norm(u)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError("axis must be a unit vector")
-        theta2 = math.acos(min(1.0, max(-1.0, u[2])))
-        theta3 = math.atan2(u[1], u[0])
-        return cls(theta1, theta2, theta3)
 
 
 def axis_from_angles(theta2: float, theta3: float) -> np.ndarray:
@@ -195,25 +181,13 @@ def spin_operators(j):
     return _spin_operators_cached(_check_spin(j))
 
 
-def _axis_eigh(j, u) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the generator u . J."""
-    jx, jy, jz = spin_operators(j)
-    return np.linalg.eigh(u[0] * jx + u[1] * jy + u[2] * jz)
-
-
-def rotation_unitary(j, params: RotationParams) -> np.ndarray:
-    """exp(-i * theta1 * u . J), computed by eigendecomposition of u . J."""
-    evals, evecs = _axis_eigh(j, params.axis)
-    phases = np.exp(-1j * params.theta1 * evals)
-    return (evecs * phases) @ evecs.conj().T
-
-
 def rotated_amplitudes(state: SpinState, theta1s, u) -> np.ndarray:
     """Columns exp(-i t u . J)|state>, one per t in theta1s.
 
     One eigendecomposition of u . J serves the whole grid of angles.
     """
-    evals, evecs = _axis_eigh(state.J, u)
+    jx, jy, jz = spin_operators(state.J)
+    evals, evecs = np.linalg.eigh(u[0] * jx + u[1] * jy + u[2] * jz)
     coeffs = evecs.conj().T @ state.amps
     phases = np.exp(-1j * np.outer(evals, np.asarray(theta1s, dtype=float)))
     return evecs @ (phases * coeffs[:, None])

@@ -1,8 +1,86 @@
 """Reference implementations and data that only tests compare against."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from rotosense.bell_analysis import bell_decompose
+from rotosense.metrology import j_expectations
+from rotosense.spin_core import (
+    QubitState,
+    RotationParams,
+    SpinState,
+    dicke_to_qubit,
+    spin_operators,
+)
+
+
+def rotation_unitary(j, params: RotationParams) -> np.ndarray:
+    """The dense exp(-i theta1 u . J), by eigendecomposition of u . J."""
+    u = params.axis
+    jx, jy, jz = spin_operators(j)
+    evals, evecs = np.linalg.eigh(u[0] * jx + u[1] * jy + u[2] * jz)
+    return (evecs * np.exp(-1j * params.theta1 * evals)) @ evecs.conj().T
+
+
+def fisher_single(state, u) -> float:
+    """Single-axis quantum Fisher information 4 u^T Cov(J) u of the unrotated probe."""
+    _, cov = j_expectations(state)
+    return float(4.0 * u @ cov @ u)
+
+
+def normalized_qubits(n_qubits, amps) -> QubitState:
+    """A qubit register from unnormalized amplitudes."""
+    amps = np.asarray(amps, dtype=complex)
+    return QubitState(n_qubits, amps / np.linalg.norm(amps))
+
+
+def params_from_axis(theta1: float, u) -> RotationParams:
+    """RotationParams of a rotation by theta1 about the unit vector u."""
+    u = np.asarray(u, dtype=float)
+    if abs(np.linalg.norm(u) - 1.0) > 1e-9:
+        raise ValueError("axis must be a unit vector")
+    theta2 = math.acos(min(1.0, max(-1.0, u[2])))
+    return RotationParams(theta1, theta2, math.atan2(u[1], u[0]))
+
+
+def bell_supports(basis) -> list:
+    """The label tuples t with |<phi_t|psi_mu>|^2 > 1e-12, one set per optimal-basis state."""
+    return [
+        {tuple(int(x) for x in t) for t in np.argwhere(np.abs(bp) ** 2 > 1e-12)}
+        for bp in (bell_decompose(dicke_to_qubit(psi)) for psi in basis.states)
+    ]
+
+
+def bell_outcome_probabilities(bp: np.ndarray, basis) -> np.ndarray:
+    """[P0, P1, P2, P3] of the Bell analyzer in the qubit picture.
+
+    bp is the Bell tensor of the rotated probe; outcome mu sums |bp|^2 over
+    the support of bell_decompose(dicke_to_qubit(psi_mu)).
+    """
+    probs = np.abs(bp) ** 2
+    return np.array([sum(probs[t] for t in support) for support in bell_supports(basis)])
+
+
+def three_peak_state(j: int) -> SpinState:
+    """(sqrt(p)|J,J> + sqrt(1-2p)|J,0> + sqrt(p)|J,-J>), p = (J+1)/(6J).
+
+    Second-order anti-coherent for integer J >= 3: its peaks sit 3 or more
+    apart, so <J_i> and <J_+^2> vanish, and p sets <J_z^2> = J(J+1)/3.
+    J = 4 is the cube state.
+    """
+    p = (j + 1) / (6 * j)
+    return SpinState.from_m_amplitudes(
+        j, {j: math.sqrt(p), 0: math.sqrt(1 - 2 * p), -j: math.sqrt(p)}
+    )
+
+
+def seven_photon_state() -> SpinState:
+    """A seven-photon (J = 7/2) anti-coherent probe, peaks at m = 7/2, 1/2, -5/2."""
+    return SpinState.from_m_amplitudes(
+        3.5, {3.5: math.sqrt(2 / 9), 0.5: math.sqrt(7 / 18), -2.5: math.sqrt(7 / 18)}
+    )
 
 
 @dataclass(frozen=True)

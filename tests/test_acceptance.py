@@ -8,9 +8,9 @@ import math
 import time
 
 import numpy as np
+from oracles import bell_outcome_probabilities, fisher_single, params_from_axis, rotation_unitary
 
 from rotosense.bell_analysis import (
-    aggregate_probabilities,
     bell_decompose,
     bell_measurement,
     singlet_weight,
@@ -29,13 +29,8 @@ from rotosense.measurement import (
     optimal_basis,
     small_angle_probabilities,
 )
-from rotosense.metrology import anticoherence_report, fisher_single, qfi_matrix
-from rotosense.spin_core import (
-    RotationParams,
-    SpinState,
-    dicke_to_qubit,
-    rotation_unitary,
-)
+from rotosense.metrology import anticoherence_report, qfi_matrix
+from rotosense.spin_core import RotationParams, SpinState, dicke_to_qubit
 from rotosense.states import balance, tetra1, tetra2
 
 SEED = 99
@@ -110,7 +105,7 @@ def test_criterion_04_small_angle_law():
             gaps = np.zeros((4, THETA_GRID.size))
             for t_idx, theta in enumerate(THETA_GRID):
                 for u in axes:
-                    params = RotationParams.from_axis(float(theta), u)
+                    params = params_from_axis(float(theta), u)
                     exact = exact_probabilities(state, basis, params)[:4]
                     small = small_angle_probabilities(state.J, float(theta), u)[:4]
                     gaps[:, t_idx] = np.maximum(
@@ -125,7 +120,7 @@ def test_criterion_05_classical_fisher_saturation():
     with criterion(5, "classical Fisher saturation", 5.0):
         for state, target in ((tetra2(), 8.0), (balance(), 16.0)):
             basis = optimal_basis(state)
-            params = RotationParams.from_axis(1e-3, AXIS)
+            params = params_from_axis(1e-3, AXIS)
             value = classical_fisher_matrix(state, basis, params)[0, 0]
             assert abs(value - target) <= 0.01 * target
         for state in (tetra2(), balance()):
@@ -172,22 +167,21 @@ def test_criterion_08_aggregation_equivalence():
     with criterion(8, "Bell aggregation matches exact probabilities", 10.0):
         axes = random_axes(20, 8)
         bound_constant = 1.0  # gap is what the lumped higher outcomes carry: O(theta^4)
-        for state, n_photons in ((tetra2(), 4), (balance(), 6)):
+        for state in (tetra2(), balance()):
             basis = optimal_basis(state)
             for theta in THETA_GRID:
                 for u in axes:
-                    params = RotationParams.from_axis(float(theta), u)
+                    params = params_from_axis(float(theta), u)
                     exact = exact_probabilities(state, basis, params)[:4]
-                    agg = aggregate_probabilities(
-                        bell_decompose(dicke_to_qubit(rotated(state, params))),
-                        n_photons,
+                    agg = bell_outcome_probabilities(
+                        bell_decompose(dicke_to_qubit(rotated(state, params))), basis
                     )
                     assert np.max(np.abs(agg - exact)) <= bound_constant * theta**3
 
 
 def test_criterion_09_monte_carlo_qcrb():
     with criterion(9, "Monte Carlo QCRB saturation", 60.0):
-        params = RotationParams.from_axis(0.05, AXIS)
+        params = params_from_axis(0.05, AXIS)
         n, trials = 10**6, 200
         predictions = {
             "tetra2": 1.0 / (2.0 * math.sqrt(2.0 * n)),
@@ -206,7 +200,6 @@ def test_criterion_09_monte_carlo_qcrb():
 def test_criterion_10_multinomial_algebra():
     with criterion(10, "multinomial algebra vs empirical moments", 30.0):
         from oracles import multinomial_stats
-        from rotosense.bell_analysis import AGGREGATION_N4
 
         reps = 1000
         settings = [
@@ -236,11 +229,11 @@ def test_criterion_10_multinomial_algebra():
 
         # reference-group chain: Var(counts on the P0 tuples) ~ 2 n theta^2
         theta, n = 0.05, 10**6
-        params = RotationParams.from_axis(theta, AXIS)
+        params = params_from_axis(theta, AXIS)
         probs = (
             np.abs(bell_decompose(dicke_to_qubit(rotated(tetra2(), params)))) ** 2
         ).reshape(-1)
-        indices = [4 * a + b for a, b in AGGREGATION_N4[0]]
+        indices = [0, 5, 15]  # the P0 group of tetra2: label tuples (0,0), (1,1), (3,3)
         analytic = multinomial_stats(probs, n).subset_sum_variance(indices)
         assert abs(analytic - 2 * n * theta**2) <= 0.15 * 2 * n * theta**2
         rng = np.random.default_rng(404)
@@ -273,11 +266,12 @@ def test_criterion_12_bell_fisher_matrix_saturation():
     with criterion(12, "Bell and optimal Fisher matrices saturate the QFI matrix", 5.0):
         # Every eigenvalue of Q^-1 F lies in [1 - C theta1^2, 1]. Measured C at
         # (theta2, theta3) = (1.0, 0.5): 2.39 / 2.51 (tetra2 optimal / Bell),
-        # 3.05 / 9.0 (balance). C depends on the axis and grows as some u_i
+        # 3.05 / 8.2 (balance). C depends on the axis and grows as some u_i
         # approaches 0 (past 10^5 at |u_i| = 10^-3), so C = 10 holds for this
         # axis only.
         for state in (tetra2(), balance()):
-            for measurement in (optimal_basis(state), bell_measurement(int(2 * state.J))):
+            basis = optimal_basis(state)
+            for measurement in (basis, bell_measurement(basis)):
                 for theta in np.geomspace(1e-3, 0.05, 8):
                     params = RotationParams(float(theta), 1.0, 0.5)
                     q = qfi_matrix(state, params)

@@ -1,37 +1,57 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    bell_outcome_probabilities,
+    bell_supports,
+    normalized_qubits,
+    params_from_axis,
+    rotation_unitary,
+    three_peak_state,
+)
 
 from rotosense.bell_analysis import (
-    AGGREGATION_N4,
-    AGGREGATION_N6,
-    aggregate_probabilities,
     bell_decompose,
     bell_measurement,
-    bell_misfit,
     bell_states,
     singlet_weight,
     verify_tabulated_decompositions,
 )
-from rotosense.measurement import exact_probabilities, optimal_basis
-from rotosense.spin_core import (
-    QubitState,
-    RotationParams,
-    SpinState,
-    dicke_to_qubit,
-    rotation_unitary,
-)
+from rotosense.measurement import ProjectorBasis, exact_probabilities, optimal_basis
+from rotosense.spin_core import QubitState, RotationParams, SpinState, dicke_to_qubit
 from rotosense.states import balance, tetra1, tetra2
 
 SQ3 = math.sqrt(3.0)
+
+# The Bell-product supports of the optimal-basis states, as the paper tabulates
+# them.  The six-photon P2 group holds (3,3,3): the J_2-image state carries 3/8
+# of its weight there.  (1,1,1) is in no group: no psi_mu holds it, it belongs
+# to the completion state n6_psi4.
+N4_GROUPS = [
+    {(0, 0), (3, 3), (1, 1)},
+    {(0, 1), (1, 0)},
+    {(1, 3), (3, 1)},
+    {(0, 3), (3, 0)},
+]
+N6_GROUPS = [
+    {(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 3, 3), (3, 1, 3), (3, 3, 1)},
+    {(0, 0, 0), (3, 3, 0), (0, 3, 3), (3, 0, 3), (0, 1, 1), (1, 0, 1), (1, 1, 0)},
+    {(0, 3, 0), (3, 0, 0), (0, 0, 3), (3, 1, 1), (1, 3, 1), (1, 1, 3), (3, 3, 3)},
+    {(0, 3, 1), (3, 0, 1), (1, 0, 3), (1, 3, 0), (0, 1, 3), (3, 1, 0)},
+]
 
 
 def rotated_qubit_state(state, params):
     spun = SpinState.normalized(state.J, rotation_unitary(state.J, params) @ state.amps)
     return dicke_to_qubit(spun)
+
+
+def analyzer(state):
+    return bell_measurement(optimal_basis(state))
 
 
 class TestBellStates:
@@ -84,7 +104,7 @@ class TestBellDecompose:
         rng = np.random.default_rng(seed)
         for n in (2, 4, 6):
             amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-            bp = bell_decompose(QubitState.normalized(n, amps))
+            bp = bell_decompose(normalized_qubits(n, amps))
             assert abs((np.abs(bp) ** 2).sum() - 1.0) <= 1e-12
 
     def test_pair_order_permutation(self):
@@ -126,35 +146,47 @@ class TestSingletExclusion:
 
 class TestAggregation:
     def test_unrotated(self):
+        basis = optimal_basis(tetra2())
         bp = bell_decompose(dicke_to_qubit(tetra2()))
-        np.testing.assert_allclose(aggregate_probabilities(bp, 4), [1, 0, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(bell_outcome_probabilities(bp, basis), [1, 0, 0, 0], atol=1e-12)
+        p = exact_probabilities(tetra2(), bell_measurement(basis), RotationParams(0.0, 1.0, 0.5))
+        np.testing.assert_allclose(p, [1, 0, 0, 0, 0], atol=1e-12)
 
     def test_tetra2_z_rotation(self):
         theta = 0.05
-        params = RotationParams.from_axis(theta, [0, 0, 1])
-        bp = bell_decompose(rotated_qubit_state(tetra2(), params))
-        agg = aggregate_probabilities(bp, 4)
-        assert abs(agg[3] - 2 * theta**2) <= 1.0 * theta**3
+        p = exact_probabilities(tetra2(), analyzer(tetra2()), params_from_axis(theta, [0, 0, 1]))
+        assert abs(p[3] - 2 * theta**2) <= 1.0 * theta**3
 
     def test_balance_y_rotation(self):
         theta = 0.05
-        params = RotationParams.from_axis(theta, [0, 1, 0])
-        bp = bell_decompose(rotated_qubit_state(balance(), params))
-        agg = aggregate_probabilities(bp, 6)
-        assert abs(agg[2] - 4 * theta**2) <= 1.0 * theta**3
+        p = exact_probabilities(balance(), analyzer(balance()), params_from_axis(theta, [0, 1, 0]))
+        assert abs(p[2] - 4 * theta**2) <= 1.0 * theta**3
 
     def test_rejects_wrong_pair_count(self):
-        bp = bell_decompose(dicke_to_qubit(tetra2()))
-        with pytest.raises(ValueError):
-            aggregate_probabilities(bp, 6)
+        # the three-pair analyzer of balance does not measure a two-pair probe
+        with pytest.raises(ValueError, match="different spin sectors"):
+            exact_probabilities(tetra2(), analyzer(balance()), RotationParams(0.05, 1.0, 0.5))
 
     def test_groups_are_disjoint_and_distinct(self):
-        for groups in (AGGREGATION_N4, AGGREGATION_N6):
+        for factory in (tetra2, balance, lambda: three_peak_state(4)):
             seen = set()
-            for tuples in groups.values():
-                assert len(set(tuples)) == len(tuples)
-                assert not (seen & set(tuples))
-                seen |= set(tuples)
+            for support in bell_supports(optimal_basis(factory())):
+                assert support and not (seen & support)
+                seen |= support
+
+    @pytest.mark.parametrize("factory,groups", [(tetra2, N4_GROUPS), (balance, N6_GROUPS)])
+    def test_derived_groups_are_the_paper_tables(self, factory, groups):
+        basis = optimal_basis(factory())
+        assert bell_supports(basis) == groups
+        # the analyzer's rows are the Dicke-space images of those tuples, in label order
+        images = [
+            bell_decompose(dicke_to_qubit(SpinState(basis.J, e)))
+            for e in np.eye(len(basis.rows[0]))
+        ]
+        expected = [[image[t] for image in images] for group in groups for t in sorted(group)]
+        measurement = bell_measurement(basis)
+        np.testing.assert_array_equal(measurement.rows, expected)
+        assert measurement.starts == tuple(np.cumsum([0] + [len(g) for g in groups[:3]]))
 
     @pytest.mark.parametrize(
         "factory,n_photons", [(tetra2, 4), (balance, 6)]
@@ -167,15 +199,21 @@ class TestAggregation:
         axes /= np.linalg.norm(axes, axis=1, keepdims=True)
         for theta in np.geomspace(1e-3, 0.05, 6):
             for u in axes:
-                params = RotationParams.from_axis(theta, u)
+                params = params_from_axis(theta, u)
                 exact = exact_probabilities(state, basis, params)[:4]
-                agg = aggregate_probabilities(
-                    bell_decompose(rotated_qubit_state(state, params)), n_photons
-                )
+                bp = bell_decompose(rotated_qubit_state(state, params))
+                assert bp.ndim == n_photons // 2
+                agg = bell_outcome_probabilities(bp, basis)
                 assert np.max(np.abs(agg - exact)) <= 1.0 * theta**3
 
 
 ANGLE = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+def stand_in_basis(n_photons):
+    """Four orthonormal rows on |J,m>, J = n_photons / 2: enough for the photon-number checks."""
+    dim = n_photons + 1
+    return ProjectorBasis(J=n_photons / 2, rows=np.eye(4, dim), starts=(0, 1, 2, 3), states=())
 
 
 class TestBellMeasurement:
@@ -186,17 +224,49 @@ class TestBellMeasurement:
     @settings(max_examples=60, deadline=None)
     def test_matches_qubit_pipeline(self, factory, n_photons, theta1, theta2, theta3):
         state = factory()
+        basis = optimal_basis(state)
         params = RotationParams(theta1, theta2, theta3)
-        blocks = exact_probabilities(state, bell_measurement(n_photons), params)[:4]
-        reference = aggregate_probabilities(
-            bell_decompose(rotated_qubit_state(state, params)), n_photons
-        )
+        blocks = exact_probabilities(state, bell_measurement(basis), params)[:4]
+        bp = bell_decompose(rotated_qubit_state(state, params))
+        assert bp.ndim == n_photons // 2
+        reference = bell_outcome_probabilities(bp, basis)
         assert np.max(np.abs(blocks - reference)) <= 1e-13
 
-    @pytest.mark.parametrize("n_photons", [2, 5, 8, 40])
-    def test_rejects_other_photon_numbers(self, n_photons):
-        with pytest.raises(ValueError, match="4 or 6 photons"):
-            bell_measurement(n_photons)
+    @pytest.mark.parametrize(
+        "n_photons,message",
+        [
+            (5, "even number of qubits"),
+            (40, r"qubit picture needs 1\.\.12 photons \(2J\), got 40"),
+        ],
+        ids=["5", "40"],
+    )
+    def test_rejects_other_photon_numbers(self, n_photons, message):
+        # an odd register has no Bell pairs; past 12 photons the check comes
+        # before any 2^N amplitudes are allocated
+        with pytest.raises(ValueError, match=message):
+            bell_measurement(stand_in_basis(n_photons))
+
+    def test_fits_the_cube_state(self):
+        # an anti-coherent J = 4 probe: disjoint supports of 21, 8, 8 and 8 tuples
+        state = three_peak_state(4)
+        measurement = analyzer(state)
+        assert measurement.starts == (0, 21, 29, 37)
+        assert len(measurement.rows) == 45
+        exact_basis = optimal_basis(state)
+        for theta in (0.01, 0.02, 0.05):
+            params = RotationParams(theta, 1.0, 0.5)
+            gap = exact_probabilities(state, measurement, params) - exact_probabilities(
+                state, exact_basis, params
+            )
+            assert np.max(np.abs(gap[:4])) <= 1.0 * theta**3
+
+    def test_rest_rows_complete_the_analyzer(self):
+        # the rest outcome is the Bell products outside every support: with
+        # them the rows form an isometry, so the rest probability is exact
+        for factory in (tetra2, balance, lambda: three_peak_state(4)):
+            measurement = analyzer(factory())
+            rows = np.vstack([measurement.rows, measurement.rest])
+            np.testing.assert_allclose(rows.conj().T @ rows, np.eye(rows.shape[1]), atol=1e-13)
 
 
 class TestTabulatedDecompositions:
@@ -231,11 +301,24 @@ class TestTabulatedDecompositions:
 class TestBellMisfit:
     @pytest.mark.parametrize("state", [tetra2, balance])
     def test_fits_reference_probes(self, state):
-        assert bell_misfit(state()) is None
+        # outcome 0 holds the whole unrotated probe
+        p = exact_probabilities(state(), analyzer(state()), RotationParams(0.0, 1.0, 0.5))
+        assert p[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_names_the_weight_on_outcome_0(self):
-        assert "puts 0.166667 of this unrotated probe on outcome 0" in bell_misfit(tetra1())
+    @pytest.mark.parametrize(
+        "state,shared",
+        [
+            (tetra1, "outcomes 0 and 1 share the Bell product (0, 0)"),
+            (lambda: three_peak_state(3), "outcomes 0 and 1 share the Bell product (0, 0, 0)"),
+        ],
+        ids=["tetra1", "three-peak-J3"],
+    )
+    def test_names_the_overlapping_outcomes(self, state, shared):
+        with pytest.raises(ValueError, match=re.escape(f"does not fit this probe: {shared}")):
+            analyzer(state())
 
     def test_names_the_photon_number(self):
-        state = SpinState.from_m_amplitudes(4, {4: 1.0})
-        assert bell_misfit(state) == "the Bell analyzer is defined for 4 or 6 photons, got 8"
+        # an anti-coherent J = 7 probe: its optimal basis exists, but the
+        # qubit picture stops at 12 photons
+        with pytest.raises(ValueError, match=r"needs 1\.\.12 photons \(2J\), got 14"):
+            analyzer(three_peak_state(7))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import N6_PREP_JSON, TETRA_PREP_JSON
+from oracles import N6_PREP_JSON, TETRA_PREP_JSON, normalized_qubits
 
 from rotosense.bell_analysis import bell_states
 from rotosense.circuit_sim import (
@@ -54,7 +54,7 @@ class TestRunCircuit:
 
     def test_double_x_is_identity(self):
         rng = np.random.default_rng(1)
-        state = QubitState.normalized(3, rng.normal(size=8) + 1j * rng.normal(size=8))
+        state = normalized_qubits(3, rng.normal(size=8) + 1j * rng.normal(size=8))
         circuit = Circuit(3, (Gate("X", (1,)), Gate("X", (1,))))
         out = run_circuit(circuit, state)
         assert np.linalg.norm(out.amps - state.amps) <= 1e-12

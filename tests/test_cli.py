@@ -5,10 +5,10 @@ import math
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import TETRA_PREP_JSON
+from oracles import TETRA_PREP_JSON, rotation_unitary, seven_photon_state, three_peak_state
 
 from rotosense.cli import _json_text, build_parser, main
-from rotosense.spin_core import RotationParams, rotation_unitary
+from rotosense.spin_core import RotationParams, SpinState
 from rotosense.states import tetra2
 
 
@@ -22,6 +22,13 @@ def assert_single_error(code, err):
     assert code == 2
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
+
+
+def state_file(tmp_path, state: SpinState) -> str:
+    """The --state selector of a file holding the state."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"J": state.J, "amps": [[z.real, z.imag] for z in state.amps]}))
+    return f"file:{path}"
 
 
 @pytest.fixture
@@ -305,14 +312,20 @@ class TestProbabilities:
                 assert f / q == pytest.approx(1.0, abs=0.05)
 
     def test_warns_when_bell_analyzer_misfits_probe(self, capsys):
-        # the analyzer's outcome 0 holds 1/6 of tetra1; stdout is unchanged
+        # the Bell supports of tetra1's optimal basis overlap: the report
+        # leaves the Bell analyzer out and says so once
         code, out, err = run_cli(["probabilities", "--state", "tetra1"], capsys)
         assert code == 0
         lines = err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("warning: the Bell analyzer puts 0.166667 ")
-        assert "bell_P* columns and saturation.bell" in lines[0]
-        assert json.loads(out)["state"] == "tetra1"
+        assert lines[0].startswith(
+            "warning: the Bell analyzer does not fit this probe: outcomes 0 and 1 share"
+        )
+        data = json.loads(out)
+        assert data["state"] == "tetra1"
+        assert not [c for c in data["columns"] if "bell" in c]
+        assert len(data["rows"][0]) == len(data["columns"]) == 14
+        assert set(data["saturation"]) == {"optimal"}
 
     @pytest.mark.parametrize("state", ["tetra2", "balance"])
     @pytest.mark.parametrize("theta1", ["0.02", "0.05"])
@@ -429,15 +442,14 @@ class TestEstimate:
 
     @pytest.mark.parametrize("probe", ["tetra1", "rotated-tetra2"])
     def test_bell_rejects_other_probes(self, probe, tmp_path, capsys):
-        # the Bell analyzer's outcome 0 holds all of tetra2 and balance, but
-        # 1/6 of tetra1 and 0.35 of tetra2 turned by theta1 = 0.7
+        # the Bell supports of the optimal basis are disjoint for tetra2 and
+        # balance, but overlap for tetra1 and for tetra2 turned by theta1 = 0.7
         if probe == "rotated-tetra2":
             amps = rotation_unitary(2, RotationParams(0.7, 1.0, 0.5)) @ tetra2().amps
-            path = tmp_path / "rotated.json"
-            path.write_text(json.dumps({"J": 2, "amps": [[z.real, z.imag] for z in amps]}))
-            probe = f"file:{path}"
+            probe = state_file(tmp_path, SpinState(2, amps))
         code, out, err = run_cli(["estimate", "--state", probe, "--trials", "5"], capsys)
         assert_single_error(code, err)
+        assert "outcomes 0 and 1 share the Bell product" in err
         assert "--pipeline optimal" in err
         assert out == ""
         code, _, _ = run_cli(
@@ -445,22 +457,55 @@ class TestEstimate:
         )
         assert code == 0
 
-    def test_bell_needs_four_or_six_photons(self, tmp_path, capsys):
-        # the cube state: J = 4, anti-coherent, eight photons
-        amps = [[0.0, 0.0]] * 9
-        amps[0] = amps[8] = [(5 / 24) ** 0.5, 0.0]
-        amps[4] = [(7 / 12) ** 0.5, 0.0]
-        path = tmp_path / "cube.json"
-        path.write_text(json.dumps({"J": 4, "amps": amps}))
-        code, out, err = run_cli(["estimate", "--state", f"file:{path}", "--trials", "5"], capsys)
-        assert_single_error(code, err)
-        assert "4 or 6 photons, got 8" in err
-        assert "--pipeline optimal" in err
-        code, _, _ = run_cli(
-            ["estimate", "--state", f"file:{path}", "--trials", "5", "--pipeline", "optimal"],
+    def test_bell_fits_the_cube_state(self, tmp_path, capsys):
+        # the cube state: J = 4, anti-coherent, eight photons, with disjoint
+        # Bell supports of 21, 8, 8 and 8 label tuples
+        cube = state_file(tmp_path, three_peak_state(4))
+        code, out, err = run_cli(
+            ["probabilities", "--state", cube, "--theta1", "0.05"], capsys
+        )
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        gap_bell = data["columns"].index("gap_bell")
+        for row in data["rows"]:
+            assert row[gap_bell] <= 1.0 * row[0] ** 3 + 1e-12
+        assert set(data["saturation"]) == {"optimal", "bell"}
+        code, out, err = run_cli(
+            [
+                "estimate", "--state", cube, "--theta1", "0.05",
+                "--n", "1000000", "--trials", "200", "--seed", "99",
+            ],
             capsys,
         )
+        assert code == 0 and err == ""
+        for pipeline, report in json.loads(out).items():
+            # criterion 09's bound for 200 trials
+            assert 0.9 <= report["sigma_ratio"] <= 1.1, pipeline
+            assert report["max_pipeline_vs_exact_gap"] <= 0.05**3
+
+    @pytest.mark.parametrize(
+        "probe,message",
+        [
+            (seven_photon_state, "Bell decomposition needs an even number of qubits"),
+            (lambda: three_peak_state(20), "the qubit picture needs 1..12 photons (2J), got 40"),
+        ],
+        ids=["odd", "oversized"],
+    )
+    def test_bell_refuses_anticoherent_probe_without_pairs(
+        self, probe, message, tmp_path, capsys
+    ):
+        # both probes have an optimal basis, but no Bell analyzer: seven photons
+        # make no pairs, and 40 photons are past the 12-photon qubit picture,
+        # refused before its 2^40 amplitudes are allocated
+        selector = state_file(tmp_path, probe())
+        code, out, err = run_cli(["estimate", "--state", selector, "--trials", "5"], capsys)
+        assert_single_error(code, err)
+        assert f"{message}; use --pipeline optimal" in err
+        assert out == ""
+        code, out, err = run_cli(["probabilities", "--state", selector], capsys)
         assert code == 0
+        assert err.startswith(f"warning: {message};") and len(err.splitlines()) == 1
+        assert "bell_P0" not in json.loads(out)["columns"]
 
     def test_undefined_axis_statistics_are_null(self, capsys):
         # one shot per trial: every trial is degenerate, so the axis has no mean
@@ -668,20 +713,23 @@ JSON_LAYOUTS = {
     },
     "estimate": {"optimal": _QCRB, "bell": _QCRB},
 }
+# no Bell analyzer fits tetra1, so its report has no saturation.bell
+JSON_LAYOUTS["probabilities-tetra1"] = {
+    **JSON_LAYOUTS["probabilities"],
+    "saturation": {"optimal": _SATURATION},
+}
+JSON_RUNS = {
+    "fisher": ["fisher"],
+    "probabilities": ["probabilities", "--grid-points", "3"],
+    "probabilities-tetra1": ["probabilities", "--grid-points", "3", "--state", "tetra1"],
+    "circuit-verify": ["circuit-verify"],
+    "decompose": ["decompose", "--verify-tables"],
+    "estimate": ["estimate", "--trials", "5", "--n", "1000"],
+}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["fisher"],
-        ["probabilities", "--grid-points", "3"],
-        ["circuit-verify"],
-        ["decompose", "--verify-tables"],
-        ["estimate", "--trials", "5", "--n", "1000"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_json_key_layout(argv, capsys):
-    code, out, _ = run_cli(argv, capsys)
+@pytest.mark.parametrize("name", JSON_RUNS)
+def test_json_key_layout(name, capsys):
+    code, out, _ = run_cli(JSON_RUNS[name], capsys)
     assert code == 0
-    assert key_tree(json.loads(out)) == JSON_LAYOUTS[argv[0]]
+    assert key_tree(json.loads(out)) == JSON_LAYOUTS[name]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import multinomial_stats
+from oracles import multinomial_stats, params_from_axis
 from rotosense.estimation import (
     estimate_params,
     qcrb_experiment,
@@ -79,7 +79,7 @@ class TestSampling:
 
         state = tetra2()
         p = exact_probabilities(
-            state, optimal_basis(state), RotationParams.from_axis(0.05, AXIS)
+            state, optimal_basis(state), params_from_axis(0.05, AXIS)
         )
         counts = sample_outcomes(p, 10**6, 1, 2718)
         freq = counts[0] / 10**6
@@ -207,31 +207,28 @@ class TestMultinomialStats:
 
     def test_aggregate_variance_small_angle(self):
         # Var of the reference-group count is about 2 n theta^2 at small theta
-        from rotosense.bell_analysis import AGGREGATION_N4, bell_decompose
-        from rotosense.spin_core import SpinState, dicke_to_qubit, rotation_unitary
+        from rotosense.bell_analysis import bell_decompose
+        from rotosense.spin_core import SpinState, dicke_to_qubit, rotated_amplitudes
 
         theta, n = 0.05, 10**6
         state = tetra2()
-        params = RotationParams.from_axis(theta, AXIS)
-        rotated = SpinState.normalized(
-            state.J, rotation_unitary(state.J, params) @ state.amps
-        )
+        rotated = SpinState(state.J, rotated_amplitudes(state, [theta], AXIS)[:, 0])
         probs = (np.abs(bell_decompose(dicke_to_qubit(rotated))) ** 2).reshape(-1)
         stats = multinomial_stats(probs, n)
-        indices = [4 * a + b for a, b in AGGREGATION_N4[0]]
+        indices = [0, 5, 15]  # the P0 group of tetra2: label tuples (0,0), (1,1), (3,3)
         analytic = stats.subset_sum_variance(indices)
         assert analytic == pytest.approx(2 * n * theta**2, rel=0.02)
 
 
 class TestQcrbExperiment:
     def test_deterministic(self):
-        params = RotationParams.from_axis(0.05, AXIS)
+        params = params_from_axis(0.05, AXIS)
         a = qcrb_experiment(tetra2(), params, 10**5, 50, 99, "optimal")
         b = qcrb_experiment(tetra2(), params, 10**5, 50, 99, "optimal")
         assert np.array_equal(a.theta1_hats, b.theta1_hats)
 
     def test_prefix_stability(self):
-        params = RotationParams.from_axis(0.05, AXIS)
+        params = params_from_axis(0.05, AXIS)
         short = qcrb_experiment(balance(), params, 10**5, 37, 99, "bell")
         long = qcrb_experiment(balance(), params, 10**5, 200, 99, "bell")
         np.testing.assert_array_equal(short.theta1_hats, long.theta1_hats[:37])
@@ -241,24 +238,24 @@ class TestQcrbExperiment:
     def test_pipelines_paired_trial_by_trial(self, state):
         # one stream per trial keeps the draws of both pipelines aligned;
         # one stream shared by all trials drops this to 0.94 / 0.33
-        params = RotationParams.from_axis(0.05, AXIS)
+        params = params_from_axis(0.05, AXIS)
         optimal = qcrb_experiment(state(), params, 10**6, 200, 99, "optimal")
         bell = qcrb_experiment(state(), params, 10**6, 200, 99, "bell")
         assert np.corrcoef(optimal.theta1_hats, bell.theta1_hats)[0, 1] >= 0.99
 
     def test_sigma_tracks_prediction(self):
-        params = RotationParams.from_axis(0.05, AXIS)
+        params = params_from_axis(0.05, AXIS)
         report = qcrb_experiment(tetra2(), params, 10**6, 200, 99, "optimal")
         assert 0.9 <= report.sigma_ratio <= 1.1
 
     def test_pipelines_agree(self):
-        params = RotationParams.from_axis(0.05, AXIS)
+        params = params_from_axis(0.05, AXIS)
         optimal = qcrb_experiment(balance(), params, 10**6, 200, 99, "optimal")
         bell = qcrb_experiment(balance(), params, 10**6, 200, 99, "bell")
         assert bell.sigma_empirical / optimal.sigma_empirical == pytest.approx(1.0, abs=0.05)
 
     def test_estimator_consistency(self):
-        params = RotationParams.from_axis(0.05, AXIS)
+        params = params_from_axis(0.05, AXIS)
         report = qcrb_experiment(tetra2(), params, 10**6, 200, 99, "optimal")
         assert report.mean_theta1_hat == pytest.approx(0.05, rel=0.02)
         np.testing.assert_allclose(report.mean_u_abs, np.abs(AXIS), atol=0.02)
@@ -285,7 +282,7 @@ class TestQcrbExperiment:
         assert report.mean_theta1_hat == 0.0
 
     def test_gap_diagnostics_reported(self):
-        params = RotationParams.from_axis(0.05, AXIS)
+        params = params_from_axis(0.05, AXIS)
         report = qcrb_experiment(tetra2(), params, 10**4, 10, 1, "bell")
         assert 0 < report.max_exact_vs_smallangle_gap < 1e-4
         assert 0 <= report.max_pipeline_vs_exact_gap < 1e-5
@@ -298,13 +295,13 @@ class TestQcrbExperiment:
         with pytest.raises(ValueError):
             qcrb_experiment(tetra2(), RotationParams(0.05, 1, 1), 100, 10, 1, "tomography")
 
-    def test_bell_rejects_probe_off_outcome_0(self):
-        # the analyzer's outcome 0 holds 1/6 of the unrotated tetra1
-        with pytest.raises(ValueError, match="puts 0.166667 of this unrotated probe"):
+    def test_bell_rejects_overlapping_supports(self):
+        # the Bell supports of tetra1's optimal basis overlap: no analyzer fits it
+        with pytest.raises(ValueError, match="outcomes 0 and 1 share .*; use --pipeline optimal"):
             qcrb_experiment(tetra1(), RotationParams(0.05, 1, 1), 100, 10, 1, "bell")
 
     def test_rows_format(self):
-        params = RotationParams.from_axis(0.05, AXIS)
+        params = params_from_axis(0.05, AXIS)
         report = qcrb_experiment(tetra2(), params, 10**4, 5, 1, "optimal")
         rows = list(report.rows())
         assert len(rows) == 5

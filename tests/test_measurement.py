@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import params_from_axis
 
 from rotosense.bell_analysis import bell_measurement
 from rotosense.measurement import (
@@ -31,7 +32,8 @@ def random_axes(rng, count):
 
 def measurements(state):
     """The optimal basis and the Bell analyzer for a built-in probe."""
-    return optimal_basis(state), bell_measurement(int(round(2 * state.J)))
+    basis = optimal_basis(state)
+    return basis, bell_measurement(basis)
 
 
 def central_difference_fisher(state, measurement, params, step=1e-5):
@@ -94,7 +96,7 @@ class TestExactProbabilities:
 
     def test_tetra2_z_axis(self):
         state = tetra2()
-        params = RotationParams.from_axis(0.01, [0, 0, 1])
+        params = params_from_axis(0.01, [0, 0, 1])
         p = exact_probabilities(state, optimal_basis(state), params)
         assert abs(p[0] - (1 - 2e-4)) <= 1e-6
         assert abs(p[3] - 2e-4) <= 1e-6
@@ -103,7 +105,7 @@ class TestExactProbabilities:
 
     def test_balance_x_axis(self):
         state = balance()
-        params = RotationParams.from_axis(0.01, [1, 0, 0])
+        params = params_from_axis(0.01, [1, 0, 0])
         p = exact_probabilities(state, optimal_basis(state), params)
         assert abs(p[1] - 4e-4) <= 1e-6
 
@@ -185,14 +187,14 @@ class TestClassicalFisher:
     def test_tetra2_saturates(self):
         state = tetra2()
         basis = optimal_basis(state)
-        params = RotationParams.from_axis(1e-3, np.array([2.0, -1.0, 2.0]) / 3)
+        params = params_from_axis(1e-3, np.array([2.0, -1.0, 2.0]) / 3)
         fisher = classical_fisher_matrix(state, basis, params)
         assert fisher[0, 0] == pytest.approx(8.0, rel=0.01)
 
     def test_balance_saturates(self):
         state = balance()
         basis = optimal_basis(state)
-        params = RotationParams.from_axis(1e-3, [0, 1, 0])
+        params = params_from_axis(1e-3, [0, 1, 0])
         fisher = classical_fisher_matrix(state, basis, params)
         assert fisher[0, 0] == pytest.approx(16.0, rel=0.01)
 
@@ -201,7 +203,7 @@ class TestClassicalFisher:
         basis = optimal_basis(state)
         rng = np.random.default_rng(19)
         values = [
-            classical_fisher_matrix(state, basis, RotationParams.from_axis(1e-3, u))[0, 0]
+            classical_fisher_matrix(state, basis, params_from_axis(1e-3, u))[0, 0]
             for u in random_axes(rng, 3)
         ]
         for v in values:
@@ -215,7 +217,7 @@ class TestClassicalFisher:
         grid = [0.05, 0.02, 0.01, 0.005, 0.002]
         errors = [
             abs(
-                classical_fisher_matrix(state, basis, RotationParams.from_axis(t, u))[0, 0]
+                classical_fisher_matrix(state, basis, params_from_axis(t, u))[0, 0]
                 - 8.0
             )
             for t in grid
@@ -309,6 +311,6 @@ class TestSmallAngleConsistency:
         for theta in np.geomspace(1e-3, 0.05, 8):
             for u in axes:
                 rest = exact_probabilities(
-                    state, basis, RotationParams.from_axis(theta, u)
+                    state, basis, params_from_axis(theta, u)
                 )[4]
                 assert rest <= 1.0 * theta**3

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import params_from_axis, rotation_unitary
 
 from rotosense.spin_core import (
     MAX_QUBITS,
@@ -13,7 +14,6 @@ from rotosense.spin_core import (
     axis_from_angles,
     dicke_to_qubit,
     rotated_amplitudes,
-    rotation_unitary,
     spin_operators,
 )
 
@@ -162,7 +162,7 @@ class TestStateTypes:
 
     def test_params_axis_round_trip(self):
         u = np.array([1.0, 2.0, 2.0]) / 3.0
-        params = RotationParams.from_axis(0.1, u)
+        params = params_from_axis(0.1, u)
         np.testing.assert_allclose(params.axis, u, atol=1e-12)
 
     def test_params_reject_nonfinite(self):
