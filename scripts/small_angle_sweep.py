@@ -31,8 +31,7 @@ def main():
     u = RotationParams(0.0, args.theta2, args.theta3).axis
     grid = np.geomspace(1e-3, 5e-2, args.points)
     basis = optimal_basis(state)
-    exact = sweep_probabilities(state, basis, grid, u)
-    bell = sweep_probabilities(state, bell_measurement(basis), grid, u)
+    exact, bell = sweep_probabilities(state, [basis, bell_measurement(basis)], grid, u)
     small = small_angle_probabilities(state.J, grid, u)
     gaps_small = np.abs(exact[:, :4] - small[:, :4]).max(axis=1)
     gaps_bell = np.abs(bell[:, :4] - exact[:, :4]).max(axis=1)

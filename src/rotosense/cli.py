@@ -13,7 +13,6 @@ import csv
 import functools
 import io
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass
@@ -141,42 +140,48 @@ def _warn_theta1(theta1: float):
 
 
 def _json_text(payload) -> str:
-    """The text of ``json.dumps(payload, indent=2, sort_keys=True)``.
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True)``, where a
+    top-level ``rows`` float array reads as its ``tolist()``.
 
     json's indenting encoder runs in pure Python, and a 101-point sweep
-    table would spend most of a report's time in it, so a top-level
-    ``rows`` table of finite floats is written by ``_float_table`` and
-    spliced in.  Every other payload goes through json alone.
+    table would spend most of a report's time in it, so that array is
+    written by ``_float_table`` and spliced in.
     """
-    table = _float_table(payload.get("rows")) if isinstance(payload, dict) else None
-    if table is None:
+    rows = payload.get("rows") if isinstance(payload, dict) else None
+    if not isinstance(rows, np.ndarray):
         return json.dumps(payload, indent=2, sort_keys=True)
     text = json.dumps({**payload, "rows": []}, indent=2, sort_keys=True)
+    table = "\n    ],\n    [\n      ".join(map(",\n      ".join, _float_table(rows)))
     # strings escape newlines, so only the top-level key starts a line at indent 2
-    return text.replace('\n  "rows": []', '\n  "rows": ' + table, 1)
+    return text.replace('\n  "rows": []', f'\n  "rows": [\n    [\n      {table}\n    ]\n  ]', 1)
 
 
-def _float_table(rows) -> str | None:
-    """json's text of a non-empty list of non-empty float lists at indent 2,
-    or None where it would differ: other values, NaN and the infinities."""
-    if not (type(rows) is list and rows and all(type(row) is list and row for row in rows)):
-        return None
-    try:
-        lines = [",\n      ".join(map(float.__repr__, row)) for row in rows]
-    except TypeError:  # a cell that is not a float
-        return None
-    if not math.isfinite(sum(map(sum, rows))):  # json spells NaN and inf its own way
-        return None
-    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(lines) + "\n    ]\n  ]"
+def _float_table(table: np.ndarray) -> list:
+    """The float.__repr__ cells of a non-empty 2-D float array, one tuple per row.
+
+    Each column is formatted in one pass, and a column that is bitwise
+    constant only once (bits, not ==, because 0.0 and -0.0 print
+    differently).  JSON and CSV reports both write these cells.
+    """
+    if not np.isfinite(table).all():  # json spells NaN and inf its own way
+        raise ValueError("a report table holds a non-finite value")
+    bits = np.ascontiguousarray(table, dtype=float).view(np.uint64)
+    columns = [
+        [float.__repr__(column[0])] * len(column) if same else list(map(float.__repr__, column))
+        for column, same in zip(table.T.tolist(), (bits == bits[0]).all(axis=0))
+    ]
+    return list(zip(*columns))
 
 
 def _emit(cfg: RunConfig, json_payload, csv_rows=None, csv_header=None):
     """Write the report in the requested format to --out or stdout."""
     if cfg.format == "json":
         text = _json_text(json_payload) + "\n"
+    elif csv_rows is None:
+        raise ValueError("this command only supports --format json")
+    elif isinstance(csv_rows, np.ndarray):
+        text = "".join(",".join(row) + "\n" for row in [csv_header, *_float_table(csv_rows)])
     else:
-        if csv_rows is None:
-            raise ValueError("this command only supports --format json")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(csv_header)
@@ -217,10 +222,14 @@ def cmd_probabilities(args) -> int:
             f"--grid-points must be in 1..{MAX_GRID_POINTS}, got {args.grid_points}"
         )
     state = _load_state(cfg.state)
-    basis = optimal_basis(state)
     u = _params(cfg).axis  # also rejects a non-finite theta1 before the sweep
     grid = np.linspace(0.0, cfg.theta1, args.grid_points)
-    exact = sweep_probabilities(state, basis, grid, u)
+    measurements = {"optimal": optimal_basis(state)}
+    try:
+        measurements["bell"] = bell_analysis.bell_measurement(measurements["optimal"])
+    except ValueError as exc:
+        misfit = exc  # warned about after the errors the probabilities may raise
+    exact, *bell = sweep_probabilities(state, list(measurements.values()), grid, u)
     small = small_angle_probabilities(state.J, grid, u)[:, :4]
     header = [
         "theta1", "u1", "u2", "u3",
@@ -229,36 +238,30 @@ def cmd_probabilities(args) -> int:
     ]
     columns = [grid, np.broadcast_to(u, (grid.size, 3)), exact, small]
     gaps = [np.abs(exact[:, :4] - small).max(axis=1)]
-    measurements = {"optimal": basis}
-    try:
-        measurements["bell"] = bell_analysis.bell_measurement(basis)
-    except ValueError as exc:
-        print(
-            f"warning: {exc}; the report leaves out the bell_P* and gap_bell "
-            "columns and saturation.bell",
-            file=sys.stderr,
-        )
-    else:
-        bell = sweep_probabilities(state, measurements["bell"], grid, u)[:, :4]
+    if bell:
+        bell = bell[0][:, :4]
         header += ["bell_P0", "bell_P1", "bell_P2", "bell_P3"]
         columns.append(bell)
         gaps.append(np.abs(bell - exact[:, :4]).max(axis=1))
+    else:
+        print(
+            f"warning: {misfit}; the report leaves out the bell_P* and gap_bell "
+            "columns and saturation.bell",
+            file=sys.stderr,
+        )
     header += ["gap_small", "gap_bell"][: len(gaps)]
-    rows = np.column_stack(columns + gaps).tolist()
+    table = np.column_stack(columns + gaps)
     _warn_theta1(cfg.theta1)
     if cfg.format == "csv":
-        _emit(cfg, None, csv_rows=rows, csv_header=header)
+        _emit(cfg, None, csv_rows=table, csv_header=header)
         return 0
     saturation_params = RotationParams(min(cfg.theta1, 0.02), cfg.theta2, cfg.theta3)
     payload = {
         "state": cfg.state,
         "axis": list(u),
         "columns": header,
-        "rows": rows,
-        "saturation": {
-            name: multiparam_saturation_check(state, measurement, saturation_params)
-            for name, measurement in measurements.items()
-        },
+        "rows": table,
+        "saturation": multiparam_saturation_check(state, measurements, saturation_params),
     }
     _emit(cfg, payload)
     return 0

@@ -187,14 +187,14 @@ def qcrb_experiment(
         raise ValueError("need at least two trials for a spread estimate")
     if pipeline not in ("optimal", "bell"):
         raise ValueError(f"unknown pipeline {pipeline!r}")
-    basis = optimal_basis(phi0)
+    measurements = [optimal_basis(phi0)]
     if pipeline == "bell":
         try:
-            analyzer = bell_measurement(basis)
+            measurements.append(bell_measurement(measurements[0]))
         except ValueError as exc:
             raise ValueError(f"{exc}; use --pipeline optimal") from None
-    p_exact = exact_probabilities(phi0, basis, params)
-    p = exact_probabilities(phi0, analyzer, params) if pipeline == "bell" else p_exact
+    rows = exact_probabilities(phi0, measurements, params)
+    p_exact, p = rows[0], rows[-1]
     p_small = small_angle_probabilities(phi0.J, params.theta1, params.axis)
     counts = sample_outcomes(p, n, trials, seed)
     theta_hats, u_hats = estimate_params(counts, phi0.J)

@@ -4,7 +4,10 @@ Every measurement is four row blocks K_mu over the |J,m> basis, with
 P_mu = ||K_mu psi||^2 and the remaining weight lumped into a rest outcome.
 The optimal projectors have one row each; the Bell-product analyzer
 (``bell_analysis.bell_measurement``) has one row per Bell product in the
-support of the matching optimal-basis state.
+support of the matching optimal-basis state.  A report rotates the probe
+once per set of angles (``sweep_probabilities`` for a theta1 grid, one
+rotated frame for the Fisher matrices), and each of its measurements reads
+its probabilities or Fisher matrix from that rotation.
 
 For an anti-coherent probe phi0, the basis {phi0, J_1 phi0, J_2 phi0,
 J_3 phi0} (normalized) is orthonormal and, measured after a small rotation,
@@ -20,8 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrology import anticoherence_report, qfi_matrix, rotated_frame
-from .spin_core import RotationParams, SpinState, rotated_amplitudes, spin_operators
+from .metrology import anticoherence_report, frame_qfi, rotated_frame
+from .spin_core import (
+    RotationParams, SpinState, check_unit_axis, rotated_amplitudes, spin_operators
+)
 
 @dataclass(frozen=True)
 class Measurement:
@@ -91,29 +96,31 @@ def _block_sums(measurement: Measurement, values: np.ndarray) -> np.ndarray:
     return np.add.reduceat(values, measurement.starts, axis=0)
 
 
-def _check_sector(phi0: SpinState, measurement: Measurement):
-    if measurement.J != phi0.J:
+def _check_sector(phi0: SpinState, *measurements: Measurement):
+    if any(measurement.J != phi0.J for measurement in measurements):
         raise ValueError("measurement and state belong to different spin sectors")
 
 
-def sweep_probabilities(phi0: SpinState, measurement: Measurement, theta1s, u) -> np.ndarray:
+def sweep_probabilities(phi0: SpinState, measurements, theta1s, u) -> np.ndarray:
     """Rows [P0, P1, P2, P3, Prest], one per theta1 about the unit axis u.
 
-    One eigendecomposition of u . J rotates the whole grid; the rows are
-    validated and read-only.
+    One eigendecomposition of u . J rotates the whole grid once for every
+    measurement: one Measurement gives rows of shape (len(theta1s), 5), a
+    sequence of k gives shape (k, len(theta1s), 5).  Rows are validated, read-only.
     """
-    _check_sector(phi0, measurement)
+    single = isinstance(measurements, Measurement)
+    measurements = (measurements,) if single else tuple(measurements)
+    _check_sector(phi0, *measurements)
     psi = rotated_amplitudes(phi0, theta1s, u)
-    p = _block_sums(measurement, np.abs(measurement.rows @ psi) ** 2).T
-    rest = np.maximum(0.0, 1.0 - p.sum(axis=1))
-    return _check_rows(np.column_stack([p, rest]))
+    p = np.stack([_block_sums(m, np.abs(m.rows @ psi) ** 2) for m in measurements])
+    rest = np.maximum(0.0, 1.0 - p.sum(axis=1, keepdims=True))
+    rows = _check_rows(np.concatenate([p, rest], axis=1).swapaxes(1, 2))
+    return rows[0] if single else rows
 
 
-def exact_probabilities(
-    phi0: SpinState, measurement: Measurement, params: RotationParams
-) -> np.ndarray:
-    """P_mu = ||K_mu exp(-i theta1 u.J) phi0||^2 with the rest aggregated."""
-    return sweep_probabilities(phi0, measurement, [params.theta1], params.axis)[0]
+def exact_probabilities(phi0: SpinState, measurements, params: RotationParams) -> np.ndarray:
+    """P_mu = ||K_mu exp(-i theta1 u.J) phi0||^2 with the rest aggregated, per measurement."""
+    return sweep_probabilities(phi0, measurements, [params.theta1], params.axis)[..., 0, :]
 
 
 def small_angle_probabilities(j, theta1, u) -> np.ndarray:
@@ -123,9 +130,7 @@ def small_angle_probabilities(j, theta1, u) -> np.ndarray:
     np.shape(theta1) + (5,).  The first theta1 with theta1^2 J(J+1)/3 > 1,
     where the expansion has no probabilities, is named in the error.
     """
-    u = np.asarray(u, dtype=float)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-9:
-        raise ValueError("u must be a unit 3-vector")
+    u = check_unit_axis(u)
     theta1 = np.asarray(theta1, dtype=float)
     jj = float(j) * (float(j) + 1.0) / 3.0
     with np.errstate(over="ignore"):  # an overflowing square is an infinite leak
@@ -161,7 +166,11 @@ def classical_fisher_matrix(
     ratio of rounding errors.
     """
     _check_sector(phi0, measurement)
-    frame = np.column_stack(rotated_frame(phi0, params))  # psi, G_1 psi, G_2 psi, G_3 psi
+    return _frame_fisher(measurement, np.column_stack(rotated_frame(phi0, params)))
+
+
+def _frame_fisher(measurement: Measurement, frame: np.ndarray) -> np.ndarray:
+    """``classical_fisher_matrix`` from the frame columns psi, G_1 psi, G_2 psi, G_3 psi."""
     blocks = measurement.rows @ frame
     if measurement.rest is None:
         rest = frame - measurement.rows.conj().T @ blocks
@@ -177,16 +186,23 @@ def classical_fisher_matrix(
 
 
 def multiparam_saturation_check(
-    phi0: SpinState, measurement: Measurement, params: RotationParams
+    phi0: SpinState, measurements: dict, params: RotationParams
 ) -> dict:
-    """Compare F_kk of the measurement with Q_kk for k = 1, 2, 3 at the given parameters.
+    """Compare F_kk with Q_kk, k = 1, 2, 3, for each of the named measurements.
 
-    Returns the JSON-ready report {"fisher": F_kk, "qfi_diag": Q_kk,
-    "relative_dev": F/Q - 1}.  Meaningful for small theta1 with
-    sin(theta1) != 0; at theta2 in {0, pi} the azimuth generator vanishes
-    and Q_33 = 0 is reported with a None deviation rather than an error.
+    Q and every F come from one rotated frame.  Returns the JSON-ready report
+    {name: {"fisher": F_kk, "qfi_diag": Q_kk, "relative_dev": F/Q - 1}}.
+    Meaningful for small theta1 with sin(theta1) != 0; at theta2 in {0, pi}
+    the azimuth generator vanishes and Q_33 = 0 is reported with a None
+    deviation rather than an error.
     """
-    fisher = np.diag(classical_fisher_matrix(phi0, measurement, params)).tolist()
-    qdiag = np.diag(qfi_matrix(phi0, params)).tolist()
-    rel = [f / qk - 1.0 if qk > 1e-12 else None for f, qk in zip(fisher, qdiag)]
-    return {"fisher": fisher, "qfi_diag": qdiag, "relative_dev": rel}
+    _check_sector(phi0, *measurements.values())
+    psi, g_psi = rotated_frame(phi0, params)
+    qdiag = np.diag(frame_qfi(psi, g_psi)).tolist()
+    frame = np.column_stack([psi, g_psi])
+    report = {}
+    for name, measurement in measurements.items():
+        fisher = np.diag(_frame_fisher(measurement, frame)).tolist()
+        rel = [f / qk - 1.0 if qk > 1e-12 else None for f, qk in zip(fisher, qdiag)]
+        report[name] = {"fisher": fisher, "qfi_diag": list(qdiag), "relative_dev": rel}
+    return report

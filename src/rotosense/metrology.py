@@ -91,7 +91,11 @@ def qfi_matrix(state: SpinState, params: RotationParams) -> np.ndarray:
     anti-coherent probes this reduces to (4 J (J+1) / 3) * G^T G with G the
     column matrix of the g_k.
     """
-    psi, g_psi = rotated_frame(state, params)
+    return frame_qfi(*rotated_frame(state, params))
+
+
+def frame_qfi(psi: np.ndarray, g_psi: np.ndarray) -> np.ndarray:
+    """The quantum Fisher matrix of a ``rotated_frame`` (psi, G psi)."""
     mean = (psi.conj() @ g_psi).real
     q = 4.0 * ((g_psi.conj().T @ g_psi).real - np.outer(mean, mean))
     return 0.5 * (q + q.T)

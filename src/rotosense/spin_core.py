@@ -40,9 +40,12 @@ def _check_spin(j) -> int:
 def _rescaled(amps) -> np.ndarray:
     """Amplitudes divided by their norm, for ``SpinState.normalized``."""
     amps = np.asarray(amps, dtype=complex).reshape(-1)
-    norm = float(np.linalg.norm(amps))
+    with np.errstate(over="ignore"):  # a norm past the float range is refused below
+        norm = float(np.linalg.norm(amps))
     if norm == 0.0:
         raise ValueError("state amplitudes are identically zero")
+    if not norm < math.inf:  # NaN fails too
+        raise ValueError(f"state amplitudes have no finite norm (norm={norm})")
     return amps / norm
 
 
@@ -181,11 +184,20 @@ def spin_operators(j):
     return _spin_operators_cached(_check_spin(j))
 
 
+def check_unit_axis(u) -> np.ndarray:
+    """u as a float array, refused unless it is a unit 3-vector (within 1e-9)."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (3,) or not abs(np.linalg.norm(u) - 1.0) <= 1e-9:
+        raise ValueError("u must be a unit 3-vector")
+    return u
+
+
 def rotated_amplitudes(state: SpinState, theta1s, u) -> np.ndarray:
-    """Columns exp(-i t u . J)|state>, one per t in theta1s.
+    """Columns exp(-i t u . J)|state>, one per t in theta1s, about the unit axis u.
 
     One eigendecomposition of u . J serves the whole grid of angles.
     """
+    u = check_unit_axis(u)
     jx, jy, jz = spin_operators(state.J)
     evals, evecs = np.linalg.eigh(u[0] * jx + u[1] * jy + u[2] * jz)
     coeffs = evecs.conj().T @ state.amps

@@ -125,8 +125,8 @@ def test_criterion_05_classical_fisher_saturation():
             assert abs(value - target) <= 0.01 * target
         for state in (tetra2(), balance()):
             report = multiparam_saturation_check(
-                state, optimal_basis(state), RotationParams(0.02, 1.0, 0.5)
-            )
+                state, {"optimal": optimal_basis(state)}, RotationParams(0.02, 1.0, 0.5)
+            )["optimal"]
             for f, q in zip(report["fisher"], report["qfi_diag"]):
                 assert 0.95 <= f / q <= 1.05
 

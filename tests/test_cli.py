@@ -1,15 +1,23 @@
+import contextlib
+import csv
 import functools
+import io
 import json
 import math
+import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import TETRA_PREP_JSON, rotation_unitary, seven_photon_state, three_peak_state
 
-from rotosense.cli import _json_text, build_parser, main
+from rotosense import spin_core
+from rotosense.cli import _emit, _json_text, build_parser, main
+from rotosense.estimation import qcrb_experiment
 from rotosense.spin_core import RotationParams, SpinState
-from rotosense.states import tetra2
+from rotosense.states import balance, tetra2
 
 
 def run_cli(args, capsys):
@@ -125,6 +133,46 @@ PAYLOADS = st.builds(
     st.dictionaries(KEYS, JSON_VALUES, max_size=4),
     st.none() | TABLES | JSON_VALUES,
 )
+
+
+CELLS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-320, 1e308, -1e308]
+)
+
+
+@st.composite
+def float_tables(draw):
+    """Finite float arrays whose columns may be constant or mix 0.0 and -0.0."""
+    n_rows, n_columns = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    cells = st.lists(CELLS, min_size=n_rows, max_size=n_rows)
+    zeros = st.lists(st.sampled_from([0.0, -0.0]), min_size=n_rows, max_size=n_rows)
+    constant = CELLS.map(lambda x: [x] * n_rows)
+    columns = draw(st.lists(cells | zeros | constant, min_size=n_columns, max_size=n_columns))
+    table = np.array(columns).T  # column-major, as a transposed report table would be
+    return np.ascontiguousarray(table) if draw(st.booleans()) else table
+
+
+@given(float_tables(), st.dictionaries(KEYS, JSON_VALUES, max_size=3))
+@example(np.array([[0.0, 1.5, -0.0], [-0.0, 1.5, -0.0]]), {"state": "tetra2"})
+@example(np.array([[5e-324, 1e308, -1e308]]), {})
+def test_float_table_is_jsons_and_csvs_text(table, rest):
+    payload = {**rest, "rows": table}
+    expected = json.dumps({**payload, "rows": table.tolist()}, indent=2, sort_keys=True)
+    assert _json_text(payload) == expected
+    header = [f"c{k}" for k in range(table.shape[1])]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(table.tolist())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(SimpleNamespace(format="csv", out=None), None, table, header)
+    assert out.getvalue() == buf.getvalue()
+
+
+def test_float_table_refuses_non_finite_values():
+    with pytest.raises(ValueError, match="non-finite"):
+        _json_text({"rows": np.array([[1.0, math.nan]])})
 
 
 @given(PAYLOADS)
@@ -253,6 +301,37 @@ class TestNegativeSeed:
         assert_single_error(code, err)
         assert err == "error: seed must be a non-negative integer, got -1\n"
         assert out == ""
+
+
+@pytest.fixture
+def rotations(monkeypatch):
+    """The argument lists of every spin_core.rotated_amplitudes call, wherever it is bound."""
+    calls = []
+    original = spin_core.rotated_amplitudes
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("rotosense") and getattr(module, "rotated_amplitudes", None) is original:
+            monkeypatch.setattr(module, "rotated_amplitudes", counted)
+    return calls
+
+
+class TestOneRotation:
+    """A report rotates the probe once per angle set: the theta1 grid, then
+    the saturation point; every measurement reads that rotation."""
+
+    @pytest.mark.parametrize("fmt, count", [("json", 2), ("csv", 1)])
+    def test_probabilities(self, fmt, count, rotations, capsys):
+        assert run_cli(["probabilities", "--state", "balance", "--format", fmt], capsys)[0] == 0
+        assert len(rotations) == count
+
+    def test_bell_experiment(self, rotations):
+        qcrb_experiment(balance(), RotationParams(0.02, 1.0, 0.5), 1000, 2, 7, "bell")
+        assert len(rotations) == 1
 
 
 class TestProbabilities:

@@ -13,7 +13,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotosense.cli import main
@@ -109,6 +109,8 @@ def strict_json(text):
 
 @given(invocations())
 @settings(max_examples=300, deadline=None)
+@example((["decompose", "--state", "file:{state}"], "{}", '{"J": 0.5, "amps": [[NaN, 0]]}'))
+@example((["fisher", "--state", "file:{state}"], "{}", '{"J": 0.5, "amps": [[1e308, 1e308]]}'))
 def test_cli_ends_in_report_or_one_error_line(invocation):
     argv, config, state = invocation
     with tempfile.TemporaryDirectory() as tmp:

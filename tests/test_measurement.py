@@ -138,6 +138,25 @@ class TestExactProbabilities:
         with pytest.raises(ValueError, match="spin sectors"):
             exact_probabilities(balance(), optimal_basis(tetra2()), RotationParams(0.1, 1, 1))
 
+    @pytest.mark.parametrize("u", [[2, 0, 0], [0.6, 0.8], [math.nan, 0, 1]])
+    def test_rejects_non_unit_axis(self, u):
+        # a longer axis would scale the angle: [2, 0, 0] gave the theta1 = 0.2 row
+        with pytest.raises(ValueError, match="u must be a unit 3-vector"):
+            sweep_probabilities(tetra2(), optimal_basis(tetra2()), [0.1], u)
+
+    @pytest.mark.parametrize("factory", [tetra2, balance])
+    def test_measurements_share_one_rotation(self, factory):
+        state = factory()
+        pair = measurements(state)
+        grid = np.linspace(0.0, 0.05, 11)
+        u = random_axes(np.random.default_rng(5), 1)[0]
+        rows = sweep_probabilities(state, pair, grid, u)
+        assert rows.shape == (2, 11, 5)
+        for k, measurement in enumerate(pair):
+            np.testing.assert_array_equal(rows[k], sweep_probabilities(state, measurement, grid, u))
+        params = params_from_axis(0.03, u)
+        assert exact_probabilities(state, pair, params).shape == (2, 5)
+
 
 class TestSmallAngle:
     def test_tetra_values(self):
@@ -274,22 +293,24 @@ class TestClassicalFisher:
 class TestSaturationCheck:
     def test_tetra2_reference_point(self):
         state = tetra2()
-        report = multiparam_saturation_check(state, optimal_basis(state), REFERENCE)
+        report = multiparam_saturation_check(state, {"optimal": optimal_basis(state)}, REFERENCE)
+        report = report["optimal"]
         assert report["fisher"][0] / report["qfi_diag"][0] == pytest.approx(1.0, abs=0.02)
         assert report["fisher"][1] / report["qfi_diag"][1] == pytest.approx(1.0, abs=0.05)
         assert report["fisher"][2] / report["qfi_diag"][2] == pytest.approx(1.0, abs=0.05)
 
     def test_balance_reference_point(self):
         state = balance()
-        report = multiparam_saturation_check(state, optimal_basis(state), REFERENCE)
+        report = multiparam_saturation_check(state, {"optimal": optimal_basis(state)}, REFERENCE)
+        report = report["optimal"]
         for f, q in zip(report["fisher"], report["qfi_diag"]):
             assert f / q == pytest.approx(1.0, abs=0.05)
 
     def test_axis_generators_vanish_at_zero(self):
         state = tetra2()
         report = multiparam_saturation_check(
-            state, optimal_basis(state), RotationParams(1e-8, 1.0, 0.5)
-        )
+            state, {"optimal": optimal_basis(state)}, RotationParams(1e-8, 1.0, 0.5)
+        )["optimal"]
         assert report["qfi_diag"][1] <= 1e-12
         assert report["qfi_diag"][2] <= 1e-12
         assert report["relative_dev"][1] is None
@@ -297,8 +318,21 @@ class TestSaturationCheck:
 
     def test_report_serializes(self):
         state = tetra2()
-        data = multiparam_saturation_check(state, optimal_basis(state), REFERENCE)
-        assert set(data) == {"fisher", "qfi_diag", "relative_dev"}
+        data = multiparam_saturation_check(state, {"optimal": optimal_basis(state)}, REFERENCE)
+        assert set(data) == {"optimal"}
+        assert set(data["optimal"]) == {"fisher", "qfi_diag", "relative_dev"}
+
+    @pytest.mark.parametrize("factory", [tetra2, balance])
+    def test_one_frame_serves_every_measurement(self, factory):
+        state = factory()
+        basis = optimal_basis(state)
+        named = {"optimal": basis, "bell": bell_measurement(basis)}
+        report = multiparam_saturation_check(state, named, REFERENCE)
+        qdiag = np.diag(qfi_matrix(state, REFERENCE)).tolist()
+        for name, measurement in named.items():
+            fisher = np.diag(classical_fisher_matrix(state, measurement, REFERENCE)).tolist()
+            assert report[name]["fisher"] == fisher
+            assert report[name]["qfi_diag"] == qdiag
 
 
 class TestSmallAngleConsistency:
