@@ -26,7 +26,6 @@ from .estimation import (
 )
 from .measurement import (
     Measurement,
-    ProjectorBasis,
     classical_fisher_matrix,
     exact_probabilities,
     multiparam_saturation_check,

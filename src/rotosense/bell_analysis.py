@@ -23,12 +23,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .measurement import Measurement, ProjectorBasis, optimal_basis
+from .measurement import Measurement, optimal_basis
 from .spin_core import QubitState, SpinState, dicke_to_qubit
 from .states import balance, tetra2
 
 SYMMETRIC_LABELS = (0, 1, 3)
-SINGLET_LABEL = 2
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -86,46 +85,49 @@ _SUPPORT_TOL = 1e-12
 def _bell_image(n_photons: int) -> np.ndarray:
     """Bell-product amplitudes of every |J,m>, J = n_photons / 2, built on first use.
 
-    bell_decompose . dicke_to_qubit is linear; entry [t + (k,)] is the
-    amplitude of the label tuple t in the k-th Dicke state.
+    bell_decompose . dicke_to_qubit is linear; entry [i + (k,)] is the k-th
+    Dicke state's amplitude on the label tuple SYMMETRIC_LABELS[i].  Tuples
+    with a singlet are dropped: theirs is rounding noise (<= 3.5e-17, 4..12 photons).
     """
     j = n_photons / 2.0
     image = np.stack(
         [bell_decompose(dicke_to_qubit(SpinState(j, e))) for e in np.eye(n_photons + 1)],
         axis=-1,
     )
+    image = image[np.ix_(*[SYMMETRIC_LABELS] * (n_photons // 2))]
     image.setflags(write=False)
     return image
 
 
-def bell_measurement(basis: ProjectorBasis) -> Measurement:
+def bell_measurement(basis: Measurement) -> Measurement:
     """The Bell-product analyzer of a probe, as row blocks over |J,m>.
 
-    Block mu holds the Bell products t in the support of the optimal-basis
-    state psi_mu, those with |<phi_t|psi_mu>|^2 > 1e-12: one row per t with
-    its amplitude in each |J,m>, so outcome mu sums the Bell probabilities
-    over that support.  The Bell products outside every support make up the
-    rest outcome.  The analyzer fits the probe only where the four supports
-    are disjoint; otherwise a ValueError names two outcomes that share a
-    Bell product.  It needs an even number of photons, at most
-    spin_core.MAX_QUBITS.
+    ``basis`` has single-state outcomes psi_0..psi_3, as the optimal basis.
+    Block mu holds the symmetric Bell products t with |<phi_t|psi_mu>|^2 >
+    1e-12, one row per t with its amplitude in each |J,m>, so outcome mu
+    sums the Bell probabilities over that support; the symmetric products
+    outside every support are the rest, and the rows form an isometry.  The
+    analyzer fits the probe only where the four supports are disjoint;
+    otherwise a ValueError names two outcomes that share a Bell product.  It
+    needs an even number of photons, at most spin_core.MAX_QUBITS.
     """
+    if tuple(basis.starts) != (0, 1, 2, 3, 4):
+        raise ValueError(f"the Bell analyzer needs single-state outcomes 0..3, not {basis.starts}")
     image = _bell_image(int(round(2 * basis.J)))
-    support = np.abs(image @ basis.rows.conj().T) ** 2 > _SUPPORT_TOL
+    support = np.abs(image @ basis.rows[:4].conj().T) ** 2 > _SUPPORT_TOL
     shared = np.argwhere(support.sum(axis=-1) > 1)
     if shared.size:
-        labels = tuple(int(x) for x in shared[0])
-        a, b = np.flatnonzero(support[labels])[:2]
+        labels = tuple(SYMMETRIC_LABELS[i] for i in shared[0])
+        a, b = np.flatnonzero(support[tuple(shared[0])])[:2]
         raise ValueError(
             f"the Bell analyzer does not fit this probe: outcomes {a} and {b} "
             f"share the Bell product {labels}"
         )
-    blocks = [image[support[..., mu]] for mu in range(4)]
-    starts = tuple(accumulate((len(block) for block in blocks[:3]), initial=0))
-    rows, rest = np.concatenate(blocks), image[~support.any(axis=-1)]
+    blocks = [image[support[..., mu]] for mu in range(4)] + [image[~support.any(axis=-1)]]
+    starts = tuple(accumulate((len(block) for block in blocks[:4]), initial=0))
+    rows = np.concatenate(blocks)
     rows.setflags(write=False)
-    rest.setflags(write=False)
-    return Measurement(J=basis.J, rows=rows, starts=starts, rest=rest)
+    return Measurement(J=basis.J, rows=rows, starts=starts)
 
 
 # ---------------------------------------------------------------------------
@@ -185,22 +187,22 @@ TABULATED_BELL_N6 = (
 
 
 def _n4_reference_states() -> list[SpinState]:
-    basis = optimal_basis(tetra2())
+    basis = [SpinState(2, row.conj()) for row in optimal_basis(tetra2()).rows[:4]]
     completion = SpinState.from_m_amplitudes(
         2, {2: 0.5, -2: 0.5, 0: -0.5j * math.sqrt(2)}
     )
-    return [*basis.states, completion]
+    return [*basis, completion]
 
 
 def _n6_reference_states() -> list[SpinState]:
-    basis = optimal_basis(balance())
+    basis = [SpinState(3, row.conj()) for row in optimal_basis(balance()).rows[:4]]
     s3, s5 = math.sqrt(3) / 4, math.sqrt(5) / 4
     extra4 = SpinState.from_m_amplitudes(3, {0: 1.0})
     extra5 = SpinState.from_m_amplitudes(3, {3: s5, -3: s5, 1: -s3, -1: -s3})
     extra6 = SpinState.from_m_amplitudes(
         3, {3: -1j * s5, -3: 1j * s5, 1: -1j * s3, -1: 1j * s3}
     )
-    return [*basis.states, extra4, extra5, extra6]
+    return [*basis, extra4, extra5, extra6]
 
 
 def _check_one(label: str, table: dict, direct: SpinState, tol: float) -> dict:

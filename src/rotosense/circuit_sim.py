@@ -82,7 +82,8 @@ class Gate:
             m = np.asarray(self.matrix, dtype=complex)
             if m.shape != (2, 2):
                 raise ValueError("custom gate matrix must be 2x2")
-            if np.linalg.norm(m @ m.conj().T - np.eye(2)) > 1e-10:
+            bounded = (np.abs(m) <= 1 + 1e-10).all()  # as a unitary's are; NaN is not
+            if not (bounded and np.linalg.norm(m @ m.conj().T - np.eye(2)) <= 1e-10):
                 raise ValueError("custom gate matrix is not unitary")
             m = m.copy()
             m.setflags(write=False)

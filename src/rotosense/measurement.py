@@ -1,25 +1,25 @@
 """Measurements on the |J,m> basis and the induced multinomial statistics.
 
-Every measurement is four row blocks K_mu over the |J,m> basis, with
-P_mu = ||K_mu psi||^2 and the remaining weight lumped into a rest outcome.
-The optimal projectors have one row each; the Bell-product analyzer
-(``bell_analysis.bell_measurement``) has one row per Bell product in the
-support of the matching optimal-basis state.  A report rotates the probe
-once per set of angles (``sweep_probabilities`` for a theta1 grid, one
-rotated frame for the Fisher matrices), and each of its measurements reads
-its probabilities or Fisher matrix from that rotation.
+Every measurement is five row blocks K_0..K_3, K_rest over the |J,m> basis
+whose rows form an isometry, so P_mu = ||K_mu psi||^2 for every outcome,
+the rest included.  The optimal basis has one row in each of K_0..K_3 and
+its orthonormal complement as K_rest; the Bell-product analyzer
+(``bell_analysis.bell_measurement``) has one row per symmetric Bell product.
+A report rotates the probe once per set of angles (``sweep_probabilities``
+for a theta1 grid, one rotated frame for the Fisher matrices), and each of
+its measurements reads its probabilities or Fisher matrix from that rotation.
 
 For an anti-coherent probe phi0, the basis {phi0, J_1 phi0, J_2 phi0,
 J_3 phi0} (normalized) is orthonormal and, measured after a small rotation,
 yields outcome probabilities whose classical Fisher information saturates
 the quantum bound.  The remaining 2J-3 dimensions are lumped into a single
-rest outcome; their weight is third order in the rotation angle.
+rest outcome; their weight is fourth order in the rotation angle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,31 +30,21 @@ from .spin_core import (
 
 @dataclass(frozen=True)
 class Measurement:
-    """Four outcomes on the |J,m> basis, given by row blocks K_0..K_3.
+    """Five outcomes on the |J,m> basis, given by row blocks K_0..K_3, K_rest.
 
-    Outcome mu has probability P_mu = ||K_mu psi||^2, where K_mu is rows
-    starts[mu] up to starts[mu+1] of ``rows``; the rest outcome takes
-    1 - sum_mu P_mu.  Sums of squared moduli keep every P_mu >= 0 exactly.
-    ``rest`` holds the rows of the rest outcome; None means the rest is the
-    projector I - R^dagger R onto the complement of all rows R, as for the
-    optimal basis.
+    Block mu is rows starts[mu] up to starts[mu+1] of ``rows`` (K_rest runs
+    to the last row, and any block may be empty).  The rows form an
+    isometry, R^dagger R = I, so P_mu = ||K_mu psi||^2 sums to 1 over the
+    five outcomes, and sums of squared moduli keep every P_mu >= 0 exactly.
     """
 
     J: float
-    rows: np.ndarray  # (rows of K_0, ..., rows of K_3) x (2J+1)
-    starts: tuple  # first row of each block
-    rest: np.ndarray | None = field(default=None, kw_only=True)
-
-
-@dataclass(frozen=True)
-class ProjectorBasis(Measurement):
-    """Ordered orthonormal measurement states [psi0, psi1, psi2, psi3]; K_mu = <psi_mu|."""
-
-    states: tuple
+    rows: np.ndarray  # (rows of K_0, ..., rows of K_3, rows of K_rest) x (2J+1)
+    starts: tuple  # first row of each of the five blocks
 
 
 def _check_rows(p: np.ndarray) -> np.ndarray:
-    """Validate rows [P0, P1, P2, P3, Prest] (range, unit sum); clip into [0, 1], read-only."""
+    """Validate rows [P0, P1, P2, P3, Prest] (range, completeness); clip into [0, 1], read-only."""
     if p.shape[-1] != 5:
         raise ValueError("expected five outcome categories")
     if not (p.min() >= -1e-12 and p.max() <= 1.0 + 1e-12):  # NaN fails too
@@ -68,9 +58,10 @@ def _check_rows(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def optimal_basis(phi0: SpinState, tol: float = 1e-10) -> ProjectorBasis:
-    """Measurement basis [phi0, J_i phi0 / sqrt(J(J+1)/3)].
+def optimal_basis(phi0: SpinState, tol: float = 1e-10) -> Measurement:
+    """Measurement basis [phi0, J_i phi0 / sqrt(J(J+1)/3)], K_mu = <psi_mu|.
 
+    K_rest is an orthonormal basis of the complement of the four states.
     Requires a second-order anti-coherent phi0; otherwise the J_i phi0 are
     not orthogonal and no valid projector set exists.
     """
@@ -87,13 +78,18 @@ def optimal_basis(phi0: SpinState, tol: float = 1e-10) -> ProjectorBasis:
     for op in spin_operators(phi0.J):
         states.append(SpinState.normalized(phi0.J, op @ phi0.amps / scale))
     rows = np.array([s.amps.conj() for s in states])
+    rows = np.vstack([rows, np.linalg.svd(rows)[2][4:]])
     rows.setflags(write=False)
-    return ProjectorBasis(J=phi0.J, rows=rows, starts=(0, 1, 2, 3), states=tuple(states))
+    return Measurement(J=phi0.J, rows=rows, starts=(0, 1, 2, 3, 4))
 
 
 def _block_sums(measurement: Measurement, values: np.ndarray) -> np.ndarray:
     """Sum per-row values over each block K_mu (along the first axis)."""
-    return np.add.reduceat(values, measurement.starts, axis=0)
+    edges = np.array([*measurement.starts, len(values)])
+    full = edges[1:] > edges[:-1]  # np.add.reduceat mis-sums an empty block
+    sums = np.zeros((len(full), *values.shape[1:]))
+    sums[full] = np.add.reduceat(values, edges[:-1][full], axis=0)
+    return sums
 
 
 def _check_sector(phi0: SpinState, *measurements: Measurement):
@@ -113,13 +109,12 @@ def sweep_probabilities(phi0: SpinState, measurements, theta1s, u) -> np.ndarray
     _check_sector(phi0, *measurements)
     psi = rotated_amplitudes(phi0, theta1s, u)
     p = np.stack([_block_sums(m, np.abs(m.rows @ psi) ** 2) for m in measurements])
-    rest = np.maximum(0.0, 1.0 - p.sum(axis=1, keepdims=True))
-    rows = _check_rows(np.concatenate([p, rest], axis=1).swapaxes(1, 2))
+    rows = _check_rows(p.swapaxes(1, 2))
     return rows[0] if single else rows
 
 
 def exact_probabilities(phi0: SpinState, measurements, params: RotationParams) -> np.ndarray:
-    """P_mu = ||K_mu exp(-i theta1 u.J) phi0||^2 with the rest aggregated, per measurement."""
+    """P_mu = ||K_mu exp(-i theta1 u.J) phi0||^2, rest included, per measurement."""
     return sweep_probabilities(phi0, measurements, [params.theta1], params.axis)[..., 0, :]
 
 
@@ -152,12 +147,10 @@ def classical_fisher_matrix(
 
     With psi the rotated probe and G_k psi its generator images
     (``metrology.rotated_frame``), the exact derivatives are
-    dP_mu/dtheta_k = 2 Im <K_mu psi, K_mu G_k psi>.  The rest outcome takes
-    the same form, with the measurement's ``rest`` rows or, for the
-    projector I - R^dagger R onto the complement of all rows R, with
-    K_rest psi = psi - R^dagger R psi.  Its amplitudes keep the
-    relative precision that 1 - sum_mu P_mu loses when the rest is small,
-    and P_rest and dP_rest come from one vector, so F <= Q holds to rounding.
+    dP_mu/dtheta_k = 2 Im <K_mu psi, K_mu G_k psi>, the rest outcome
+    included.  Its amplitudes K_rest psi keep the relative precision that
+    1 - sum_mu P_mu loses when the rest is small, and P_rest and dP_rest
+    come from one vector, so F <= Q holds to rounding.
     Each term dP_mu^2 / P_mu is at most 4 ||K_mu G_k psi||^2
     (Cauchy-Schwarz) and stays finite as P_mu -> 0: at small theta1 the
     signal outcomes have P ~ theta1^2 and still carry F = Q.  So every
@@ -171,15 +164,9 @@ def classical_fisher_matrix(
 
 def _frame_fisher(measurement: Measurement, frame: np.ndarray) -> np.ndarray:
     """``classical_fisher_matrix`` from the frame columns psi, G_1 psi, G_2 psi, G_3 psi."""
-    blocks = measurement.rows @ frame
-    if measurement.rest is None:
-        rest = frame - measurement.rows.conj().T @ blocks
-    else:
-        rest = measurement.rest @ frame
-    amps = np.vstack([blocks, rest])
-    starts = (*measurement.starts, len(blocks))
-    p = np.add.reduceat(np.abs(amps[:, 0]) ** 2, starts)
-    dp = 2.0 * np.add.reduceat((amps[:, :1].conj() * amps[:, 1:]).imag, starts, axis=0)
+    amps = measurement.rows @ frame
+    p = _block_sums(measurement, np.abs(amps[:, 0]) ** 2)
+    dp = 2.0 * _block_sums(measurement, (amps[:, :1].conj() * amps[:, 1:]).imag)
     mask = p > (len(frame) * np.finfo(float).eps) ** 2
     f = dp[mask].T @ (dp[mask] / p[mask, None])
     return 0.5 * (f + f.T)

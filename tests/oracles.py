@@ -47,9 +47,10 @@ def params_from_axis(theta1: float, u) -> RotationParams:
 
 def bell_supports(basis) -> list:
     """The label tuples t with |<phi_t|psi_mu>|^2 > 1e-12, one set per optimal-basis state."""
+    states = (SpinState(basis.J, row.conj()) for row in basis.rows[:4])
     return [
         {tuple(int(x) for x in t) for t in np.argwhere(np.abs(bp) ** 2 > 1e-12)}
-        for bp in (bell_decompose(dicke_to_qubit(psi)) for psi in basis.states)
+        for bp in (bell_decompose(dicke_to_qubit(psi)) for psi in states)
     ]
 
 

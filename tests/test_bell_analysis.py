@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -15,13 +16,16 @@ from oracles import (
 )
 
 from rotosense.bell_analysis import (
+    SYMMETRIC_LABELS,
     bell_decompose,
     bell_measurement,
     bell_states,
     singlet_weight,
     verify_tabulated_decompositions,
 )
-from rotosense.measurement import ProjectorBasis, exact_probabilities, optimal_basis
+from rotosense.measurement import (
+    Measurement, exact_probabilities, optimal_basis, sweep_probabilities
+)
 from rotosense.spin_core import QubitState, RotationParams, SpinState, dicke_to_qubit
 from rotosense.states import balance, tetra1, tetra2
 
@@ -89,7 +93,7 @@ class TestBellDecompose:
 
     def test_psi1_up_to_global_phase(self):
         basis = optimal_basis(tetra2())
-        bp = bell_decompose(dicke_to_qubit(basis.states[1]))
+        bp = bell_decompose(dicke_to_qubit(SpinState(basis.J, basis.rows[1].conj())))
         target = -1j / math.sqrt(2)
         ratio = bp[0, 1] / target
         assert abs(abs(ratio) - 1.0) <= 1e-12
@@ -183,10 +187,14 @@ class TestAggregation:
             bell_decompose(dicke_to_qubit(SpinState(basis.J, e)))
             for e in np.eye(len(basis.rows[0]))
         ]
-        expected = [[image[t] for image in images] for group in groups for t in sorted(group)]
+        # followed by the symmetric-label tuples outside every group, the rest
+        rest = set(itertools.product(SYMMETRIC_LABELS, repeat=int(basis.J))) - set().union(*groups)
+        expected = [
+            [image[t] for image in images] for group in [*groups, rest] for t in sorted(group)
+        ]
         measurement = bell_measurement(basis)
         np.testing.assert_array_equal(measurement.rows, expected)
-        assert measurement.starts == tuple(np.cumsum([0] + [len(g) for g in groups[:3]]))
+        assert measurement.starts == tuple(np.cumsum([0] + [len(g) for g in groups]))
 
     @pytest.mark.parametrize(
         "factory,n_photons", [(tetra2, 4), (balance, 6)]
@@ -211,9 +219,8 @@ ANGLE = st.floats(min_value=-math.pi, max_value=math.pi)
 
 
 def stand_in_basis(n_photons):
-    """Four orthonormal rows on |J,m>, J = n_photons / 2: enough for the photon-number checks."""
-    dim = n_photons + 1
-    return ProjectorBasis(J=n_photons / 2, rows=np.eye(4, dim), starts=(0, 1, 2, 3), states=())
+    """The |J,m> basis as five outcomes, J = n_photons / 2: enough for the photon-number checks."""
+    return Measurement(J=n_photons / 2, rows=np.eye(n_photons + 1), starts=(0, 1, 2, 3, 4))
 
 
 class TestBellMeasurement:
@@ -247,11 +254,12 @@ class TestBellMeasurement:
             bell_measurement(stand_in_basis(n_photons))
 
     def test_fits_the_cube_state(self):
-        # an anti-coherent J = 4 probe: disjoint supports of 21, 8, 8 and 8 tuples
+        # an anti-coherent J = 4 probe: disjoint supports of 21, 8, 8 and 8
+        # tuples, and the other 36 of the 81 symmetric-label tuples as the rest
         state = three_peak_state(4)
         measurement = analyzer(state)
-        assert measurement.starts == (0, 21, 29, 37)
-        assert len(measurement.rows) == 45
+        assert measurement.starts == (0, 21, 29, 37, 45)
+        assert len(measurement.rows) == 81
         exact_basis = optimal_basis(state)
         for theta in (0.01, 0.02, 0.05):
             params = RotationParams(theta, 1.0, 0.5)
@@ -260,13 +268,37 @@ class TestBellMeasurement:
             )
             assert np.max(np.abs(gap[:4])) <= 1.0 * theta**3
 
-    def test_rest_rows_complete_the_analyzer(self):
-        # the rest outcome is the Bell products outside every support: with
-        # them the rows form an isometry, so the rest probability is exact
-        for factory in (tetra2, balance, lambda: three_peak_state(4)):
-            measurement = analyzer(factory())
-            rows = np.vstack([measurement.rows, measurement.rest])
+    def test_every_measurement_is_an_isometry(self):
+        # five blocks whose rows form an isometry, so every P_mu, the rest
+        # included, is ||K_mu psi||^2; a Bell analyzer holds only the 3^(N/2)
+        # symmetric-label products at most
+        factories = (tetra1, tetra2, balance, lambda: three_peak_state(4))
+        measurements = [optimal_basis(f()) for f in factories]
+        measurements += [analyzer(f()) for f in factories[1:]]
+        for measurement in measurements:
+            rows = measurement.rows
+            assert len(measurement.starts) == 5
             np.testing.assert_allclose(rows.conj().T @ rows, np.eye(rows.shape[1]), atol=1e-13)
+        assert [len(m.rows) for m in measurements[4:]] == [9, 27, 81]
+
+    def test_rest_is_fourth_order(self):
+        # P_rest / theta1^4 is the same at theta1 = 1e-6 as at 1e-3: the rest
+        # is read from its own rows, not from 1 - sum P, which cancels to
+        # rounding noise at small angles
+        u = RotationParams(0.0, 1.0, 0.5).axis
+        cases = [(tetra2, optimal_basis), (balance, optimal_basis), (balance, analyzer)]
+        for factory, build in cases:
+            rest = sweep_probabilities(factory(), build(factory()), [1e-6, 1e-3], u)[:, 4]
+            scaled = rest / np.array([1e-6, 1e-3]) ** 4
+            assert scaled[1] > 0.1 and scaled[0] == pytest.approx(scaled[1], rel=0.01)
+        # tetra2's Bell rest block is empty
+        rest = sweep_probabilities(tetra2(), analyzer(tetra2()), [1e-6, 1e-3], u)[:, 4]
+        assert rest.tolist() == [0, 0]
+
+    def test_refuses_multi_row_outcomes(self):
+        # the supports are read off single-state outcomes 0..3
+        with pytest.raises(ValueError, match=r"single-state outcomes 0\.\.3"):
+            bell_measurement(analyzer(balance()))
 
 
 class TestTabulatedDecompositions:

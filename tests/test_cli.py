@@ -471,6 +471,21 @@ class TestCircuitVerify:
         assert out == ""
 
 
+    @pytest.mark.parametrize("entry", ["NaN", "1e308"])
+    def test_rejects_non_finite_custom_gate(self, entry, tmp_path, capsys):
+        # a NaN entry slips past `norm(m m^dagger - I) > tol`, and 1e308
+        # overflows m m^dagger; neither is a unitary's entry
+        path = tmp_path / "circ.json"
+        path.write_text(
+            '{"n_qubits": 2, "gates": [{"kind": "custom", "targets": [0], "matrix": '
+            f'[[[{entry}, 0], [0, 0]], [[0, 0], [1, 0]]]}}]}}'
+        )
+        code, out, err = run_cli(["circuit-verify", "--circuit", str(path)], capsys)
+        assert_single_error(code, err)
+        assert "custom gate matrix is not unitary" in err
+        assert out == ""
+
+
 class TestEstimate:
     def test_seed_repeatable(self, tmp_path, capsys):
         args = [
@@ -636,6 +651,21 @@ class TestEstimate:
         code, out, err = run_cli(command + ["--theta1", theta1], capsys)
         assert_single_error(code, err)
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["fisher"], ["probabilities"], ["estimate", "--trials", "5"], ["decompose"]],
+    )
+    def test_rejects_theta1_with_overflowing_phases(self, command, capsys):
+        # theta1 * m overflows: refused before numpy warns about the exp;
+        # decompose may first warn about the small-angle range
+        code, out, err = run_cli(command + ["--state", "tetra2", "--theta1", "1e308"], capsys)
+        lines = err.splitlines()
+        assert code == 2 and out == ""
+        assert all(line.startswith("warning:") for line in lines[:-1])
+        assert lines[-1] == (
+            "error: theta1 out of range: the rotation phases theta1 * m are not finite"
+        )
 
     def test_large_angle_warns(self, capsys):
         code, _, err = run_cli(

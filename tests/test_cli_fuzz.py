@@ -1,9 +1,10 @@
 """Fuzz the CLI boundary: every run ends in a report or in one `error:` line.
 
-Argv, config files and state files come from one grammar that mixes valid
-values with NaN, the infinities, huge, negative and wrong-typed ones.  Valid
-sizes stay small (trials <= 50, n <= 10^6, grid <= 101), so every run is
-quick; sizes past the ceilings are rejected before anything is allocated.
+Argv, config files, state files and circuit files come from one grammar
+that mixes valid values with NaN, the infinities, huge, negative and
+wrong-typed ones.  Valid sizes stay small (trials <= 50, n <= 10^6, grid
+<= 101), so every run is quick; sizes past the ceilings are rejected
+before anything is allocated.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from rotosense.cli import main
 
-NASTY_NUMBERS = ["nan", "inf", "-inf", "1e200", "-1e-3", "-7", "0", "abc", ""]
+NASTY_NUMBERS = ["nan", "inf", "-inf", "1e200", "1e308", "-1e-3", "-7", "0", "abc", ""]
 THETA = st.floats(-0.06, 0.06).map(repr) | st.sampled_from(NASTY_NUMBERS)
 STATES = st.sampled_from(
     ["tetra1", "tetra2", "balance", "nosuch", "file:{state}", "file:{missing}"]
@@ -44,7 +45,7 @@ EXTRA = {
         "--grid-points": st.integers(1, 101).map(str)
         | st.sampled_from(["0", "-1", str(10**6), "x"]),
     },
-    "circuit-verify": {},
+    "circuit-verify": {"--circuit": st.just("{circuit}")},
     "estimate": {"--pipeline": st.sampled_from(["optimal", "bell", "both", "xx"])},
     "decompose": {"--verify-tables": st.none()},
 }
@@ -84,6 +85,45 @@ STATE_FILES = st.one_of(
 )
 
 
+def _matrix(entry):
+    """A 2x2 custom-gate matrix of [re, im] pairs with entry in the corner."""
+    return [[entry, [0, 0]], [[0, 0], [1, 0]]]
+
+
+def _custom_gate_file(entry):
+    """A two-qubit circuit file holding one custom gate, _matrix(entry)."""
+    gate = {"kind": "custom", "targets": [0], "matrix": _matrix(entry)}
+    return json.dumps({"n_qubits": 2, "gates": [gate]})
+
+
+QUBITS = st.lists(st.integers(0, 3) | st.sampled_from([7, -1, True, 1.0]), max_size=2)
+MATRICES = st.sampled_from(
+    [
+        [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+        [[[0.6, 0], [-0.8, 0]], [[0.8, 0], [0.6, 0]]],
+        _matrix([math.nan, 0]),
+        _matrix([math.inf, 0]),
+        _matrix([1e308, 0]),
+        _matrix([0.5, 0]),
+    ]
+)
+GATES = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["H", "X"]), "targets": QUBITS}, optional={"controls": QUBITS}
+    ),
+    st.fixed_dictionaries({"kind": st.just("custom"), "targets": QUBITS, "matrix": MATRICES}),
+)
+CIRCUIT_FILES = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "n_qubits": st.sampled_from([1, 2, 4, 0, 13, True]),
+            "gates": st.lists(GATES, max_size=4) | st.sampled_from(["H", {"kind": "H"}, None]),
+        }
+    ).map(json.dumps),
+    st.sampled_from(["not json", "[1, 2]"]),
+)
+
+
 @st.composite
 def invocations(draw):
     command = draw(st.sampled_from(sorted(EXTRA)))
@@ -97,7 +137,7 @@ def invocations(draw):
         data = json.loads(config)
         data["out"] = "{out}" if isinstance(data["out"], str) else data["out"]
         config = json.dumps(data)
-    return argv, config, draw(STATE_FILES)
+    return argv, config, draw(STATE_FILES), draw(CIRCUIT_FILES)
 
 
 def strict_json(text):
@@ -109,18 +149,23 @@ def strict_json(text):
 
 @given(invocations())
 @settings(max_examples=300, deadline=None)
-@example((["decompose", "--state", "file:{state}"], "{}", '{"J": 0.5, "amps": [[NaN, 0]]}'))
-@example((["fisher", "--state", "file:{state}"], "{}", '{"J": 0.5, "amps": [[1e308, 1e308]]}'))
+@example((["decompose", "--state", "file:{state}"], "{}", '{"J": 0.5, "amps": [[NaN, 0]]}', ""))
+@example((["fisher", "--state", "file:{state}"], "{}", '{"J": 0.5, "amps": [[1e308, 1e308]]}', ""))
+@example((["fisher", "--theta1", "1e308"], "{}", "", ""))
+@example((["circuit-verify", "--circuit", "{circuit}"], "{}", "", _custom_gate_file([math.nan, 0])))
+@example((["circuit-verify", "--circuit", "{circuit}"], "{}", "", _custom_gate_file([1e308, 0])))
 def test_cli_ends_in_report_or_one_error_line(invocation):
-    argv, config, state = invocation
+    argv, config, state, circuit = invocation
     with tempfile.TemporaryDirectory() as tmp:
         paths = {
             "state": f"{tmp}/state.json",
             "missing": f"{tmp}/missing.json",
             "config": f"{tmp}/config.json",
             "out": f"{tmp}/out.txt",
+            "circuit": f"{tmp}/circuit.json",
         }
         Path(paths["state"]).write_text(state)
+        Path(paths["circuit"]).write_text(circuit)
         Path(paths["config"]).write_text(
             config.replace("{state}", paths["state"]).replace("{out}", paths["out"])
         )

@@ -9,6 +9,7 @@ from oracles import params_from_axis
 
 from rotosense.bell_analysis import bell_measurement
 from rotosense.measurement import (
+    Measurement,
     classical_fisher_matrix,
     exact_probabilities,
     multiparam_saturation_check,
@@ -17,7 +18,7 @@ from rotosense.measurement import (
     sweep_probabilities,
 )
 from rotosense.metrology import qfi_matrix
-from rotosense.spin_core import RotationParams, SpinState
+from rotosense.spin_core import RotationParams, SpinState, rotated_amplitudes
 from rotosense.states import balance, tetra1, tetra2
 
 
@@ -59,29 +60,27 @@ class TestOptimalBasis:
     @pytest.mark.parametrize("factory", [tetra1, tetra2, balance])
     def test_orthonormal(self, factory):
         basis = optimal_basis(factory())
-        gram = np.array(
-            [[np.vdot(a.amps, b.amps) for b in basis.states] for a in basis.states]
-        )
+        gram = basis.rows[:4] @ basis.rows[:4].conj().T
         assert np.linalg.norm(gram - np.eye(4)) <= 1e-10
 
     def test_tetra2_psi3(self):
         basis = optimal_basis(tetra2())
         expected = np.zeros(5, dtype=complex)
         expected[0], expected[4] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-        np.testing.assert_allclose(basis.states[3].amps, expected, atol=1e-12)
+        np.testing.assert_allclose(basis.rows[3].conj(), expected, atol=1e-12)
 
     def test_balance_psi3(self):
         basis = optimal_basis(balance())
         expected = np.zeros(7, dtype=complex)
         expected[1], expected[5] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-        np.testing.assert_allclose(basis.states[3].amps, expected, atol=1e-12)
+        np.testing.assert_allclose(basis.rows[3].conj(), expected, atol=1e-12)
 
     def test_tetra2_psi1_phase(self):
         # J_1-image state keeps its e^{i pi/3} phase
         basis = optimal_basis(tetra2())
         expected = np.zeros(5, dtype=complex)
         expected[1] = expected[3] = np.exp(1j * math.pi / 3) / math.sqrt(2)
-        np.testing.assert_allclose(basis.states[1].amps, expected, atol=1e-12)
+        np.testing.assert_allclose(basis.rows[1].conj(), expected, atol=1e-12)
 
     def test_rejects_polarized_state(self):
         with pytest.raises(ValueError):
@@ -156,6 +155,19 @@ class TestExactProbabilities:
             np.testing.assert_array_equal(rows[k], sweep_probabilities(state, measurement, grid, u))
         params = params_from_axis(0.03, u)
         assert exact_probabilities(state, pair, params).shape == (2, 5)
+
+    def test_empty_blocks_sum_to_zero(self):
+        # K_1, K_3 and K_rest hold no rows: np.add.reduceat alone would give
+        # an empty block the next row, and refuses a start past the last row
+        state = tetra2()
+        measurement = Measurement(J=2, rows=np.eye(5), starts=(0, 2, 2, 5, 5))
+        params = RotationParams(0.3, 1.0, 0.5)
+        w = np.abs(rotated_amplitudes(state, [0.3], params.axis)[:, 0]) ** 2
+        p = exact_probabilities(state, measurement, params)
+        np.testing.assert_allclose(p, [w[:2].sum(), 0, w[2:].sum(), 0, 0], atol=1e-15)
+        assert p[[1, 3, 4]].tolist() == [0, 0, 0]
+        f = classical_fisher_matrix(state, measurement, params)
+        assert np.linalg.eigvalsh(qfi_matrix(state, params) - f).min() >= -1e-10
 
 
 class TestSmallAngle:
