@@ -270,16 +270,29 @@ class TestBellMeasurement:
 
     def test_every_measurement_is_an_isometry(self):
         # five blocks whose rows form an isometry, so every P_mu, the rest
-        # included, is ||K_mu psi||^2; a Bell analyzer holds only the 3^(N/2)
-        # symmetric-label products at most
-        factories = (tetra1, tetra2, balance, lambda: three_peak_state(4))
-        measurements = [optimal_basis(f()) for f in factories]
-        measurements += [analyzer(f()) for f in factories[1:]]
-        for measurement in measurements:
+        # included, is ||K_mu psi||^2
+        for factory in (tetra1, tetra2, balance, lambda: three_peak_state(4)):
+            measurement = optimal_basis(factory())
             rows = measurement.rows
             assert len(measurement.starts) == 5
             np.testing.assert_allclose(rows.conj().T @ rows, np.eye(rows.shape[1]), atol=1e-13)
-        assert [len(m.rows) for m in measurements[4:]] == [9, 27, 81]
+
+    def test_rest_rows_complete_the_analyzer(self):
+        # the rest outcome is the symmetric Bell products outside every
+        # support: with them the rows form an isometry, so the rest
+        # probability is exact; the analyzer holds the 3^(N/2) symmetric-label
+        # products and no more
+        cube = lambda: three_peak_state(4)
+        for factory, n_rows, n_rest in ((tetra2, 9, 0), (balance, 27, 1), (cube, 81, 36)):
+            measurement = analyzer(factory())
+            rows = measurement.rows
+            assert len(measurement.starts) == 5
+            assert len(rows) == n_rows and len(rows) - measurement.starts[4] == n_rest
+            np.testing.assert_allclose(rows.conj().T @ rows, np.eye(rows.shape[1]), atol=1e-13)
+            if n_rest:
+                # without the rest rows the analyzer is not complete
+                kept = rows[: measurement.starts[4]]
+                assert not np.allclose(kept.conj().T @ kept, np.eye(rows.shape[1]), atol=1e-13)
 
     def test_rest_is_fourth_order(self):
         # P_rest / theta1^4 is the same at theta1 = 1e-6 as at 1e-3: the rest
