@@ -205,7 +205,11 @@ def _n6_reference_states() -> list[SpinState]:
     return [*basis, extra4, extra5, extra6]
 
 
-def _check_one(label: str, table: dict, direct: SpinState, tol: float) -> dict:
+# A tabulated row passes when its fidelity with the direct state is at least 1 - this.
+_TABLE_FIDELITY_TOL = 1e-9
+
+
+def _check_one(label: str, table: dict, direct: SpinState) -> dict:
     """{"label", "fidelity", "ok", "mismatches": [{"labels", "tabulated", "recomputed"}]}."""
     bp = bell_decompose(dicke_to_qubit(direct))
     tabulated_amps = np.zeros(bp.shape, dtype=complex)
@@ -217,7 +221,7 @@ def _check_one(label: str, table: dict, direct: SpinState, tol: float) -> dict:
     fid = float(
         abs(np.vdot(tabulated_amps, bp)) ** 2 / np.vdot(tabulated_amps, tabulated_amps).real
     )
-    ok = bool(fid >= 1.0 - tol)
+    ok = bool(fid >= 1.0 - _TABLE_FIDELITY_TOL)
     mismatches = []
     if not ok:
         # report the direct state's coefficients, phase-aligned to the table
@@ -245,7 +249,7 @@ def _check_one(label: str, table: dict, direct: SpinState, tol: float) -> dict:
     return {"label": label, "fidelity": fid, "ok": ok, "mismatches": mismatches}
 
 
-def verify_tabulated_decompositions(tol: float = 1e-9) -> dict:
+def verify_tabulated_decompositions() -> dict:
     """Compare every tabulated decomposition with the direct basis-change computation.
 
     Returns the JSON-ready report {"all_ok", "checks"}, one check per
@@ -254,7 +258,7 @@ def verify_tabulated_decompositions(tol: float = 1e-9) -> dict:
     """
     checks = []
     for idx, (table, direct) in enumerate(zip(TABULATED_BELL_N4, _n4_reference_states())):
-        checks.append(_check_one(f"n4_psi{idx}", table, direct, tol))
+        checks.append(_check_one(f"n4_psi{idx}", table, direct))
     for idx, (table, direct) in enumerate(zip(TABULATED_BELL_N6, _n6_reference_states())):
-        checks.append(_check_one(f"n6_psi{idx}", table, direct, tol))
+        checks.append(_check_one(f"n6_psi{idx}", table, direct))
     return {"all_ok": all(check["ok"] for check in checks), "checks": checks}

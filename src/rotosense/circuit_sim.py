@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .spin_core import MAX_QUBITS, QubitState, dicke_to_qubit
+from .spin_core import MAX_QUBITS, QubitState, complex_pairs, dicke_to_qubit
 from .states import balance, tetra2
 
 _SQRT2 = math.sqrt(2.0)
@@ -96,11 +96,9 @@ class Gate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Gate":
-        matrix = None
-        if data.get("matrix") is not None:
-            matrix = np.array(
-                [[complex(re, im) for re, im in row] for row in data["matrix"]]
-            )
+        matrix = data.get("matrix")
+        if matrix is not None:
+            matrix = [complex_pairs("a matrix row", row) for row in matrix]
         return cls(
             kind=data["kind"],
             targets=_qubit_list("targets", data["targets"]),

@@ -15,7 +15,6 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,94 +39,90 @@ THETA1_WARN = 0.05
 # and written as one report.
 MAX_GRID_POINTS = 10**5
 
-_DEFAULTS = {
-    "state": "tetra2",
-    "theta1": 0.02,
-    "theta2": 1.0,
-    "theta3": 0.5,
-    "n": 10**6,
-    "trials": 200,
-    "seed": 55555,
-    "out": None,
-    "format": "json",
+# The options every command takes, name -> (type, default).  The table makes
+# their flags, checks a --config file's values and holds the defaults; main
+# resolves each once: its flag, else the config file, else the default.
+_OPTIONS = {
+    "state": (str, "tetra2"),
+    "theta1": (float, 0.02),
+    "theta2": (float, 1.0),
+    "theta3": (float, 0.5),
+    "n": (int, 10**6),
+    "trials": (int, 200),
+    "seed": (int, 55555),
+    "out": (str, None),
+    "format": (str, "json"),
 }
-_NUMBER = (int, float)
 _FLOAT_MAX = sys.float_info.max  # a larger JSON integer has no float value
-_TYPES = {
-    "state": str,
-    "theta1": _NUMBER,
-    "theta2": _NUMBER,
-    "theta3": _NUMBER,
-    "n": int,
-    "trials": int,
-    "seed": int,
-    "out": (str, type(None)),
-    "format": str,
-}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run settings: explicit flags override the config file,
-    which overrides the built-in defaults."""
+def _read_json(path: str, what: str, parse):
+    """parse() of the JSON value in the <what> file at path.
 
-    command: str
-    state: str
-    theta1: float
-    theta2: float
-    theta3: float
-    n: int
-    trials: int
-    seed: int
-    out: str | None
-    format: str
+    A missing file, text that is not JSON and a value of the wrong shape for
+    parse (a missing key, a wrong type) each end in one ValueError that
+    names the file.
+    """
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except FileNotFoundError:
+        raise ValueError(f"{what} file not found: {path}") from None
+    except (
+        UnicodeDecodeError, json.JSONDecodeError, RecursionError,  # not JSON, or too deep
+        AttributeError, KeyError, TypeError, OverflowError,  # the wrong shape for parse
+    ) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"malformed {what} file {path}: {detail}") from None
 
-    @classmethod
-    def resolve(cls, args) -> "RunConfig":
-        config = {}
-        if getattr(args, "config", None):
-            with open(args.config) as fh:
-                config = json.load(fh)
-            if not isinstance(config, dict):
-                raise ValueError("config file must hold a JSON object")
-            unknown = set(config) - set(_DEFAULTS)
-            if unknown:
-                raise ValueError(f"unknown config keys: {sorted(unknown)}")
-            for key, value in config.items():
-                if isinstance(value, bool) or not isinstance(value, _TYPES[key]):
-                    raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
-                if _TYPES[key] is _NUMBER and type(value) is int and abs(value) > _FLOAT_MAX:
-                    raise ValueError(f"config key {key!r} is past the float range")
-        values = {}
-        for key, default in _DEFAULTS.items():
-            flag = getattr(args, key, None)
-            values[key] = flag if flag is not None else config.get(key, default)
-        if values["format"] not in ("json", "csv"):
-            raise ValueError(f"format must be json or csv, got {values['format']!r}")
-        if values["seed"] < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {values['seed']}")
-        return cls(command=args.command, **values)
+
+def _config_values(data) -> dict:
+    """The options a --config file sets, checked against _OPTIONS.
+
+    A float option takes a JSON integer or float, but no bool and no integer
+    past the float range; an option whose default is null may be null.
+    """
+    if not isinstance(data, dict):
+        raise TypeError("expected a JSON object")
+    unknown = set(data) - set(_OPTIONS)
+    if unknown:
+        raise TypeError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        kind, default = _OPTIONS[key]
+        if kind is float and type(value) is int:
+            if abs(value) > _FLOAT_MAX:
+                raise TypeError(f"config key {key!r} is past the float range")
+        elif type(value) is not kind and not (value is None and default is None):
+            raise TypeError(f"config key {key!r} has the wrong type: {value!r}")
+    return data
+
+
+def _resolve(args):
+    """Set every common option on args: its flag, else the --config value,
+    else the default.  args.flags names the options set by a flag."""
+    config = _read_json(args.config, "config", _config_values) if args.config else {}
+    args.flags = {name for name in _OPTIONS if getattr(args, name) is not None}
+    for name, (_, default) in _OPTIONS.items():
+        if name not in args.flags:
+            setattr(args, name, config.get(name, default))
+    if args.format not in ("json", "csv"):
+        raise ValueError(f"format must be json or csv, got {args.format!r}")
+    if args.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
 
 
 def _load_state(selector: str) -> SpinState:
     if selector in REGISTRY:
         return get_state(selector)
     if selector.startswith("file:"):
-        path = selector[len("file:") :]
-        try:
-            with open(path) as fh:
-                return SpinState.from_json_dict(json.load(fh))
-        except FileNotFoundError:
-            raise ValueError(f"state file not found: {path}") from None
-        except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed state file {path}: {exc}") from None
+        return _read_json(selector[len("file:") :], "state", SpinState.from_json_dict)
     raise ValueError(
         f"unknown state {selector!r}; use one of {sorted(REGISTRY)} or file:PATH"
     )
 
 
-def _params(cfg: RunConfig) -> RotationParams:
-    return RotationParams(cfg.theta1, cfg.theta2, cfg.theta3)
+def _params(args) -> RotationParams:
+    return RotationParams(args.theta1, args.theta2, args.theta3)
 
 
 def _warn_theta1(theta1: float):
@@ -173,9 +168,9 @@ def _float_table(table: np.ndarray) -> list:
     return list(zip(*columns))
 
 
-def _emit(cfg: RunConfig, json_payload, csv_rows=None, csv_header=None):
+def _emit(args, json_payload, csv_rows=None, csv_header=None):
     """Write the report in the requested format to --out or stdout."""
-    if cfg.format == "json":
+    if args.format == "json":
         text = _json_text(json_payload) + "\n"
     elif csv_rows is None:
         raise ValueError("this command only supports --format json")
@@ -187,21 +182,20 @@ def _emit(cfg: RunConfig, json_payload, csv_rows=None, csv_header=None):
         writer.writerow(csv_header)
         writer.writerows(csv_rows)
         text = buf.getvalue()
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def cmd_fisher(args) -> int:
-    cfg = RunConfig.resolve(args)
-    state = _load_state(cfg.state)
-    params = _params(cfg)
+    state = _load_state(args.state)
+    params = _params(args)
     mean, cov = j_expectations(state)
     qfi = qfi_matrix(state, params)
     payload = {
-        "state": cfg.state,
+        "state": args.state,
         "J": state.J,
         "mean": list(mean),
         "cov": [list(row) for row in cov],
@@ -211,19 +205,18 @@ def cmd_fisher(args) -> int:
         "qfi": [list(row) for row in qfi],
         "theta1": params.theta1,
     }
-    _emit(cfg, payload)
+    _emit(args, payload)
     return 0
 
 
 def cmd_probabilities(args) -> int:
-    cfg = RunConfig.resolve(args)
     if not 1 <= args.grid_points <= MAX_GRID_POINTS:
         raise ValueError(
             f"--grid-points must be in 1..{MAX_GRID_POINTS}, got {args.grid_points}"
         )
-    state = _load_state(cfg.state)
-    u = _params(cfg).axis  # also rejects a non-finite theta1 before the sweep
-    grid = np.linspace(0.0, cfg.theta1, args.grid_points)
+    state = _load_state(args.state)
+    u = _params(args).axis  # also rejects a non-finite theta1 before the sweep
+    grid = np.linspace(0.0, args.theta1, args.grid_points)
     measurements = {"optimal": optimal_basis(state)}
     try:
         measurements["bell"] = bell_analysis.bell_measurement(measurements["optimal"])
@@ -251,37 +244,29 @@ def cmd_probabilities(args) -> int:
         )
     header += ["gap_small", "gap_bell"][: len(gaps)]
     table = np.column_stack(columns + gaps)
-    _warn_theta1(cfg.theta1)
-    if cfg.format == "csv":
-        _emit(cfg, None, csv_rows=table, csv_header=header)
+    _warn_theta1(args.theta1)
+    if args.format == "csv":
+        _emit(args, None, csv_rows=table, csv_header=header)
         return 0
-    saturation_params = RotationParams(min(cfg.theta1, 0.02), cfg.theta2, cfg.theta3)
+    saturation_params = RotationParams(min(args.theta1, 0.02), args.theta2, args.theta3)
     payload = {
-        "state": cfg.state,
+        "state": args.state,
         "axis": list(u),
         "columns": header,
         "rows": table,
         "saturation": multiparam_saturation_check(state, measurements, saturation_params),
     }
-    _emit(cfg, payload)
+    _emit(args, payload)
     return 0
 
 
 def cmd_circuit_verify(args) -> int:
-    cfg = RunConfig.resolve(args)
     if args.circuit:
-        with open(args.circuit) as fh:
-            data = json.load(fh)
-        try:
-            circuit = circuit_sim.Circuit.from_json_dict(data)
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise ValueError(f"malformed circuit file {args.circuit}: {exc!r}") from None
-        rng = np.random.default_rng(cfg.seed)
+        circuit = _read_json(args.circuit, "circuit", circuit_sim.Circuit.from_json_dict)
+        rng, dim = np.random.default_rng(args.seed), 2**circuit.n_qubits
         drifts = []
         for _ in range(20):
-            amps = rng.normal(size=2**circuit.n_qubits) + 1j * rng.normal(
-                size=2**circuit.n_qubits
-            )
+            amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             amps /= np.linalg.norm(amps)
             out = circuit_sim._apply_gates(amps, circuit.gates, circuit.n_qubits)
             drifts.append(abs(float(np.linalg.norm(out)) - 1.0))
@@ -291,67 +276,53 @@ def cmd_circuit_verify(args) -> int:
             "gate_count": len(circuit.gates),
             "max_norm_drift": max(drifts),
         }
-        if args.state:
-            target = _load_state(cfg.state)
-            out = circuit_sim.run_circuit(
-                circuit, circuit_sim.QubitState.basis(circuit.n_qubits)
-            )
-            payload["fidelity_vs_state"] = circuit_sim.fidelity(
-                out, dicke_to_qubit(target)
-            )
-        _emit(cfg, payload)
+        if "state" in args.flags:  # only a --state flag asks for the fidelity
+            target = _load_state(args.state)
+            out = circuit_sim.run_circuit(circuit, circuit_sim.QubitState.basis(circuit.n_qubits))
+            payload["fidelity_vs_state"] = circuit_sim.fidelity(out, dicke_to_qubit(target))
+        _emit(args, payload)
         return 0
     payload = {
-        "prep": {
-            name: circuit_sim.prep_circuit_report(name)
-            for name in ("tetra", "n6")
-        },
+        "prep": {name: circuit_sim.prep_circuit_report(name) for name in ("tetra", "n6")},
         "bell_analyzer": circuit_sim.analyzer_distinguishability_report(),
     }
-    _emit(cfg, payload)
+    _emit(args, payload)
     return 0
 
 
 def cmd_estimate(args) -> int:
-    cfg = RunConfig.resolve(args)
-    state = _load_state(cfg.state)
-    params = _params(cfg)
+    state = _load_state(args.state)
+    params = _params(args)
     pipelines = ("optimal", "bell") if args.pipeline == "both" else (args.pipeline,)
     reports = {
-        pipe: qcrb_experiment(state, params, cfg.n, cfg.trials, cfg.seed, pipe)
+        pipe: qcrb_experiment(state, params, args.n, args.trials, args.seed, pipe)
         for pipe in pipelines
     }
-    _warn_theta1(cfg.theta1)
-    if cfg.format == "csv":
+    _warn_theta1(args.theta1)
+    if args.format == "csv":
         if len(pipelines) != 1:
             raise ValueError("CSV output needs a single pipeline (--pipeline optimal|bell)")
-        report = reports[pipelines[0]]
-        _emit(
-            cfg,
-            None,
-            csv_rows=[list(r) for r in report.rows()],
-            csv_header=["trial", "theta1_hat", "u1_hat", "u2_hat", "u3_hat"],
-        )
+        rows = [list(r) for r in reports[pipelines[0]].rows()]
+        _emit(args, None, rows, ["trial", "theta1_hat", "u1_hat", "u2_hat", "u3_hat"])
         return 0
-    _emit(cfg, {pipe: rep.to_dict() for pipe, rep in reports.items()})
+    _emit(args, {pipe: rep.to_dict() for pipe, rep in reports.items()})
     return 0
 
 
 def cmd_decompose(args) -> int:
-    cfg = RunConfig.resolve(args)
-    if cfg.format == "csv" and args.verify_tables:
+    if args.format == "csv" and args.verify_tables:
         raise ValueError("--verify-tables needs JSON output (--format json)")
-    state = _load_state(cfg.state)
-    params = _params(cfg)
-    _warn_theta1(cfg.theta1)
+    state = _load_state(args.state)
+    params = _params(args)
     rotated = SpinState(state.J, rotated_amplitudes(state, [params.theta1], params.axis)[:, 0])
     bp = bell_analysis.bell_decompose(dicke_to_qubit(rotated))
+    _warn_theta1(args.theta1)
     decomposition = {
         "pairing": [[2 * k, 2 * k + 1] for k in range(bp.ndim)],
         "amps": {",".join(map(str, t)): [z.real, z.imag] for t, z in np.ndenumerate(bp)},
     }
     payload = {
-        "state": cfg.state,
+        "state": args.state,
         "theta1": params.theta1,
         "theta2": params.theta2,
         "theta3": params.theta3,
@@ -360,14 +331,14 @@ def cmd_decompose(args) -> int:
     }
     if args.verify_tables:
         payload["table_verification"] = bell_analysis.verify_tabulated_decompositions()
-    if cfg.format == "csv":
+    if args.format == "csv":
         rows = [
             [labels, z[0], z[1], z[0] ** 2 + z[1] ** 2]
             for labels, z in sorted(decomposition["amps"].items())
         ]
-        _emit(cfg, None, csv_rows=rows, csv_header=["labels", "re", "im", "prob"])
+        _emit(args, None, csv_rows=rows, csv_header=["labels", "re", "im", "prob"])
         return 0
-    _emit(cfg, payload)
+    _emit(args, payload)
     return 0
 
 
@@ -389,16 +360,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(parser: argparse.ArgumentParser):
-    # defaults resolve through RunConfig so a --config file can fill them in
-    parser.add_argument("--state", help="tetra1|tetra2|balance|file:PATH")
-    parser.add_argument("--theta1", type=float)
-    parser.add_argument("--theta2", type=float)
-    parser.add_argument("--theta3", type=float)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--format", choices=("json", "csv"))
+    # no argparse defaults: main fills in whatever no flag sets (_resolve)
+    extras = {
+        "state": {"help": "tetra1|tetra2|balance|file:PATH"},
+        "out": {"help": "output path (default stdout)"},
+        "format": {"choices": ("json", "csv")},
+    }
+    for name, (kind, _) in _OPTIONS.items():
+        parser.add_argument(f"--{name}", type=kind, **extras.get(name, {}))
     parser.add_argument("--config", help="JSON file with the same keys; flags win")
 
 
@@ -448,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _resolve(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -90,7 +90,7 @@ def estimate_params(counts, j) -> tuple[np.ndarray, np.ndarray]:
     Works row by row on counts of shape (..., 5); a row's shot number is its
     sum.  Returns (theta1_hats, u_hats) of shapes (...) and (..., 3); signs
     are unobservable.  Rest-category counts are folded into P0; they are
-    third order in theta1.  A row with every shot in P0 cannot tell the
+    fourth order in theta1.  A row with every shot in P0 cannot tell the
     rotation from zero: its theta1 estimate is 0 and its axis is NaN.
     """
     c = np.asarray(counts, dtype=np.int64)

@@ -58,14 +58,18 @@ def _check_rows(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def optimal_basis(phi0: SpinState, tol: float = 1e-10) -> Measurement:
+# Largest deviation from second-order anti-coherence optimal_basis accepts.
+_ANTICOHERENCE_TOL = 1e-10
+
+
+def optimal_basis(phi0: SpinState) -> Measurement:
     """Measurement basis [phi0, J_i phi0 / sqrt(J(J+1)/3)], K_mu = <psi_mu|.
 
     K_rest is an orthonormal basis of the complement of the four states.
     Requires a second-order anti-coherent phi0; otherwise the J_i phi0 are
     not orthogonal and no valid projector set exists.
     """
-    report = anticoherence_report(phi0, tol)
+    report = anticoherence_report(phi0, _ANTICOHERENCE_TOL)
     if not report["pass"]:
         dev = report["deviations"]
         raise ValueError(

@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +36,22 @@ def _check_spin(j) -> int:
     if two_j < 0 or abs(two_j - round(two_j)) > 1e-9:
         raise ValueError(f"J must be a non-negative half-integer, got {j}")
     return int(round(two_j))
+
+
+def complex_pairs(key: str, pairs) -> np.ndarray:
+    """The complex numbers of a JSON list of [re, im] number pairs.
+
+    Each part must be a JSON integer or float: a bool (which would read as 0
+    or 1), a string or an integer past the float range raises TypeError.
+    """
+    def real(x):
+        return type(x) is float or (type(x) is int and abs(x) <= sys.float_info.max)
+
+    if type(pairs) is not list or not all(
+        type(z) is list and len(z) == 2 and real(z[0]) and real(z[1]) for z in pairs
+    ):
+        raise TypeError(f"{key} must be a list of [re, im] number pairs")
+    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
 
 
 def _rescaled(amps) -> np.ndarray:
@@ -95,15 +112,10 @@ class SpinState:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SpinState":
-        j, pairs = data["J"], data["amps"]
+        j = data["J"]
         if type(j) not in (int, float):  # a bool would read as J = 0 or 1
             raise TypeError(f"J must be a number, got {j!r}")
-        if type(pairs) is not list or not all(
-            type(z) is list and len(z) == 2 and all(type(x) in (int, float) for x in z)
-            for z in pairs
-        ):
-            raise TypeError("amps must be a list of [re, im] number pairs")
-        return cls.normalized(j, np.array([complex(re, im) for re, im in pairs]))
+        return cls.normalized(j, complex_pairs("amps", data["amps"]))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from oracles import TETRA_PREP_JSON, rotation_unitary, seven_photon_state, three_peak_state
 
 from rotosense import spin_core
-from rotosense.cli import _emit, _json_text, build_parser, main
+from rotosense.cli import _OPTIONS, _emit, _json_text, _resolve, build_parser, main
 from rotosense.estimation import qcrb_experiment
 from rotosense.spin_core import RotationParams, SpinState
 from rotosense.states import balance, tetra2
@@ -226,8 +226,9 @@ class TestFisher:
             ({"J": True, "amps": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}, "J must be a number"),
             ({"J": 1, "amps": ["x", [0.0, 0.0], [0.0, 0.0]]}, "[re, im] number pairs"),
             ({"J": 10**400, "amps": [[1.0, 0.0]]}, "too large"),
+            ({"J": 0.5, "amps": [[10**400, 0.0], [0.0, 0.0]]}, "[re, im] number pairs"),
         ],
-        ids=["bool-J", "string-amplitude", "huge-J"],
+        ids=["bool-J", "string-amplitude", "huge-J", "huge-amplitude"],
     )
     def test_mistyped_state_file_names_the_file(self, data, message, tmp_path, capsys):
         path = tmp_path / "state.json"
@@ -272,6 +273,83 @@ class TestFisher:
         path.write_text(json.dumps(config))
         code, out, err = run_cli(command + ["--config", str(path)], capsys)
         assert_single_error(code, err)
+        assert out == ""
+
+
+# option -> (flag text, the value it parses to, config-file value, default)
+RESOLUTION = {
+    "state": ("balance", "balance", "tetra1", "tetra2"),
+    "theta1": ("0.03", 0.03, 0.04, 0.02),
+    "theta2": ("0.3", 0.3, 2, 1.0),
+    "theta3": ("-1e-3", -1e-3, -0.25, 0.5),
+    "n": ("10", 10, 20, 10**6),
+    "trials": ("3", 3, 4, 200),
+    "seed": ("5", 5, 6, 55555),
+    "out": ("a.txt", "a.txt", "b.txt", None),
+    "format": ("json", "json", "csv", "json"),
+}
+
+
+def resolved(argv):
+    """The namespace main hands to a command for argv."""
+    args = build_parser().parse_args(argv)
+    _resolve(args)
+    return args
+
+
+class TestOptionResolution:
+    """Each common option comes from its flag, else the config file, else
+    its default."""
+
+    @pytest.mark.parametrize("name", sorted(_OPTIONS))
+    def test_flag_beats_config_beats_default(self, name, tmp_path):
+        flag, parsed, from_config, default = RESOLUTION[name]
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({name: from_config}))
+        with_config = ["fisher", "--config", str(config)]
+        assert getattr(resolved(with_config + [f"--{name}", flag]), name) == parsed
+        assert getattr(resolved(with_config), name) == from_config
+        assert getattr(resolved(["fisher"]), name) == default
+
+    def test_only_out_may_be_null(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"out": None}))
+        assert resolved(["fisher", "--config", str(config)]).out is None
+        config.write_text(json.dumps({"seed": None}))
+        code, out, err = run_cli(["fisher", "--config", str(config)], capsys)
+        assert err == (
+            f"error: malformed config file {config}: config key 'seed' has the wrong type: None\n"
+        )
+        assert (code, out) == (2, "")
+
+
+class TestFileErrors:
+    """A missing or malformed config, state or circuit file ends in one
+    error: line that names the file."""
+
+    ARGV = {
+        "config": lambda path: ["fisher", "--config", path],
+        "state": lambda path: ["fisher", "--state", f"file:{path}"],
+        "circuit": lambda path: ["circuit-verify", "--circuit", path],
+    }
+
+    @pytest.mark.parametrize("what", sorted(ARGV))
+    def test_missing(self, what, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        code, out, err = run_cli(self.ARGV[what](str(path)), capsys)
+        assert (code, out, err) == (2, "", f"error: {what} file not found: {path}\n")
+
+    @pytest.mark.parametrize(
+        "content", [b"nope", b"[" * 100_000, b"\xff\xfe{}", b"[1, 2]"],
+        ids=["not-json", "nested-past-recursion-limit", "not-utf8", "not-an-object"],
+    )
+    @pytest.mark.parametrize("what", sorted(ARGV))
+    def test_malformed(self, what, content, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(self.ARGV[what](str(path)), capsys)
+        assert_single_error(code, err)
+        assert err.startswith(f"error: malformed {what} file {path}: ")
         assert out == ""
 
 
@@ -471,6 +549,31 @@ class TestCircuitVerify:
         assert out == ""
 
 
+    def test_config_state_asks_for_no_fidelity(self, tmp_path, capsys):
+        # only a --state flag compares the circuit's output with a state
+        circuit, config = tmp_path / "circ.json", tmp_path / "run.json"
+        circuit.write_text(json.dumps(TETRA_PREP_JSON))
+        config.write_text(json.dumps({"state": "tetra2"}))
+        argv = ["circuit-verify", "--circuit", str(circuit), "--config", str(config)]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert "fidelity_vs_state" not in json.loads(out)
+        code, out, _ = run_cli(argv + ["--state", "tetra2"], capsys)
+        assert json.loads(out)["fidelity_vs_state"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("entry", [[10**400, 0], [True, 0]], ids=["past-float-range", "bool"])
+    def test_rejects_mistyped_custom_gate_entry(self, entry, tmp_path, capsys):
+        # 10**400 has no float value, and true would read as 1
+        gate = {"kind": "custom", "targets": [0], "matrix": [[entry, [0, 0]], [[0, 0], [1, 0]]]}
+        path = tmp_path / "circ.json"
+        path.write_text(json.dumps({"n_qubits": 2, "gates": [gate]}))
+        code, out, err = run_cli(["circuit-verify", "--circuit", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: malformed circuit file {path}: "
+            "a matrix row must be a list of [re, im] number pairs\n"
+        )
+
     @pytest.mark.parametrize("entry", ["NaN", "1e308"])
     def test_rejects_non_finite_custom_gate(self, entry, tmp_path, capsys):
         # a NaN entry slips past `norm(m m^dagger - I) > tol`, and 1e308
@@ -657,14 +760,12 @@ class TestEstimate:
         [["fisher"], ["probabilities"], ["estimate", "--trials", "5"], ["decompose"]],
     )
     def test_rejects_theta1_with_overflowing_phases(self, command, capsys):
-        # theta1 * m overflows: refused before numpy warns about the exp;
-        # decompose may first warn about the small-angle range
+        # theta1 * m overflows: refused before numpy warns about the exp, and
+        # with no small-angle warning, which follows only a finished rotation
         code, out, err = run_cli(command + ["--state", "tetra2", "--theta1", "1e308"], capsys)
-        lines = err.splitlines()
         assert code == 2 and out == ""
-        assert all(line.startswith("warning:") for line in lines[:-1])
-        assert lines[-1] == (
-            "error: theta1 out of range: the rotation phases theta1 * m are not finite"
+        assert err == (
+            "error: theta1 out of range: the rotation phases theta1 * m are not finite\n"
         )
 
     def test_large_angle_warns(self, capsys):
@@ -713,6 +814,11 @@ class TestDecompose:
         )
         assert_single_error(code, err)
         assert out == ""
+
+    def test_large_angle_warns(self, capsys):
+        code, out, err = run_cli(["decompose", "--theta1", "0.1"], capsys)
+        assert code == 0 and json.loads(out)["theta1"] == 0.1
+        assert err.startswith("warning: theta1=0.1 exceeds") and len(err.splitlines()) == 1
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(

@@ -104,6 +104,8 @@ MATRICES = st.sampled_from(
         _matrix([math.nan, 0]),
         _matrix([math.inf, 0]),
         _matrix([1e308, 0]),
+        _matrix([10**400, 0]),
+        _matrix([True, 0]),
         _matrix([0.5, 0]),
     ]
 )
@@ -154,6 +156,8 @@ def strict_json(text):
 @example((["fisher", "--theta1", "1e308"], "{}", "", ""))
 @example((["circuit-verify", "--circuit", "{circuit}"], "{}", "", _custom_gate_file([math.nan, 0])))
 @example((["circuit-verify", "--circuit", "{circuit}"], "{}", "", _custom_gate_file([1e308, 0])))
+@example((["circuit-verify", "--circuit", "{circuit}"], "{}", "", _custom_gate_file([10**400, 0])))
+@example((["circuit-verify", "--circuit", "{circuit}"], "{}", "", _custom_gate_file([True, 0])))
 def test_cli_ends_in_report_or_one_error_line(invocation):
     argv, config, state, circuit = invocation
     with tempfile.TemporaryDirectory() as tmp:
