@@ -1,9 +1,9 @@
 """Rotation sensing with second-order anti-coherent polarization states."""
 
 from .bell_analysis import (
+    BELL_STATES,
     bell_decompose,
     bell_measurement,
-    bell_states,
     singlet_weight,
     verify_tabulated_decompositions,
 )
@@ -41,7 +41,6 @@ from .metrology import (
     rotated_frame,
 )
 from .spin_core import (
-    QubitState,
     RotationParams,
     SpinState,
     axis_from_angles,

@@ -24,7 +24,7 @@ from itertools import accumulate
 import numpy as np
 
 from .measurement import Measurement, optimal_basis
-from .spin_core import QubitState, SpinState, dicke_to_qubit
+from .spin_core import SpinState, dicke_to_qubit
 from .states import balance, tetra2
 
 SYMMETRIC_LABELS = (0, 1, 3)
@@ -32,7 +32,7 @@ SYMMETRIC_LABELS = (0, 1, 3)
 _SQRT2 = math.sqrt(2.0)
 
 # row l = amplitudes of phi_l over |00>, |01>, |10>, |11>
-_BELL_MATRIX = (
+BELL_STATES = (
     np.array(
         [
             [1.0, 0.0, 0.0, 1.0],
@@ -44,28 +44,24 @@ _BELL_MATRIX = (
     )
     / _SQRT2
 )
-_BELL_MATRIX.setflags(write=False)
+BELL_STATES.setflags(write=False)
 
 
-def bell_states() -> tuple[QubitState, QubitState, QubitState, QubitState]:
-    """The four two-qubit Bell states phi0..phi3 (polarization factor only)."""
-    return tuple(QubitState(2, row) for row in _BELL_MATRIX)
-
-
-def bell_decompose(state: QubitState) -> np.ndarray:
+def bell_decompose(amps: np.ndarray) -> np.ndarray:
     """Amplitudes <phi_{l1} ... phi_{lk}|psi> as a (4,) * k array indexed by label tuples.
 
-    Photons are paired (0,1), (2,3), ...; a permutation-symmetric state
-    gives the same array under every pairing.
+    amps are the 4^k amplitudes of a 2k-qubit register, qubit 0 the most
+    significant bit.  Photons are paired (0,1), (2,3), ...; a
+    permutation-symmetric state gives the same array under every pairing.
     """
-    n = state.n_qubits
-    if n % 2:
+    amps = np.asarray(amps)
+    n_pairs = (amps.size.bit_length() - 1) // 2
+    if amps.shape != (4**n_pairs,) or n_pairs < 1:
         raise ValueError("Bell decomposition needs an even number of qubits")
-    n_pairs = n // 2
-    tensor = state.amps.reshape([4] * n_pairs)
+    tensor = amps.reshape([4] * n_pairs)
     for _ in range(n_pairs):
         # contract leading pair axis with <phi_l|; cycles axes so order is restored
-        tensor = np.tensordot(tensor, _BELL_MATRIX.conj(), axes=([0], [1]))
+        tensor = np.tensordot(tensor, BELL_STATES.conj(), axes=([0], [1]))
     return tensor
 
 

@@ -4,11 +4,13 @@ Gates are single-qubit unitaries with any number of control qubits (closed
 controls fire on |1>, open controls on |0>), which covers the whole gate
 set used by the preparation and Bell-analysis circuits: H, X, Z, S, CNOT,
 multi-controlled X/Z/H, and the named 2x2 unitaries U1, U2 and U; a user
-circuit may also give any 2x2 unitary as a custom gate.  Measurement is
-projective in the computational basis and returns the full outcome
-distribution; sampling lives in the estimation layer.  Circuit outputs are
-diagnostic only: all downstream physics uses analytically constructed
-states.
+circuit may also give any 2x2 unitary as a custom gate.  A state is a plain
+(2^N,) complex array, qubit 0 the most significant bit, and ``run_circuit``
+returns a circuit's output amplitudes without renormalising them.  The
+module holds the two preparation circuits and the Bell analyzer, and the
+reports that check them (target fidelity, norm drift, disjoint analyzer
+outcomes).  Circuit outputs are diagnostic only: all downstream physics
+uses analytically constructed states.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .spin_core import MAX_QUBITS, QubitState, complex_pairs, dicke_to_qubit
+from .bell_analysis import BELL_STATES
+from .spin_core import MAX_QUBITS, complex_pairs, dicke_to_qubit
 from .states import balance, tetra2
 
 _SQRT2 = math.sqrt(2.0)
@@ -79,8 +82,11 @@ class Gate:
         if self.kind == "custom":
             if self.matrix is None:
                 raise ValueError("custom gates need a 2x2 matrix")
-            m = np.asarray(self.matrix, dtype=complex)
-            if m.shape != (2, 2):
+            try:
+                m = np.asarray(self.matrix, dtype=complex)
+            except ValueError:  # rows of different lengths
+                m = None
+            if m is None or m.shape != (2, 2):
                 raise ValueError("custom gate matrix must be 2x2")
             bounded = (np.abs(m) <= 1 + 1e-10).all()  # as a unitary's are; NaN is not
             if not (bounded and np.linalg.norm(m @ m.conj().T - np.eye(2)) <= 1e-10):
@@ -156,21 +162,26 @@ def _apply_gates(amps: np.ndarray, gates, n: int) -> np.ndarray:
     return tensor.reshape(-1)
 
 
-def run_circuit(circuit: Circuit, state: QubitState) -> QubitState:
-    """Run the circuit on an input state; norm is preserved to rounding."""
-    if state.n_qubits != circuit.n_qubits:
-        raise ValueError(
-            f"input has {state.n_qubits} qubits, circuit expects {circuit.n_qubits}"
-        )
-    amps = _apply_gates(state.amps, circuit.gates, circuit.n_qubits)
-    return QubitState(circuit.n_qubits, amps)
+def run_circuit(circuit: Circuit, amps=None) -> np.ndarray:
+    """The circuit's output amplitudes on the (2^N,) input amps, |0...0> by default.
+
+    The output is not renormalised: its norm is the input's, to rounding.
+    """
+    dim = 2**circuit.n_qubits
+    if amps is None:
+        amps = np.zeros(dim, dtype=complex)
+        amps[0] = 1.0
+    elif np.shape(amps) != (dim,):
+        raise ValueError(f"input has shape {np.shape(amps)}, circuit expects ({dim},)")
+    return _apply_gates(amps, circuit.gates, circuit.n_qubits)
 
 
-def fidelity(a: QubitState, b: QubitState) -> float:
-    """|<a|b>|^2 for equal-size registers."""
-    if a.n_qubits != b.n_qubits:
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """|<a|b>|^2 of two amplitude arrays of equal shape, each normalised first."""
+    if np.shape(a) != np.shape(b):
         raise ValueError("fidelity requires states of equal dimension")
-    return float(abs(np.vdot(a.amps, b.amps)) ** 2)
+    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+    return float(abs(np.vdot(a, b)) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +305,13 @@ def prep_circuit_report(name: str) -> dict:
         )
     else:
         raise ValueError(f"unknown preparation circuit {name!r}")
-    raw = _apply_gates(
-        QubitState.basis(circuit.n_qubits).amps, circuit.gates, circuit.n_qubits
-    )
-    drift = abs(float(np.linalg.norm(raw)) - 1.0)
-    out = QubitState(circuit.n_qubits, raw)
+    out = run_circuit(circuit)
     return {
         "name": name,
         "n_qubits": circuit.n_qubits,
         "gate_count": len(circuit.gates),
         "fidelity": fidelity(out, target),
-        "norm_drift": drift,
+        "norm_drift": abs(float(np.linalg.norm(out)) - 1.0),
         "note": note,
     }
 
@@ -320,16 +327,12 @@ def analyzer_distinguishability_report() -> dict:
     "pairwise_tv": {"a|b": total variation distance}, "all_disjoint"};
     probabilities at or below 1e-10 count as zero.
     """
-    from .bell_analysis import bell_states
-
-    circuit = bell_analyzer_circuit()
+    flipped = Circuit(4, (Gate("X", (0,)), *bell_analyzer_circuit().gates))
     path_ud = np.zeros(4, dtype=complex)
     path_ud[1] = 1.0  # |u> -> |0>, |d> -> |1>
     probs = {}
-    for label, phi in zip(("phi0", "phi1", "phi2", "phi3"), bell_states()):
-        amps = np.kron(phi.amps, path_ud)
-        out = _apply_gates(amps, (Gate("X", (0,)), *circuit.gates), 4)
-        p = np.abs(out) ** 2
+    for label, phi in zip(("phi0", "phi1", "phi2", "phi3"), BELL_STATES):
+        p = np.abs(run_circuit(flipped, np.kron(phi, path_ud))) ** 2
         probs[label] = np.where(p > 1e-10, p, 0.0)
     tv = {
         f"{a}|{b}": 0.5 * float(np.abs(probs[a] - probs[b]).sum())

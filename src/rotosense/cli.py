@@ -59,8 +59,8 @@ _FLOAT_MAX = sys.float_info.max  # a larger JSON integer has no float value
 def _read_json(path: str, what: str, parse):
     """parse() of the JSON value in the <what> file at path.
 
-    A missing file, text that is not JSON and a value of the wrong shape for
-    parse (a missing key, a wrong type) each end in one ValueError that
+    A missing file, text that is not JSON and a value that parse refuses (a
+    missing key, a wrong type, a bad value) each end in one ValueError that
     names the file.
     """
     try:
@@ -69,7 +69,7 @@ def _read_json(path: str, what: str, parse):
     except FileNotFoundError:
         raise ValueError(f"{what} file not found: {path}") from None
     except (
-        UnicodeDecodeError, json.JSONDecodeError, RecursionError,  # not JSON, or too deep
+        ValueError, RecursionError,  # not JSON (not UTF-8, too deep), or a bad value
         AttributeError, KeyError, TypeError, OverflowError,  # the wrong shape for parse
     ) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
@@ -268,7 +268,7 @@ def cmd_circuit_verify(args) -> int:
         for _ in range(20):
             amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             amps /= np.linalg.norm(amps)
-            out = circuit_sim._apply_gates(amps, circuit.gates, circuit.n_qubits)
+            out = circuit_sim.run_circuit(circuit, amps)
             drifts.append(abs(float(np.linalg.norm(out)) - 1.0))
         payload = {
             "circuit": args.circuit,
@@ -278,7 +278,7 @@ def cmd_circuit_verify(args) -> int:
         }
         if "state" in args.flags:  # only a --state flag asks for the fidelity
             target = _load_state(args.state)
-            out = circuit_sim.run_circuit(circuit, circuit_sim.QubitState.basis(circuit.n_qubits))
+            out = circuit_sim.run_circuit(circuit)
             payload["fidelity_vs_state"] = circuit_sim.fidelity(out, dicke_to_qubit(target))
         _emit(args, payload)
         return 0

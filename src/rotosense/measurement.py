@@ -66,9 +66,15 @@ def optimal_basis(phi0: SpinState) -> Measurement:
     """Measurement basis [phi0, J_i phi0 / sqrt(J(J+1)/3)], K_mu = <psi_mu|.
 
     K_rest is an orthonormal basis of the complement of the four states.
-    Requires a second-order anti-coherent phi0; otherwise the J_i phi0 are
-    not orthogonal and no valid projector set exists.
+    Requires J >= 3/2, so that the four states fit in the 2J+1 dimensions,
+    and a second-order anti-coherent phi0; otherwise the J_i phi0 are not
+    orthogonal and no valid projector set exists.
     """
+    if phi0.J < 1.5:
+        raise ValueError(
+            "optimal_basis needs J >= 3/2: its four states need 2J+1 >= 4 "
+            f"dimensions, got J={phi0.J:g}"
+        )
     report = anticoherence_report(phi0, _ANTICOHERENCE_TOL)
     if not report["pass"]:
         dev = report["deviations"]

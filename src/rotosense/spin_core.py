@@ -119,30 +119,6 @@ class SpinState:
 
 
 @dataclass(frozen=True)
-class QubitState:
-    """Pure state of an n-qubit register; qubit 0 is the most significant bit."""
-
-    n_qubits: int
-    amps: np.ndarray
-
-    def __post_init__(self):
-        n = int(self.n_qubits)
-        if n < 1:
-            raise ValueError("n_qubits must be a positive integer")
-        amps = _unit_amplitudes(self.amps)
-        if amps.size != 2**n:
-            raise ValueError(f"expected {2**n} amplitudes for {n} qubits, got {amps.size}")
-        object.__setattr__(self, "n_qubits", n)
-        object.__setattr__(self, "amps", amps)
-
-    @classmethod
-    def basis(cls, n_qubits: int, index: int = 0) -> "QubitState":
-        amps = np.zeros(2**n_qubits, dtype=complex)
-        amps[index] = 1.0
-        return cls(n_qubits, amps)
-
-
-@dataclass(frozen=True)
 class RotationParams:
     """Rotation by theta1 about the axis with polar angle theta2, azimuth theta3."""
 
@@ -230,11 +206,12 @@ def _popcounts(n: int) -> np.ndarray:
     return counts
 
 
-def dicke_to_qubit(state: SpinState) -> QubitState:
+def dicke_to_qubit(state: SpinState) -> np.ndarray:
     """Expand |J,m> into the symmetric N-qubit picture, N = 2J <= MAX_QUBITS.
 
     |J,m> maps to the equal-amplitude superposition of all computational
-    strings with exactly J - m ones (V photons).
+    strings with exactly J - m ones (V photons).  Returns the read-only
+    (2^N,) amplitudes, qubit 0 the most significant bit, rescaled to unit norm.
     """
     n = _check_spin(state.J)
     if not 1 <= n <= MAX_QUBITS:
@@ -243,4 +220,4 @@ def dicke_to_qubit(state: SpinState) -> QubitState:
     amps = np.zeros(2**n, dtype=complex)
     for k in range(n + 1):
         amps[ones == k] = state.amps[k] / math.sqrt(math.comb(n, k))
-    return QubitState(n, amps)
+    return _unit_amplitudes(amps)

@@ -8,7 +8,6 @@ import numpy as np
 from rotosense.bell_analysis import bell_decompose
 from rotosense.metrology import j_expectations
 from rotosense.spin_core import (
-    QubitState,
     RotationParams,
     SpinState,
     dicke_to_qubit,
@@ -28,12 +27,6 @@ def fisher_single(state, u) -> float:
     """Single-axis quantum Fisher information 4 u^T Cov(J) u of the unrotated probe."""
     _, cov = j_expectations(state)
     return float(4.0 * u @ cov @ u)
-
-
-def normalized_qubits(n_qubits, amps) -> QubitState:
-    """A qubit register from unnormalized amplitudes."""
-    amps = np.asarray(amps, dtype=complex)
-    return QubitState(n_qubits, amps / np.linalg.norm(amps))
 
 
 def params_from_axis(theta1: float, u) -> RotationParams:

@@ -9,24 +9,23 @@ from hypothesis import strategies as st
 from oracles import (
     bell_outcome_probabilities,
     bell_supports,
-    normalized_qubits,
     params_from_axis,
     rotation_unitary,
     three_peak_state,
 )
 
 from rotosense.bell_analysis import (
+    BELL_STATES,
     SYMMETRIC_LABELS,
     bell_decompose,
     bell_measurement,
-    bell_states,
     singlet_weight,
     verify_tabulated_decompositions,
 )
 from rotosense.measurement import (
     Measurement, exact_probabilities, optimal_basis, sweep_probabilities
 )
-from rotosense.spin_core import QubitState, RotationParams, SpinState, dicke_to_qubit
+from rotosense.spin_core import RotationParams, SpinState, dicke_to_qubit
 from rotosense.states import balance, tetra1, tetra2
 
 SQ3 = math.sqrt(3.0)
@@ -60,16 +59,15 @@ def analyzer(state):
 
 class TestBellStates:
     def test_orthonormal(self):
-        states = bell_states()
-        gram = np.array([[np.vdot(a.amps, b.amps) for b in states] for a in states])
+        gram = BELL_STATES.conj() @ BELL_STATES.T
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-15)
+        assert not BELL_STATES.flags.writeable
 
     def test_phi1_amplitude(self):
-        phi1 = bell_states()[1]
-        assert phi1.amps[1] == pytest.approx(1j / math.sqrt(2))
+        assert BELL_STATES[1][1] == pytest.approx(1j / math.sqrt(2))
 
     def test_completeness(self):
-        total = sum(np.outer(s.amps, s.amps.conj()) for s in bell_states())
+        total = sum(np.outer(s, s.conj()) for s in BELL_STATES)
         np.testing.assert_allclose(total, np.eye(4), atol=1e-15)
 
 
@@ -85,9 +83,7 @@ class TestBellDecompose:
         assert others <= 1e-12
 
     def test_product_basis_vector(self):
-        phi0, phi1 = bell_states()[0], bell_states()[1]
-        product = QubitState(4, np.kron(phi0.amps, phi1.amps))
-        bp = bell_decompose(product)
+        bp = bell_decompose(np.kron(BELL_STATES[0], BELL_STATES[1]))
         assert bp[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert abs((np.abs(bp) ** 2).sum() - 1.0) <= 1e-12
 
@@ -108,13 +104,13 @@ class TestBellDecompose:
         rng = np.random.default_rng(seed)
         for n in (2, 4, 6):
             amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-            bp = bell_decompose(normalized_qubits(n, amps))
+            bp = bell_decompose(amps / np.linalg.norm(amps))
             assert abs((np.abs(bp) ** 2).sum() - 1.0) <= 1e-12
 
     def test_pair_order_permutation(self):
         # swapping the two pairs of the input swaps the label axes
         qubits = dicke_to_qubit(tetra2())
-        swapped = QubitState(4, qubits.amps.reshape([2] * 4).transpose(2, 3, 0, 1))
+        swapped = qubits.reshape([2] * 4).transpose(2, 3, 0, 1).reshape(-1)
         np.testing.assert_allclose(
             bell_decompose(swapped), bell_decompose(qubits).T, atol=1e-12
         )
@@ -122,14 +118,16 @@ class TestBellDecompose:
     def test_matching_independence_for_symmetric_states(self):
         # any perfect matching of a permutation-symmetric state gives the same tensor
         qubits = dicke_to_qubit(tetra2())
-        rematched = QubitState(4, qubits.amps.reshape([2] * 4).transpose(0, 2, 1, 3))
+        rematched = qubits.reshape([2] * 4).transpose(0, 2, 1, 3).reshape(-1)
         np.testing.assert_allclose(
             bell_decompose(rematched), bell_decompose(qubits), atol=1e-12
         )
 
     def test_rejects_odd_register(self):
-        with pytest.raises(ValueError):
-            bell_decompose(QubitState.basis(3))
+        # 8 amplitudes are three qubits, with no Bell pairs; 6 are no register at all
+        for size in (8, 6, 2, 1, 0):
+            with pytest.raises(ValueError, match="^Bell decomposition needs an even number of qubits"):
+                bell_decompose(np.ones(size, dtype=complex))
 
 
 class TestSingletExclusion:
@@ -143,8 +141,7 @@ class TestSingletExclusion:
             assert singlet_weight(bp) <= 1e-10
 
     def test_singlet_product_has_full_weight(self):
-        phi2 = bell_states()[2]
-        product = QubitState(4, np.kron(phi2.amps, phi2.amps))
+        product = np.kron(BELL_STATES[2], BELL_STATES[2])
         assert singlet_weight(bell_decompose(product)) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from oracles import N6_PREP_JSON, TETRA_PREP_JSON, normalized_qubits
+from oracles import N6_PREP_JSON, TETRA_PREP_JSON
 
-from rotosense.bell_analysis import bell_states
+from rotosense import circuit_sim
+from rotosense.bell_analysis import BELL_STATES
 from rotosense.circuit_sim import (
     Circuit,
     Gate,
-    _apply_gates,
     analyzer_distinguishability_report,
     balanced_n6_prep_circuit,
     bell_analyzer_circuit,
@@ -18,7 +18,8 @@ from rotosense.circuit_sim import (
     run_circuit,
     tetra_prep_circuit,
 )
-from rotosense.spin_core import QubitState, dicke_to_qubit
+from rotosense.cli import main
+from rotosense.spin_core import dicke_to_qubit
 from rotosense.states import balance, tetra2
 
 # fixed by simulation: outcome supports of the analyzer for each
@@ -32,44 +33,80 @@ GOLDEN_SUPPORTS = {
 GOLDEN_RAW_PHI0 = {"0000", "0011", "1100", "1111"}
 
 
+def basis(n_qubits, index=0):
+    """The computational basis state |index> of an n-qubit register."""
+    amps = np.zeros(2**n_qubits, dtype=complex)
+    amps[index] = 1.0
+    return amps
+
+
 def phi0_ud():
     """phi0 on the polarization qubits 0-1 tensored with |ud> on the path qubits."""
-    path = np.zeros(4, dtype=complex)
-    path[1] = 1.0
-    return QubitState(4, np.kron(bell_states()[0].amps, path))
+    return np.kron(BELL_STATES[0], basis(2, 0b01))
 
 
 class TestRunCircuit:
     def test_hadamard(self):
         circuit = Circuit(1, (Gate("H", (0,)),))
-        out = run_circuit(circuit, QubitState.basis(1))
-        np.testing.assert_allclose(out.amps, [1 / math.sqrt(2)] * 2, atol=1e-15)
+        out = run_circuit(circuit)
+        np.testing.assert_allclose(out, [1 / math.sqrt(2)] * 2, atol=1e-15)
 
     def test_bell_preparation(self):
         circuit = Circuit(2, (Gate("H", (0,)), Gate("X", (1,), (0,))))
-        out = run_circuit(circuit, QubitState.basis(2))
-        np.testing.assert_allclose(
-            out.amps, [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)], atol=1e-15
-        )
+        out = run_circuit(circuit, basis(2))
+        np.testing.assert_allclose(out, [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)], atol=1e-15)
+        np.testing.assert_array_equal(run_circuit(circuit), out)  # |00> is the default input
 
     def test_double_x_is_identity(self):
         rng = np.random.default_rng(1)
-        state = normalized_qubits(3, rng.normal(size=8) + 1j * rng.normal(size=8))
+        state = rng.normal(size=8) + 1j * rng.normal(size=8)
+        state /= np.linalg.norm(state)
         circuit = Circuit(3, (Gate("X", (1,)), Gate("X", (1,))))
         out = run_circuit(circuit, state)
-        assert np.linalg.norm(out.amps - state.amps) <= 1e-12
+        assert np.linalg.norm(out - state) <= 1e-12
 
     def test_open_control(self):
         # fires only when the control is |0>
         circuit = Circuit(2, (Gate("X", (1,), (), (0,)),))
-        out = run_circuit(circuit, QubitState.basis(2, 0b00))
-        assert abs(out.amps[0b01]) == pytest.approx(1.0)
-        out = run_circuit(circuit, QubitState.basis(2, 0b10))
-        assert abs(out.amps[0b10]) == pytest.approx(1.0)
+        out = run_circuit(circuit, basis(2, 0b00))
+        assert abs(out[0b01]) == pytest.approx(1.0)
+        out = run_circuit(circuit, basis(2, 0b10))
+        assert abs(out[0b10]) == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            run_circuit(Circuit(2, ()), QubitState.basis(3))
+        for shape in ((8,), (2,), (2, 2)):
+            with pytest.raises(ValueError, match="circuit expects"):
+                run_circuit(Circuit(2, ()), np.ones(shape, dtype=complex) / 2)
+
+    def test_output_is_not_renormalised(self):
+        # an input of norm 2 gives an output of norm 2, for every circuit
+        rng = np.random.default_rng(2)
+        for circuit in (tetra_prep_circuit(), balanced_n6_prep_circuit(), bell_analyzer_circuit()):
+            amps = rng.normal(size=2**circuit.n_qubits) + 1j * rng.normal(size=2**circuit.n_qubits)
+            amps *= 2.0 / np.linalg.norm(amps)
+            assert np.linalg.norm(run_circuit(circuit, amps)) == pytest.approx(2.0, abs=1e-12)
+
+    def test_fidelity_normalises_both(self):
+        amps = dicke_to_qubit(tetra2())
+        assert fidelity(2.0 * amps, 3j * amps) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(ValueError, match="equal dimension"):
+            fidelity(amps, amps[:8])
+
+    def test_default_circuit_verify_applies_88_gates(self, monkeypatch, capsys):
+        # the kernel behind run_circuit sees every gate of the two preparation
+        # circuits (11 + 25) and of the flipped analyzer on four inputs (4 x 13)
+        seen = []
+        kernel = circuit_sim._apply_gates
+
+        def counted(amps, gates, n):
+            seen.append(len(gates))
+            return kernel(amps, gates, n)
+
+        monkeypatch.setattr(circuit_sim, "_apply_gates", counted)
+        assert main(["circuit-verify"]) == 0
+        capsys.readouterr()
+        assert seen == [11, 25, 13, 13, 13, 13]
+        assert sum(seen) == 88
 
 
 class TestGateValidation:
@@ -108,8 +145,8 @@ class TestGateIdentities:
         rng = np.random.default_rng(4)
         state = rng.normal(size=4) + 1j * rng.normal(size=4)
         state /= np.linalg.norm(state)
-        gates = (Gate("X", (1,), (0,)), Gate("X", (1,), (0,)))
-        assert np.linalg.norm(_apply_gates(state, gates, 2) - state) <= 1e-12
+        circuit = Circuit(2, (Gate("X", (1,), (0,)), Gate("X", (1,), (0,))))
+        assert np.linalg.norm(run_circuit(circuit, state) - state) <= 1e-12
 
     @pytest.mark.parametrize("name", ["H", "X", "Z", "S", "U1", "U2", "U"])
     def test_all_named_gates_unitary(self, name):
@@ -153,13 +190,13 @@ class TestPreparationCircuits:
                 size=2**circuit.n_qubits
             )
             amps /= np.linalg.norm(amps)
-            out = _apply_gates(amps, circuit.gates, circuit.n_qubits)
+            out = run_circuit(circuit, amps)
             assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
     def test_targets_match_probe_states(self):
-        out4 = run_circuit(tetra_prep_circuit(), QubitState.basis(4))
+        out4 = run_circuit(tetra_prep_circuit())
         assert fidelity(out4, dicke_to_qubit(tetra2())) == pytest.approx(1.0, abs=1e-12)
-        out6 = run_circuit(balanced_n6_prep_circuit(), QubitState.basis(6))
+        out6 = run_circuit(balanced_n6_prep_circuit())
         assert fidelity(out6, dicke_to_qubit(balance())) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -182,12 +219,12 @@ class TestBellAnalyzer:
 
     def test_raw_phi0_support(self):
         # phi0 x |ud> straight into the analyzer, without the bit flip
-        probs = np.abs(run_circuit(bell_analyzer_circuit(), phi0_ud()).amps) ** 2
+        probs = np.abs(run_circuit(bell_analyzer_circuit(), phi0_ud())) ** 2
         support = {format(i, "04b") for i in range(16) if probs[i] > 1e-10}
         assert support == GOLDEN_RAW_PHI0
 
     def test_probabilities_sum_to_one(self):
-        probs = np.abs(run_circuit(bell_analyzer_circuit(), phi0_ud()).amps) ** 2
+        probs = np.abs(run_circuit(bell_analyzer_circuit(), phi0_ud())) ** 2
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -197,13 +234,13 @@ class TestCircuitSerialization:
         back = Circuit.from_json_dict(TETRA_PREP_JSON)
         assert back.n_qubits == circuit.n_qubits
         assert len(back.gates) == len(circuit.gates)
-        out_a = run_circuit(circuit, QubitState.basis(4))
-        out_b = run_circuit(back, QubitState.basis(4))
-        assert np.linalg.norm(out_a.amps - out_b.amps) <= 1e-12
+        out_a = run_circuit(circuit)
+        out_b = run_circuit(back)
+        assert np.linalg.norm(out_a - out_b) <= 1e-12
 
     def test_open_controls_round_trip(self):
         circuit = balanced_n6_prep_circuit()
         back = Circuit.from_json_dict(N6_PREP_JSON)
-        out_a = run_circuit(circuit, QubitState.basis(6))
-        out_b = run_circuit(back, QubitState.basis(6))
-        assert np.linalg.norm(out_a.amps - out_b.amps) <= 1e-12
+        out_a = run_circuit(circuit)
+        out_b = run_circuit(back)
+        assert np.linalg.norm(out_a - out_b) <= 1e-12

@@ -65,6 +65,19 @@ def test_rejects_spin_above_ceiling(command, spin600_state, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["probabilities", "estimate"])
+def test_refuses_spin_below_three_halves(command, tmp_path, capsys):
+    # a J = 0 probe passes the anti-coherence check (every deviation is 0), but
+    # the four optimal-basis states need 2J+1 >= 4 dimensions
+    path = tmp_path / "j0.json"
+    path.write_text(json.dumps({"J": 0, "amps": [[1, 0]]}))
+    code, out, err = run_cli([command, "--state", f"file:{path}"], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: optimal_basis needs J >= 3/2: its four states need 2J+1 >= 4 dimensions, got J=0\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -351,6 +364,24 @@ class TestFileErrors:
         assert_single_error(code, err)
         assert err.startswith(f"error: malformed {what} file {path}: ")
         assert out == ""
+
+    RAGGED_GATE = {"kind": "custom", "targets": [0], "matrix": [[[1, 0]], [[0, 0], [1, 0]]]}
+
+    @pytest.mark.parametrize(
+        "what, data, message",
+        [
+            ("circuit", {"n_qubits": 20, "gates": []}, "n_qubits must be in 1..12"),
+            ("state", {"J": 600, "amps": [[1, 0]] * 1201}, "J must be at most 512, got 600"),
+            ("circuit", {"n_qubits": 1, "gates": [RAGGED_GATE]}, "custom gate matrix must be 2x2"),
+        ],
+        ids=["circuit-20-qubits", "state-spin-600", "circuit-ragged-custom-gate"],
+    )
+    def test_bad_value(self, what, data, message, tmp_path, capsys):
+        # JSON of the right shape, with a value the reader refuses
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(self.ARGV[what](str(path)), capsys)
+        assert (code, out, err) == (2, "", f"error: malformed {what} file {path}: {message}\n")
 
 
 class TestNegativeSeed:

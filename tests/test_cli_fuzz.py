@@ -154,6 +154,7 @@ def strict_json(text):
 @example((["decompose", "--state", "file:{state}"], "{}", '{"J": 0.5, "amps": [[NaN, 0]]}', ""))
 @example((["fisher", "--state", "file:{state}"], "{}", '{"J": 0.5, "amps": [[1e308, 1e308]]}', ""))
 @example((["fisher", "--theta1", "1e308"], "{}", "", ""))
+@example((["probabilities", "--state", "file:{state}"], "{}", '{"J": 0, "amps": [[1, 0]]}', ""))
 @example((["circuit-verify", "--circuit", "{circuit}"], "{}", "", _custom_gate_file([math.nan, 0])))
 @example((["circuit-verify", "--circuit", "{circuit}"], "{}", "", _custom_gate_file([1e308, 0])))
 @example((["circuit-verify", "--circuit", "{circuit}"], "{}", "", _custom_gate_file([10**400, 0])))

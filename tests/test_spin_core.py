@@ -173,20 +173,25 @@ class TestStateTypes:
 class TestPictureConversions:
     def test_top_state(self):
         qs = dicke_to_qubit(SpinState.from_m_amplitudes(2, {2: 1.0}))
-        assert qs.amps[0] == 1.0
-        assert np.count_nonzero(qs.amps) == 1
+        assert qs[0] == 1.0
+        assert np.count_nonzero(qs) == 1
 
     def test_single_excitation(self):
         qs = dicke_to_qubit(SpinState.from_m_amplitudes(2, {1: 1.0}))
-        hot = [i for i in range(16) if abs(qs.amps[i]) > 1e-12]
+        hot = [i for i in range(16) if abs(qs[i]) > 1e-12]
         assert hot == [1, 2, 4, 8]
-        np.testing.assert_allclose(qs.amps[hot], 0.5)
+        np.testing.assert_allclose(qs[hot], 0.5)
 
     def test_double_excitation(self):
         qs = dicke_to_qubit(SpinState.from_m_amplitudes(2, {0: 1.0}))
-        hot = [i for i in range(16) if abs(qs.amps[i]) > 1e-12]
+        hot = [i for i in range(16) if abs(qs[i]) > 1e-12]
         assert hot == [3, 5, 6, 9, 10, 12]
-        np.testing.assert_allclose(qs.amps[hot], 1 / math.sqrt(6))
+        np.testing.assert_allclose(qs[hot], 1 / math.sqrt(6))
+
+    def test_read_only_unit_amplitudes(self):
+        qs = dicke_to_qubit(SpinState.from_m_amplitudes(2, {2: 1.0, 0: 1j, -1: 1.0}))
+        assert qs.shape == (16,) and not qs.flags.writeable
+        assert np.linalg.norm(qs) == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_register_above_ceiling(self):
         # two photons past the ceiling: refused before 2^N amplitudes are allocated
@@ -207,5 +212,5 @@ class TestPictureConversions:
         local = np.eye(1)
         for _ in range(n):
             local = np.kron(local, single)
-        expected = local @ dicke_to_qubit(state).amps
-        assert np.linalg.norm(collective.amps - expected) <= 1e-10
+        expected = local @ dicke_to_qubit(state)
+        assert np.linalg.norm(collective - expected) <= 1e-10
