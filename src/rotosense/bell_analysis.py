@@ -24,7 +24,7 @@ from itertools import accumulate
 import numpy as np
 
 from .measurement import Measurement, optimal_basis
-from .spin_core import SpinState, dicke_to_qubit
+from .spin_core import MAX_QUBITS, SpinState
 from .states import balance, tetra2
 
 SYMMETRIC_LABELS = (0, 1, 3)
@@ -47,52 +47,55 @@ BELL_STATES = (
 BELL_STATES.setflags(write=False)
 
 
-def bell_decompose(amps: np.ndarray) -> np.ndarray:
-    """Amplitudes <phi_{l1} ... phi_{lk}|psi> as a (4,) * k array indexed by label tuples.
+# _PAIR[l, v] = <phi_l| summed over the pair strings with v V photons: |00>,
+# |01> + |10>, |11>.  The singlet is antisymmetric, so row 2 is exactly 0.
+_PAIR = BELL_STATES.conj() @ np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]])
 
-    amps are the 4^k amplitudes of a 2k-qubit register, qubit 0 the most
-    significant bit.  Photons are paired (0,1), (2,3), ...; a
-    permutation-symmetric state gives the same array under every pairing.
+
+@lru_cache(maxsize=None)
+def _bell_image(n_photons: int) -> tuple[np.ndarray, np.ndarray]:
+    """<phi_t|J,J-k> at [t + (k,)], J = n_photons / 2, and its slice on symmetric labels.
+
+    |J,J-k> sums the strings with k V photons over sqrt(C(N,k)); that sum
+    factors over the pairs, so each pair adds a label axis and convolves the
+    V count with _PAIR.  The photon number is checked before any allocation.
     """
-    amps = np.asarray(amps)
-    n_pairs = (amps.size.bit_length() - 1) // 2
-    if amps.shape != (4**n_pairs,) or n_pairs < 1:
-        raise ValueError("Bell decomposition needs an even number of qubits")
-    tensor = amps.reshape([4] * n_pairs)
-    for _ in range(n_pairs):
-        # contract leading pair axis with <phi_l|; cycles axes so order is restored
-        tensor = np.tensordot(tensor, BELL_STATES.conj(), axes=([0], [1]))
-    return tensor
+    if n_photons % 2 or not 2 <= n_photons <= MAX_QUBITS:
+        raise ValueError(
+            f"Bell products need an even photon number 2J from 2 to {MAX_QUBITS}, got {n_photons}"
+        )
+    image = np.ones(1, dtype=complex)
+    for count in range(1, n_photons, 2):  # V counts 0..count-1 so far
+        step = np.zeros((count, 4, count + 2), dtype=complex)
+        for c in range(count):
+            step[c, :, c : c + 3] = _PAIR  # V count c -> (l, c + v)
+        image = (image @ step.reshape(count, -1)).reshape(image.shape[:-1] + (4, count + 2))
+    image /= np.sqrt([math.comb(n_photons, k) for k in range(n_photons + 1)])
+    symmetric = image[np.ix_(*[SYMMETRIC_LABELS] * (n_photons // 2))]
+    image.setflags(write=False)
+    symmetric.setflags(write=False)
+    return image, symmetric
+
+
+def bell_decompose(state: SpinState) -> np.ndarray:
+    """Amplitudes <phi_{l1} ... phi_{lk}|state> as a (4,) * k array indexed by label tuples.
+
+    The 2k photons are paired (0,1), (2,3), ..., and every tuple that holds
+    a singlet is exactly 0; no 2^N qubit register is built.
+    """
+    return _bell_image(round(2 * state.J))[0] @ state.amps
 
 
 def singlet_weight(amps: np.ndarray) -> float:
     """Total probability on label tuples containing the singlet."""
-    symmetric_part = amps[np.ix_(*[SYMMETRIC_LABELS] * amps.ndim)]
-    return float(np.sum(np.abs(amps) ** 2) - np.sum(np.abs(symmetric_part) ** 2))
+    labels = np.indices(amps.shape)
+    return float(np.sum(np.abs(amps[(labels == 2).any(axis=0)]) ** 2))
 
 
 # |<phi_t|psi_mu>|^2 above this puts the Bell product t in the support of
 # psi_mu; the probes checked (tetra1, tetra2, balance and a J = 4 one) hold
-# >= 0.033 on their supports and <= 6e-34 off them.
+# >= 0.033 on their supports and <= 2.3e-33 off them.
 _SUPPORT_TOL = 1e-12
-
-
-@lru_cache(maxsize=None)
-def _bell_image(n_photons: int) -> np.ndarray:
-    """Bell-product amplitudes of every |J,m>, J = n_photons / 2, built on first use.
-
-    bell_decompose . dicke_to_qubit is linear; entry [i + (k,)] is the k-th
-    Dicke state's amplitude on the label tuple SYMMETRIC_LABELS[i].  Tuples
-    with a singlet are dropped: theirs is rounding noise (<= 3.5e-17, 4..12 photons).
-    """
-    j = n_photons / 2.0
-    image = np.stack(
-        [bell_decompose(dicke_to_qubit(SpinState(j, e))) for e in np.eye(n_photons + 1)],
-        axis=-1,
-    )
-    image = image[np.ix_(*[SYMMETRIC_LABELS] * (n_photons // 2))]
-    image.setflags(write=False)
-    return image
 
 
 def bell_measurement(basis: Measurement) -> Measurement:
@@ -105,11 +108,11 @@ def bell_measurement(basis: Measurement) -> Measurement:
     outside every support are the rest, and the rows form an isometry.  The
     analyzer fits the probe only where the four supports are disjoint;
     otherwise a ValueError names two outcomes that share a Bell product.  It
-    needs an even number of photons, at most spin_core.MAX_QUBITS.
+    needs an even number of photons from 2 to spin_core.MAX_QUBITS.
     """
     if tuple(basis.starts) != (0, 1, 2, 3, 4):
         raise ValueError(f"the Bell analyzer needs single-state outcomes 0..3, not {basis.starts}")
-    image = _bell_image(int(round(2 * basis.J)))
+    image = _bell_image(round(2 * basis.J))[1]
     support = np.abs(image @ basis.rows[:4].conj().T) ** 2 > _SUPPORT_TOL
     shared = np.argwhere(support.sum(axis=-1) > 1)
     if shared.size:
@@ -207,7 +210,7 @@ _TABLE_FIDELITY_TOL = 1e-9
 
 def _check_one(label: str, table: dict, direct: SpinState) -> dict:
     """{"label", "fidelity", "ok", "mismatches": [{"labels", "tabulated", "recomputed"}]}."""
-    bp = bell_decompose(dicke_to_qubit(direct))
+    bp = bell_decompose(direct)
     tabulated_amps = np.zeros(bp.shape, dtype=complex)
     for labels, coeff in table.items():
         tabulated_amps[labels] = coeff
@@ -224,12 +227,8 @@ def _check_one(label: str, table: dict, direct: SpinState) -> dict:
         # on its largest tabulated entry
         anchor = max(table, key=lambda t: abs(table[t]))
         recomputed_anchor = complex(bp[anchor])
-        phase = (
-            table[anchor] / recomputed_anchor
-            if abs(recomputed_anchor) > 1e-12
-            else 1.0
-        )
-        phase /= abs(phase) if abs(phase) > 0 else 1.0
+        phase = table[anchor] / recomputed_anchor if abs(recomputed_anchor) > 1e-12 else 1.0
+        phase /= abs(phase)
         seen = set(table) | {idx for idx in np.ndindex(bp.shape) if abs(bp[idx]) > 1e-10}
         for labels in sorted(seen):
             tabulated = table.get(labels, 0.0)

@@ -278,6 +278,11 @@ def cmd_circuit_verify(args) -> int:
         }
         if "state" in args.flags:  # only a --state flag asks for the fidelity
             target = _load_state(args.state)
+            if round(2 * target.J) != circuit.n_qubits:
+                raise ValueError(
+                    f"circuit {args.circuit} has {circuit.n_qubits} qubits, but state "
+                    f"{args.state} has {round(2 * target.J)} photons (2J)"
+                )
             out = circuit_sim.run_circuit(circuit)
             payload["fidelity_vs_state"] = circuit_sim.fidelity(out, dicke_to_qubit(target))
         _emit(args, payload)
@@ -315,7 +320,7 @@ def cmd_decompose(args) -> int:
     state = _load_state(args.state)
     params = _params(args)
     rotated = SpinState(state.J, rotated_amplitudes(state, [params.theta1], params.axis)[:, 0])
-    bp = bell_analysis.bell_decompose(dicke_to_qubit(rotated))
+    bp = bell_analysis.bell_decompose(rotated)
     _warn_theta1(args.theta1)
     decomposition = {
         "pairing": [[2 * k, 2 * k + 1] for k in range(bp.ndim)],

@@ -37,7 +37,8 @@ def anticoherence_report(state: SpinState, tol: float = 1e-12) -> dict:
     """Check <J_i> = 0 and Cov(J)_ij = delta_ij J(J+1)/3 within tol.
 
     Returns the JSON-ready report {"pass", "deviations": {"max_mean_abs",
-    "max_diagonal_dev", "max_offdiagonal_abs"}, "tol"}.
+    "max_diagonal_dev", "max_offdiagonal_abs"}, "tol"}.  J < 3/2 fails, as
+    in optimal_basis: J = 0 meets both conditions with an all-zero QFI.
     """
     mean, cov = j_expectations(state)
     target = state.J * (state.J + 1) / 3.0
@@ -46,7 +47,7 @@ def anticoherence_report(state: SpinState, tol: float = 1e-12) -> dict:
         "max_diagonal_dev": float(np.max(np.abs(np.diag(cov) - target))),
         "max_offdiagonal_abs": float(np.max(np.abs(cov - np.diag(np.diag(cov))))),
     }
-    passed = all(dev <= tol for dev in deviations.values())
+    passed = state.J >= 1.5 and all(dev <= tol for dev in deviations.values())
     return {"pass": passed, "deviations": deviations, "tol": tol}
 
 

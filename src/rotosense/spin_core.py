@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-MAX_QUBITS = 12  # largest register expanded into the 2^N-amplitude qubit picture
+MAX_QUBITS = 12  # most photons in a 2^N qubit register or a 4^(N/2) x (N+1) Bell image
 MAX_SPIN = 512  # largest J: each dense (2J+1)^2 spin operator stays under 17 MB
 
 _NORM_SLACK = 1e-6  # constructor rejects inputs farther than this from unit norm
@@ -197,15 +197,6 @@ def rotated_amplitudes(state: SpinState, theta1s, u) -> np.ndarray:
     return evecs @ (np.exp(-1j * phase) * coeffs[:, None])
 
 
-@lru_cache(maxsize=None)
-def _popcounts(n: int) -> np.ndarray:
-    counts = np.zeros(2**n, dtype=np.int64)
-    for q in range(n):
-        counts += (np.arange(2**n) >> q) & 1
-    counts.setflags(write=False)
-    return counts
-
-
 def dicke_to_qubit(state: SpinState) -> np.ndarray:
     """Expand |J,m> into the symmetric N-qubit picture, N = 2J <= MAX_QUBITS.
 
@@ -216,8 +207,6 @@ def dicke_to_qubit(state: SpinState) -> np.ndarray:
     n = _check_spin(state.J)
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"the qubit picture needs 1..{MAX_QUBITS} photons (2J), got {n}")
-    ones = _popcounts(n)
-    amps = np.zeros(2**n, dtype=complex)
-    for k in range(n + 1):
-        amps[ones == k] = state.amps[k] / math.sqrt(math.comb(n, k))
-    return _unit_amplitudes(amps)
+    ones = np.array([bin(i).count("1") for i in range(2**n)])
+    scale = np.sqrt([math.comb(n, k) for k in range(n + 1)])
+    return _unit_amplitudes((state.amps / scale)[ones])

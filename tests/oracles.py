@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rotosense.bell_analysis import bell_decompose
+from rotosense.bell_analysis import BELL_STATES
 from rotosense.metrology import j_expectations
 from rotosense.spin_core import (
     RotationParams,
@@ -38,12 +38,30 @@ def params_from_axis(theta1: float, u) -> RotationParams:
     return RotationParams(theta1, theta2, math.atan2(u[1], u[0]))
 
 
+def register_contraction(amps: np.ndarray) -> np.ndarray:
+    """Amplitudes <phi_{l1} ... phi_{lk}|psi> of a 2k-qubit register as a (4,) * k array.
+
+    amps are the 4^k amplitudes, qubit 0 the most significant bit; photons
+    are paired (0,1), (2,3), ...  The register-picture reference for
+    bell_analysis.bell_decompose, which never builds the register.
+    """
+    amps = np.asarray(amps)
+    n_pairs = (amps.size.bit_length() - 1) // 2
+    if amps.shape != (4**n_pairs,) or n_pairs < 1:
+        raise ValueError("Bell decomposition needs an even number of qubits")
+    tensor = amps.reshape([4] * n_pairs)
+    for _ in range(n_pairs):
+        # contract leading pair axis with <phi_l|; cycles axes so order is restored
+        tensor = np.tensordot(tensor, BELL_STATES.conj(), axes=([0], [1]))
+    return tensor
+
+
 def bell_supports(basis) -> list:
     """The label tuples t with |<phi_t|psi_mu>|^2 > 1e-12, one set per optimal-basis state."""
     states = (SpinState(basis.J, row.conj()) for row in basis.rows[:4])
     return [
         {tuple(int(x) for x in t) for t in np.argwhere(np.abs(bp) ** 2 > 1e-12)}
-        for bp in (bell_decompose(dicke_to_qubit(psi)) for psi in states)
+        for bp in (register_contraction(dicke_to_qubit(psi)) for psi in states)
     ]
 
 
@@ -51,7 +69,7 @@ def bell_outcome_probabilities(bp: np.ndarray, basis) -> np.ndarray:
     """[P0, P1, P2, P3] of the Bell analyzer in the qubit picture.
 
     bp is the Bell tensor of the rotated probe; outcome mu sums |bp|^2 over
-    the support of bell_decompose(dicke_to_qubit(psi_mu)).
+    the support of register_contraction(dicke_to_qubit(psi_mu)).
     """
     probs = np.abs(bp) ** 2
     return np.array([sum(probs[t] for t in support) for support in bell_supports(basis)])

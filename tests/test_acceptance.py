@@ -8,7 +8,13 @@ import math
 import time
 
 import numpy as np
-from oracles import bell_outcome_probabilities, fisher_single, params_from_axis, rotation_unitary
+from oracles import (
+    bell_outcome_probabilities,
+    fisher_single,
+    params_from_axis,
+    register_contraction,
+    rotation_unitary,
+)
 
 from rotosense.bell_analysis import (
     bell_decompose,
@@ -133,7 +139,7 @@ def test_criterion_05_classical_fisher_saturation():
 
 def test_criterion_06_bell_decomposition_exactness():
     with criterion(6, "Bell decomposition vs tabulated coefficients", 5.0):
-        bp = bell_decompose(dicke_to_qubit(tetra2()))
+        bp = bell_decompose(tetra2())
         sq3 = math.sqrt(3.0)
         assert abs(bp[0, 0] - (1 + 1j / sq3) / 2) <= 1e-10
         assert abs(bp[3, 3] + (1 - 1j / sq3) / 2) <= 1e-10
@@ -159,7 +165,8 @@ def test_criterion_07_singlet_exclusion():
         for state in (tetra2(), balance()):
             for _ in range(100):
                 params = RotationParams(*rng.uniform(-math.pi, math.pi, size=3))
-                bp = bell_decompose(dicke_to_qubit(rotated(state, params)))
+                # on the 2^N register, where a singlet could show up
+                bp = register_contraction(dicke_to_qubit(rotated(state, params)))
                 assert singlet_weight(bp) <= 1e-10
 
 
@@ -173,9 +180,7 @@ def test_criterion_08_aggregation_equivalence():
                 for u in axes:
                     params = params_from_axis(float(theta), u)
                     exact = exact_probabilities(state, basis, params)[:4]
-                    agg = bell_outcome_probabilities(
-                        bell_decompose(dicke_to_qubit(rotated(state, params))), basis
-                    )
+                    agg = bell_outcome_probabilities(bell_decompose(rotated(state, params)), basis)
                     assert np.max(np.abs(agg - exact)) <= bound_constant * theta**3
 
 
@@ -230,9 +235,7 @@ def test_criterion_10_multinomial_algebra():
         # reference-group chain: Var(counts on the P0 tuples) ~ 2 n theta^2
         theta, n = 0.05, 10**6
         params = params_from_axis(theta, AXIS)
-        probs = (
-            np.abs(bell_decompose(dicke_to_qubit(rotated(tetra2(), params)))) ** 2
-        ).reshape(-1)
+        probs = (np.abs(bell_decompose(rotated(tetra2(), params))) ** 2).reshape(-1)
         indices = [0, 5, 15]  # the P0 group of tetra2: label tuples (0,0), (1,1), (3,3)
         analytic = multinomial_stats(probs, n).subset_sum_variance(indices)
         assert abs(analytic - 2 * n * theta**2) <= 0.15 * 2 * n * theta**2

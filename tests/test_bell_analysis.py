@@ -10,6 +10,7 @@ from oracles import (
     bell_outcome_probabilities,
     bell_supports,
     params_from_axis,
+    register_contraction,
     rotation_unitary,
     three_peak_state,
 )
@@ -25,7 +26,7 @@ from rotosense.bell_analysis import (
 from rotosense.measurement import (
     Measurement, exact_probabilities, optimal_basis, sweep_probabilities
 )
-from rotosense.spin_core import RotationParams, SpinState, dicke_to_qubit
+from rotosense.spin_core import RotationParams, SpinState, dicke_to_qubit, rotated_amplitudes
 from rotosense.states import balance, tetra1, tetra2
 
 SQ3 = math.sqrt(3.0)
@@ -73,7 +74,7 @@ class TestBellStates:
 
 class TestBellDecompose:
     def test_tetra2_coefficients(self):
-        bp = bell_decompose(dicke_to_qubit(tetra2()))
+        bp = bell_decompose(tetra2())
         assert bp[0, 0] == pytest.approx((1 + 1j / SQ3) / 2, abs=1e-12)
         assert bp[3, 3] == pytest.approx(-(1 - 1j / SQ3) / 2, abs=1e-12)
         assert bp[1, 1] == pytest.approx(-2j / SQ3 / 2, abs=1e-12)
@@ -83,13 +84,13 @@ class TestBellDecompose:
         assert others <= 1e-12
 
     def test_product_basis_vector(self):
-        bp = bell_decompose(np.kron(BELL_STATES[0], BELL_STATES[1]))
+        bp = register_contraction(np.kron(BELL_STATES[0], BELL_STATES[1]))
         assert bp[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert abs((np.abs(bp) ** 2).sum() - 1.0) <= 1e-12
 
     def test_psi1_up_to_global_phase(self):
         basis = optimal_basis(tetra2())
-        bp = bell_decompose(dicke_to_qubit(SpinState(basis.J, basis.rows[1].conj())))
+        bp = bell_decompose(SpinState(basis.J, basis.rows[1].conj()))
         target = -1j / math.sqrt(2)
         ratio = bp[0, 1] / target
         assert abs(abs(ratio) - 1.0) <= 1e-12
@@ -104,7 +105,7 @@ class TestBellDecompose:
         rng = np.random.default_rng(seed)
         for n in (2, 4, 6):
             amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-            bp = bell_decompose(amps / np.linalg.norm(amps))
+            bp = register_contraction(amps / np.linalg.norm(amps))
             assert abs((np.abs(bp) ** 2).sum() - 1.0) <= 1e-12
 
     def test_pair_order_permutation(self):
@@ -112,7 +113,7 @@ class TestBellDecompose:
         qubits = dicke_to_qubit(tetra2())
         swapped = qubits.reshape([2] * 4).transpose(2, 3, 0, 1).reshape(-1)
         np.testing.assert_allclose(
-            bell_decompose(swapped), bell_decompose(qubits).T, atol=1e-12
+            register_contraction(swapped), register_contraction(qubits).T, atol=1e-12
         )
 
     def test_matching_independence_for_symmetric_states(self):
@@ -120,14 +121,35 @@ class TestBellDecompose:
         qubits = dicke_to_qubit(tetra2())
         rematched = qubits.reshape([2] * 4).transpose(0, 2, 1, 3).reshape(-1)
         np.testing.assert_allclose(
-            bell_decompose(rematched), bell_decompose(qubits), atol=1e-12
+            register_contraction(rematched), register_contraction(qubits), atol=1e-12
         )
 
     def test_rejects_odd_register(self):
         # 8 amplitudes are three qubits, with no Bell pairs; 6 are no register at all
         for size in (8, 6, 2, 1, 0):
             with pytest.raises(ValueError, match="^Bell decomposition needs an even number of qubits"):
-                bell_decompose(np.ones(size, dtype=complex))
+                register_contraction(np.ones(size, dtype=complex))
+
+    def test_matches_register_contraction(self):
+        # the pair-by-pair image against the 2^N register, two independent
+        # constructions; a tuple holding a singlet is exactly 0, not small
+        rng = np.random.default_rng(17)
+        for n in range(2, 13, 2):
+            for _ in range(5):
+                amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+                state = SpinState.normalized(n / 2, amps)
+                bp = bell_decompose(state)
+                assert bp.shape == (4,) * (n // 2)
+                reference = register_contraction(dicke_to_qubit(state))
+                np.testing.assert_allclose(bp, reference, rtol=0, atol=1e-15)
+                singlet = (np.indices(bp.shape) == 2).any(axis=0)
+                assert (bp[singlet] == 0).all()
+
+    @pytest.mark.parametrize("n_photons", [0, 1, 7, 14, 40])
+    def test_names_a_photon_number_without_bell_products(self, n_photons):
+        state = SpinState.from_m_amplitudes(n_photons / 2, {n_photons / 2: 1.0})
+        with pytest.raises(ValueError, match=f"from 2 to 12, got {n_photons}$"):
+            bell_decompose(state)
 
 
 class TestSingletExclusion:
@@ -137,18 +159,27 @@ class TestSingletExclusion:
         rng = np.random.default_rng(13)
         for _ in range(30):
             params = RotationParams(*rng.uniform(-math.pi, math.pi, size=3))
-            bp = bell_decompose(rotated_qubit_state(state, params))
+            bp = register_contraction(rotated_qubit_state(state, params))
             assert singlet_weight(bp) <= 1e-10
 
     def test_singlet_product_has_full_weight(self):
         product = np.kron(BELL_STATES[2], BELL_STATES[2])
-        assert singlet_weight(bell_decompose(product)) == pytest.approx(1.0, abs=1e-12)
+        assert singlet_weight(register_contraction(product)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_weight_is_not_negative(self):
+        # decompose's default rotation of balance on the register path, whose
+        # singlet entries are rounding noise: the weight sums them, never
+        # subtracts two sums
+        state = balance()
+        amps = rotated_amplitudes(state, [0.02], RotationParams(0.02, 1.0, 0.5).axis)[:, 0]
+        bp = register_contraction(dicke_to_qubit(SpinState(state.J, amps)))
+        assert 0.0 <= singlet_weight(bp) <= 1e-15
 
 
 class TestAggregation:
     def test_unrotated(self):
         basis = optimal_basis(tetra2())
-        bp = bell_decompose(dicke_to_qubit(tetra2()))
+        bp = register_contraction(dicke_to_qubit(tetra2()))
         np.testing.assert_allclose(bell_outcome_probabilities(bp, basis), [1, 0, 0, 0], atol=1e-12)
         p = exact_probabilities(tetra2(), bell_measurement(basis), RotationParams(0.0, 1.0, 0.5))
         np.testing.assert_allclose(p, [1, 0, 0, 0, 0], atol=1e-12)
@@ -179,9 +210,10 @@ class TestAggregation:
     def test_derived_groups_are_the_paper_tables(self, factory, groups):
         basis = optimal_basis(factory())
         assert bell_supports(basis) == groups
-        # the analyzer's rows are the Dicke-space images of those tuples, in label order
+        # the analyzer's rows are the Dicke-space images of those tuples, in
+        # label order, to rounding: the register path is built independently
         images = [
-            bell_decompose(dicke_to_qubit(SpinState(basis.J, e)))
+            register_contraction(dicke_to_qubit(SpinState(basis.J, e)))
             for e in np.eye(len(basis.rows[0]))
         ]
         # followed by the symmetric-label tuples outside every group, the rest
@@ -190,7 +222,7 @@ class TestAggregation:
             [image[t] for image in images] for group in [*groups, rest] for t in sorted(group)
         ]
         measurement = bell_measurement(basis)
-        np.testing.assert_array_equal(measurement.rows, expected)
+        np.testing.assert_allclose(measurement.rows, expected, rtol=0, atol=1e-15)
         assert measurement.starts == tuple(np.cumsum([0] + [len(g) for g in groups]))
 
     @pytest.mark.parametrize(
@@ -206,7 +238,7 @@ class TestAggregation:
             for u in axes:
                 params = params_from_axis(theta, u)
                 exact = exact_probabilities(state, basis, params)[:4]
-                bp = bell_decompose(rotated_qubit_state(state, params))
+                bp = register_contraction(rotated_qubit_state(state, params))
                 assert bp.ndim == n_photons // 2
                 agg = bell_outcome_probabilities(bp, basis)
                 assert np.max(np.abs(agg - exact)) <= 1.0 * theta**3
@@ -231,7 +263,7 @@ class TestBellMeasurement:
         basis = optimal_basis(state)
         params = RotationParams(theta1, theta2, theta3)
         blocks = exact_probabilities(state, bell_measurement(basis), params)[:4]
-        bp = bell_decompose(rotated_qubit_state(state, params))
+        bp = register_contraction(rotated_qubit_state(state, params))
         assert bp.ndim == n_photons // 2
         reference = bell_outcome_probabilities(bp, basis)
         assert np.max(np.abs(blocks - reference)) <= 1e-13
@@ -239,14 +271,14 @@ class TestBellMeasurement:
     @pytest.mark.parametrize(
         "n_photons,message",
         [
-            (5, "even number of qubits"),
-            (40, r"qubit picture needs 1\.\.12 photons \(2J\), got 40"),
+            (5, "Bell products need an even photon number 2J from 2 to 12, got 5"),
+            (40, "Bell products need an even photon number 2J from 2 to 12, got 40"),
         ],
         ids=["5", "40"],
     )
     def test_rejects_other_photon_numbers(self, n_photons, message):
-        # an odd register has no Bell pairs; past 12 photons the check comes
-        # before any 2^N amplitudes are allocated
+        # an odd photon number has no Bell pairs; past 12 photons the check
+        # comes before the 4^(N/2) x (N+1) image is allocated
         with pytest.raises(ValueError, match=message):
             bell_measurement(stand_in_basis(n_photons))
 
@@ -333,6 +365,35 @@ class TestTabulatedDecompositions:
             assert len(check["mismatches"]) > 0
         assert not report["all_ok"]
 
+    def test_six_photon_mismatch_listings(self):
+        # the paper's table errors, entry by entry: {labels: (tabulated,
+        # recomputed)} and the fidelity of each failing row
+        s6, s10 = 1 / math.sqrt(6), 1 / math.sqrt(10)
+        expected = {
+            "n6_psi2": (1 / 16, {
+                **dict.fromkeys([(0, 0, 3), (0, 3, 0), (3, 0, 0)], (s6, s6 / 2)),
+                **dict.fromkeys([(1, 1, 3), (1, 3, 1), (3, 1, 1)], (-s6, s6)),
+                (3, 3, 3): (0, -math.sqrt(6) / 4),
+            }),
+            "n6_psi4": (4 / 25, dict.fromkeys([(0, 0, 1), (0, 1, 0), (1, 0, 0)], (-1j * s10, 1j * s10))),
+            "n6_psi6": (169 / 400, {
+                **dict.fromkeys([(0, 0, 3), (0, 3, 0), (3, 0, 0)], (s10, -1.5 * s10)),
+                **dict.fromkeys([(1, 1, 3), (1, 3, 1), (3, 1, 1)], (-s10, s10)),
+                (3, 3, 3): (2 * s10, s10 / 2),
+            }),
+        }
+        checks = {c["label"]: c for c in verify_tabulated_decompositions()["checks"]}
+        assert {label for label, c in checks.items() if not c["ok"]} == set(expected)
+        for label, (fidelity, entries) in expected.items():
+            check = checks[label]
+            assert check["fidelity"] == pytest.approx(fidelity, abs=1e-12), label
+            listed = {tuple(m["labels"]): m for m in check["mismatches"]}
+            assert list(listed) == sorted(entries), label
+            for labels, (tabulated, recomputed) in entries.items():
+                for key, value in (("tabulated", tabulated), ("recomputed", recomputed)):
+                    got = complex(*listed[labels][key])
+                    assert abs(got - value) <= 1e-12, (label, labels, key)
+
     def test_report_serializes(self):
         data = verify_tabulated_decompositions()
         assert len(data["checks"]) == 12
@@ -360,7 +421,7 @@ class TestBellMisfit:
             analyzer(state())
 
     def test_names_the_photon_number(self):
-        # an anti-coherent J = 7 probe: its optimal basis exists, but the
-        # qubit picture stops at 12 photons
-        with pytest.raises(ValueError, match=r"needs 1\.\.12 photons \(2J\), got 14"):
+        # an anti-coherent J = 7 probe: its optimal basis exists, but Bell
+        # products stop at 12 photons
+        with pytest.raises(ValueError, match=r"from 2 to 12, got 14$"):
             analyzer(three_peak_state(7))

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import TETRA_PREP_JSON, rotation_unitary, seven_photon_state, three_peak_state
+from oracles import (
+    N6_PREP_JSON,
+    TETRA_PREP_JSON,
+    rotation_unitary,
+    seven_photon_state,
+    three_peak_state,
+)
 
 from rotosense import spin_core
 from rotosense.cli import _OPTIONS, _emit, _json_text, _resolve, build_parser, main
@@ -221,6 +227,15 @@ class TestFisher:
         code, out, _ = run_cli(["fisher", "--state", f"file:{state_file}"], capsys)
         assert code == 0
         assert not json.loads(out)["anticoherence"]["pass"]
+
+    def test_spin_below_three_halves_is_not_certified(self, tmp_path, capsys):
+        # J = 0 meets both anti-coherence conditions, beside an all-zero QFI
+        code, out, _ = run_cli(["fisher", "--state", state_file(tmp_path, SpinState(0, [1]))], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["qfi"] == [[0.0] * 3] * 3
+        assert set(data["anticoherence"]["deviations"].values()) == {0.0}
+        assert data["anticoherence"]["pass"] is False
 
     def test_unknown_state_file_errors(self, capsys):
         code, out, err = run_cli(["fisher", "--state", "file:/nope/missing.json"], capsys)
@@ -544,6 +559,26 @@ class TestCircuitVerify:
         assert data["fidelity_vs_state"] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize(
+        "circuit,state,n_qubits,n_photons",
+        [
+            (N6_PREP_JSON, "tetra2", 6, 4),
+            ({"n_qubits": 2, "gates": []}, SpinState(0.5, [1, 0]), 2, 1),
+        ],
+        ids=["n6-tetra2", "two-qubits-spin-half"],
+    )
+    def test_names_both_sizes(self, circuit, state, n_qubits, n_photons, tmp_path, capsys):
+        path = tmp_path / "circ.json"
+        path.write_text(json.dumps(circuit))
+        if isinstance(state, SpinState):
+            state = state_file(tmp_path, state)
+        code, out, err = run_cli(["circuit-verify", "--circuit", str(path), "--state", state], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: circuit {path} has {n_qubits} qubits, "
+            f"but state {state} has {n_photons} photons (2J)\n"
+        )
+
+    @pytest.mark.parametrize(
         "circuit",
         [
             [{"kind": "H", "targets": [0]}],
@@ -714,8 +749,8 @@ class TestEstimate:
     @pytest.mark.parametrize(
         "probe,message",
         [
-            (seven_photon_state, "Bell decomposition needs an even number of qubits"),
-            (lambda: three_peak_state(20), "the qubit picture needs 1..12 photons (2J), got 40"),
+            (seven_photon_state, "Bell products need an even photon number 2J from 2 to 12, got 7"),
+            (lambda: three_peak_state(20), "Bell products need an even photon number 2J from 2 to 12, got 40"),
         ],
         ids=["odd", "oversized"],
     )
@@ -723,8 +758,8 @@ class TestEstimate:
         self, probe, message, tmp_path, capsys
     ):
         # both probes have an optimal basis, but no Bell analyzer: seven photons
-        # make no pairs, and 40 photons are past the 12-photon qubit picture,
-        # refused before its 2^40 amplitudes are allocated
+        # make no pairs, and 40 photons are past the 12-photon Bell products,
+        # refused before any Bell-product image is allocated
         selector = state_file(tmp_path, probe())
         code, out, err = run_cli(["estimate", "--state", selector, "--trials", "5"], capsys)
         assert_single_error(code, err)
@@ -834,7 +869,11 @@ class TestDecompose:
         )
         assert code == 0
         data = json.loads(out)
+        assert 0.0 <= data["singlet_weight"] <= 1e-15
         checks = {c["label"]: c for c in data["table_verification"]["checks"]}
+        assert {label for label, c in checks.items() if not c["ok"]} == {
+            "n6_psi2", "n6_psi4", "n6_psi6"
+        }
         assert checks["n4_psi0"]["ok"]
         assert not checks["n6_psi2"]["ok"]
         assert checks["n6_psi2"]["mismatches"]

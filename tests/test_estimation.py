@@ -74,6 +74,12 @@ class TestSampling:
         with pytest.raises(ValueError, match="finite weights with a positive sum"):
             sample_outcomes(np.array(p), 1000, 3, 42)
 
+    def test_renormalises_p(self):
+        # p is divided by its sum once, so a scaled vector draws the same rows
+        # (dyadic weights, so that 3p / sum(3p) is p to the bit)
+        p = np.array([0.5, 0.25, 0.125, 0.0625, 0.0625])
+        assert np.array_equal(sample_outcomes(3 * p, 1000, 5, 42), sample_outcomes(p, 1000, 5, 42))
+
     def test_frequency_convergence(self):
         from rotosense.measurement import exact_probabilities, optimal_basis
 
@@ -208,12 +214,12 @@ class TestMultinomialStats:
     def test_aggregate_variance_small_angle(self):
         # Var of the reference-group count is about 2 n theta^2 at small theta
         from rotosense.bell_analysis import bell_decompose
-        from rotosense.spin_core import SpinState, dicke_to_qubit, rotated_amplitudes
+        from rotosense.spin_core import SpinState, rotated_amplitudes
 
         theta, n = 0.05, 10**6
         state = tetra2()
         rotated = SpinState(state.J, rotated_amplitudes(state, [theta], AXIS)[:, 0])
-        probs = (np.abs(bell_decompose(dicke_to_qubit(rotated))) ** 2).reshape(-1)
+        probs = (np.abs(bell_decompose(rotated)) ** 2).reshape(-1)
         stats = multinomial_stats(probs, n)
         indices = [0, 5, 15]  # the P0 group of tetra2: label tuples (0,0), (1,1), (3,3)
         analytic = stats.subset_sum_variance(indices)
@@ -247,6 +253,17 @@ class TestQcrbExperiment:
         params = params_from_axis(0.05, AXIS)
         report = qcrb_experiment(tetra2(), params, 10**6, 200, 99, "optimal")
         assert 0.9 <= report.sigma_ratio <= 1.1
+
+    @pytest.mark.parametrize(
+        "state,predicted",
+        [(tetra2, lambda n: 1 / (2 * np.sqrt(2 * n))), (balance, lambda n: 1 / (4 * np.sqrt(n)))],
+        ids=["tetra2", "balance"],
+    )
+    def test_sigma_predicted_is_the_qcrb(self, state, predicted):
+        # 1/sqrt(n F) with F = 4J(J+1)/3: 8 for tetra2, 16 for balance
+        n = 10**5
+        report = qcrb_experiment(state(), params_from_axis(0.05, AXIS), n, 5, 99, "optimal")
+        assert report.sigma_predicted == pytest.approx(predicted(n), rel=1e-12)
 
     def test_pipelines_agree(self):
         params = params_from_axis(0.05, AXIS)

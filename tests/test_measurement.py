@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from oracles import params_from_axis
 from rotosense.bell_analysis import bell_measurement
 from rotosense.measurement import (
     Measurement,
+    _check_rows,
     classical_fisher_matrix,
     exact_probabilities,
     multiparam_saturation_check,
@@ -54,6 +56,26 @@ def central_difference_fisher(state, measurement, params, step=1e-5):
     mask = center > 1e-12
     d = np.array(derivs)[:, mask]
     return d @ (d / center[mask]).T
+
+
+class TestCheckRows:
+    def test_refuses_other_category_counts(self):
+        with pytest.raises(ValueError, match="^expected five outcome categories$"):
+            _check_rows(np.full((2, 4), 0.25))
+
+    @pytest.mark.parametrize("bad", [-1e-9, 1.0 + 1e-9, np.nan], ids=["negative", "above-1", "nan"])
+    def test_refuses_out_of_range(self, bad):
+        p = np.array([[1.0, 0, 0, 0, 0], [0.5, 0.5, 0, 0, 0]])
+        p[1, 2] = bad
+        with pytest.raises(ValueError, match="^probabilities out of range$"):
+            _check_rows(p)
+
+    def test_names_the_worst_row_sum(self):
+        # the first row sums to 1 within rounding; the refusal names the second's sum
+        p = np.array([[0.2, 0.2, 0.2, 0.2, 0.2], [0.2, 0.2, 0.2, 0.2, 0.2 + 1e-9]])
+        worst = re.escape(str(float(p[1].sum())))
+        with pytest.raises(ValueError, match=f"^probabilities sum to {worst}, not 1$"):
+            _check_rows(p)
 
 
 class TestOptimalBasis:

@@ -136,6 +136,12 @@ class TestAnticoherence:
         assert not report["pass"]
         assert abs(report["deviations"]["max_mean_abs"] - 3.0) <= 1e-12
 
+    def test_spin_below_three_halves_fails(self):
+        # J = 0 has no deviation at all, yet no rotation signal to certify
+        report = anticoherence_report(SpinState(0, [1.0]), 1e-12)
+        assert report["pass"] is False
+        assert set(report["deviations"].values()) == {0.0}
+
     def test_rotation_invariance(self):
         rng = np.random.default_rng(23)
         state = tetra2()
