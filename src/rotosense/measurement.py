@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,6 +59,32 @@ def _check_rows(p: np.ndarray) -> np.ndarray:
     return p
 
 
+# Results per probe kept by optimal_basis and bell_analysis.bell_measurement,
+# each for the last MEMO_SIZE probes of the process.
+MEMO_SIZE = 4
+
+
+class ByValue:
+    """An object that hashes and compares as its key, for functools.lru_cache.
+
+    A memoised function takes ``ByValue(key, obj)`` and computes from
+    ``obj``, the caller's own object, so equal keys (the bytes of a probe's
+    amplitudes, say) share one result without rebuilding the object from
+    the key.  lru_cache keeps only results, never errors.
+    """
+
+    __slots__ = ("key", "obj")
+
+    def __init__(self, key, obj):
+        self.key, self.obj = key, obj
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
 # Largest deviation from second-order anti-coherence optimal_basis accepts.
 _ANTICOHERENCE_TOL = 1e-10
 
@@ -68,13 +95,21 @@ def optimal_basis(phi0: SpinState) -> Measurement:
     K_rest is an orthonormal basis of the complement of the four states.
     Requires J >= 3/2, so that the four states fit in the 2J+1 dimensions,
     and a second-order anti-coherent phi0; otherwise the J_i phi0 are not
-    orthogonal and no valid projector set exists.
+    orthogonal and no valid projector set exists.  The basis is computed
+    once per probe: probes with bit-identical amplitudes share one
+    read-only Measurement (the last MEMO_SIZE of them are kept).
     """
     if phi0.J < 1.5:
         raise ValueError(
             "optimal_basis needs J >= 3/2: its four states need 2J+1 >= 4 "
             f"dimensions, got J={phi0.J:g}"
         )
+    return _optimal_basis(ByValue((phi0.J, phi0.amps.tobytes()), phi0))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _optimal_basis(probe: ByValue) -> Measurement:
+    phi0 = probe.obj
     report = anticoherence_report(phi0, _ANTICOHERENCE_TOL)
     if not report["pass"]:
         dev = report["deviations"]

@@ -244,3 +244,53 @@ class TestCircuitSerialization:
         out_a = run_circuit(circuit)
         out_b = run_circuit(back)
         assert np.linalg.norm(out_a - out_b) <= 1e-12
+
+
+class TestCustomGates:
+    """A custom gate runs exactly as the named gate whose matrix it holds.
+
+    H and X are symmetric, so U (which is not) shows a transposed matrix too.
+    """
+
+    NAMED = Circuit(
+        3,
+        (Gate("H", (0,)), Gate("X", (2,), (0,), (1,)), Gate("H", (1,), (2,)), Gate("U", (0,))),
+    )
+
+    def custom_twin(self):
+        return Circuit(
+            3,
+            tuple(
+                Gate("custom", g.targets, g.controls, g.open_controls, gate_matrix(g.kind))
+                for g in self.NAMED.gates
+            ),
+        )
+
+    def test_same_amplitudes_as_named_twins(self):
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+            np.testing.assert_array_equal(
+                run_circuit(self.custom_twin(), amps), run_circuit(self.NAMED, amps)
+            )
+        np.testing.assert_array_equal(run_circuit(self.custom_twin()), run_circuit(self.NAMED))
+
+    def test_from_json_matrix_pairs(self):
+        # the [re, im] pairs a circuit file holds give the named matrices bit for bit
+        def pairs(name):
+            return [[[z.real, z.imag] for z in row] for row in gate_matrix(name).tolist()]
+
+        data = {
+            "n_qubits": 3,
+            "gates": [
+                {"kind": "custom", "targets": [0], "matrix": pairs("H")},
+                {"kind": "custom", "targets": [2], "controls": [0], "open_controls": [1],
+                 "matrix": pairs("X")},
+                {"kind": "custom", "targets": [1], "controls": [2], "matrix": pairs("H")},
+                {"kind": "custom", "targets": [0], "matrix": pairs("U")},
+            ],
+        }
+        circuit = Circuit.from_json_dict(data)
+        assert [g.kind for g in circuit.gates] == ["custom"] * 4
+        amps = np.exp(1j * np.arange(8.0)) / math.sqrt(8)
+        np.testing.assert_array_equal(run_circuit(circuit, amps), run_circuit(self.NAMED, amps))
