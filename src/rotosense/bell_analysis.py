@@ -23,7 +23,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .measurement import MEMO_SIZE, ByValue, Measurement, optimal_basis
+from .measurement import MEMO_SIZE, Measurement, optimal_basis
 from .spin_core import MAX_QUBITS, SpinState
 from .states import balance, tetra2
 
@@ -98,6 +98,7 @@ def singlet_weight(amps: np.ndarray) -> float:
 _SUPPORT_TOL = 1e-12
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def bell_measurement(basis: Measurement) -> Measurement:
     """The Bell-product analyzer of a probe, as row blocks over |J,m>.
 
@@ -108,21 +109,12 @@ def bell_measurement(basis: Measurement) -> Measurement:
     outside every support are the rest, and the rows form an isometry.  The
     analyzer fits the probe only where the four supports are disjoint;
     otherwise a ValueError names two outcomes that share a Bell product.  It
-    needs an even number of photons from 2 to spin_core.MAX_QUBITS.  The
-    analyzer is computed once per basis: bases with bit-identical rows share
-    one read-only Measurement (the last measurement.MEMO_SIZE are kept).
+    needs an even number of photons from 2 to spin_core.MAX_QUBITS.  Equal
+    bases share one read-only analyzer (the last measurement.MEMO_SIZE are
+    kept; refusals are not).
     """
-    if tuple(basis.starts) != (0, 1, 2, 3, 4):
+    if basis.starts != (0, 1, 2, 3, 4):
         raise ValueError(f"the Bell analyzer needs single-state outcomes 0..3, not {basis.starts}")
-    _bell_image(round(2 * basis.J))  # the photon-number check comes before the key
-    # with the starts fixed above, J and the rows are the whole measurement
-    rows = np.asarray(basis.rows, dtype=complex)
-    return _bell_measurement(ByValue((basis.J, rows.shape, rows.tobytes()), basis))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _bell_measurement(key: ByValue) -> Measurement:
-    basis = key.obj
     image = _bell_image(round(2 * basis.J))[1]
     support = np.abs(image @ basis.rows[:4].conj().T) ** 2 > _SUPPORT_TOL
     shared = np.argwhere(support.sum(axis=-1) > 1)
@@ -135,9 +127,7 @@ def _bell_measurement(key: ByValue) -> Measurement:
         )
     blocks = [image[support[..., mu]] for mu in range(4)] + [image[~support.any(axis=-1)]]
     starts = tuple(accumulate((len(block) for block in blocks[:4]), initial=0))
-    rows = np.concatenate(blocks)
-    rows.setflags(write=False)
-    return Measurement(J=basis.J, rows=rows, starts=starts)
+    return Measurement(J=basis.J, rows=np.concatenate(blocks), starts=starts)
 
 
 # ---------------------------------------------------------------------------

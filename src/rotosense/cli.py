@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import math
 import re
 import sys
 
@@ -248,7 +249,9 @@ def cmd_probabilities(args) -> int:
     if args.format == "csv":
         _emit(args, None, csv_rows=table, csv_header=header)
         return 0
-    saturation_params = RotationParams(min(args.theta1, 0.02), args.theta2, args.theta3)
+    # the small-angle regime: |theta1| clipped to 0.02, its sign kept
+    theta1 = math.copysign(min(abs(args.theta1), 0.02), args.theta1)
+    saturation_params = RotationParams(theta1, args.theta2, args.theta3)
     payload = {
         "state": args.state,
         "axis": list(u),

@@ -26,22 +26,29 @@ import numpy as np
 
 from .metrology import anticoherence_report, frame_qfi, rotated_frame
 from .spin_core import (
-    RotationParams, SpinState, check_unit_axis, rotated_amplitudes, spin_operators
+    BitwiseValue, RotationParams, SpinState, check_unit_axis, rotated_amplitudes, spin_operators
 )
 
-@dataclass(frozen=True)
-class Measurement:
+@dataclass(frozen=True, eq=False)
+class Measurement(BitwiseValue):
     """Five outcomes on the |J,m> basis, given by row blocks K_0..K_3, K_rest.
 
     Block mu is rows starts[mu] up to starts[mu+1] of ``rows`` (K_rest runs
     to the last row, and any block may be empty).  The rows form an
     isometry, R^dagger R = I, so P_mu = ||K_mu psi||^2 sums to 1 over the
     five outcomes, and sums of squared moduli keep every P_mu >= 0 exactly.
+    It holds a read-only copy of the rows and is equal by J, starts and row bits.
     """
 
     J: float
     rows: np.ndarray  # (rows of K_0, ..., rows of K_3, rows of K_rest) x (2J+1)
     starts: tuple  # first row of each of the five blocks
+
+    def __post_init__(self):
+        rows = np.array(self.rows)
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "starts", tuple(map(int, self.starts)))
 
 
 def _check_rows(p: np.ndarray) -> np.ndarray:
@@ -63,53 +70,25 @@ def _check_rows(p: np.ndarray) -> np.ndarray:
 # each for the last MEMO_SIZE probes of the process.
 MEMO_SIZE = 4
 
-
-class ByValue:
-    """An object that hashes and compares as its key, for functools.lru_cache.
-
-    A memoised function takes ``ByValue(key, obj)`` and computes from
-    ``obj``, the caller's own object, so equal keys (the bytes of a probe's
-    amplitudes, say) share one result without rebuilding the object from
-    the key.  lru_cache keeps only results, never errors.
-    """
-
-    __slots__ = ("key", "obj")
-
-    def __init__(self, key, obj):
-        self.key, self.obj = key, obj
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __eq__(self, other):
-        return self.key == other.key
-
-
 # Largest deviation from second-order anti-coherence optimal_basis accepts.
 _ANTICOHERENCE_TOL = 1e-10
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def optimal_basis(phi0: SpinState) -> Measurement:
     """Measurement basis [phi0, J_i phi0 / sqrt(J(J+1)/3)], K_mu = <psi_mu|.
 
     K_rest is an orthonormal basis of the complement of the four states.
     Requires J >= 3/2, so that the four states fit in the 2J+1 dimensions,
     and a second-order anti-coherent phi0; otherwise the J_i phi0 are not
-    orthogonal and no valid projector set exists.  The basis is computed
-    once per probe: probes with bit-identical amplitudes share one
-    read-only Measurement (the last MEMO_SIZE of them are kept).
+    orthogonal and no valid projector set exists.  Equal probes share one
+    read-only Measurement (the last MEMO_SIZE are kept; refusals are not).
     """
     if phi0.J < 1.5:
         raise ValueError(
             "optimal_basis needs J >= 3/2: its four states need 2J+1 >= 4 "
             f"dimensions, got J={phi0.J:g}"
         )
-    return _optimal_basis(ByValue((phi0.J, phi0.amps.tobytes()), phi0))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _optimal_basis(probe: ByValue) -> Measurement:
-    phi0 = probe.obj
     report = anticoherence_report(phi0, _ANTICOHERENCE_TOL)
     if not report["pass"]:
         dev = report["deviations"]
@@ -124,7 +103,6 @@ def _optimal_basis(probe: ByValue) -> Measurement:
         states.append(SpinState.normalized(phi0.J, op @ phi0.amps / scale))
     rows = np.array([s.amps.conj() for s in states])
     rows = np.vstack([rows, np.linalg.svd(rows)[2][4:]])
-    rows.setflags(write=False)
     return Measurement(J=phi0.J, rows=rows, starts=(0, 1, 2, 3, 4))
 
 

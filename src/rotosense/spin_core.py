@@ -77,9 +77,32 @@ def _unit_amplitudes(amps) -> np.ndarray:
     return amps
 
 
-@dataclass(frozen=True)
-class SpinState:
-    """Pure state of a spin-J system, amplitudes over |J,m> with m = J..-J."""
+class BitwiseValue:
+    """Equality and hashing of a frozen dataclass by the exact bits of its fields.
+
+    An array field counts as its dtype, shape and bytes, any other field as
+    itself, so bit-identical values share one ``functools.lru_cache`` entry.
+    """
+
+    def _bits(self) -> tuple:
+        return tuple([  # vars: the dataclass fields, in order
+            (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+            for v in vars(self).values()
+        ])
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._bits() == other._bits()
+
+    def __hash__(self):
+        return hash(self._bits())
+
+
+@dataclass(frozen=True, eq=False)
+class SpinState(BitwiseValue):
+    """Pure state of a spin-J system, amplitudes over |J,m> with m = J..-J.
+
+    Equal by J and the bits of its read-only amplitudes: 0.0 and -0.0 differ.
+    """
 
     J: float
     amps: np.ndarray

@@ -514,6 +514,16 @@ class TestProbabilities:
             for f, q in zip(block["fisher"], block["qfi_diag"]):
                 assert f / q == pytest.approx(1.0, abs=0.05)
 
+    @pytest.mark.parametrize("state", ["tetra2", "balance"])
+    def test_saturation_angle_keeps_its_sign(self, state, capsys):
+        # the saturation check runs at |theta1| <= 0.02, on the sweep's side of 0
+        saturations = []
+        for theta1 in ("-0.3", "-0.02"):
+            code, out, _ = run_cli(["probabilities", "--state", state, "--theta1", theta1], capsys)
+            assert code == 0
+            saturations.append(json.loads(out)["saturation"])
+        assert saturations[0] == saturations[1]
+
     def test_warns_when_bell_analyzer_misfits_probe(self, capsys):
         # the Bell supports of tetra1's optimal basis overlap: the report
         # leaves the Bell analyzer out and says so once

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from oracles import three_peak_state
 
-from rotosense import bell_analysis, measurement
+from rotosense import measurement
 from rotosense.bell_analysis import bell_measurement
 from rotosense.cli import _load_state, main
 from rotosense.estimation import qcrb_experiment
@@ -19,7 +19,7 @@ from rotosense.states import balance, get_state, tetra1, tetra2
 @pytest.fixture
 def cold():
     """Empty memos, and the (hits, misses) of the optimal-basis and Bell-analyzer ones."""
-    memos = (measurement._optimal_basis, bell_analysis._bell_measurement)
+    memos = (optimal_basis, bell_measurement)
     for memo in memos:
         memo.cache_clear()
     return lambda: [memo.cache_info()[:2] for memo in memos]
@@ -112,7 +112,7 @@ class TestByValue:
         assert len(probes) > MEMO_SIZE
         for probe in probes:
             optimal_basis(probe)
-        assert measurement._optimal_basis.cache_info().currsize == MEMO_SIZE
+        assert optimal_basis.cache_info().currsize == MEMO_SIZE
         optimal_basis(probes[0])  # the oldest entry was dropped, so it is recomputed
         assert cold()[0] == (0, len(probes) + 1)
 
@@ -148,7 +148,7 @@ class TestRefusalsAreNotCached:
             messages.append(str(info.value))
         assert len(set(messages)) == 1
         assert work["anticoherence_report"] == 3  # checked again on every call
-        assert measurement._optimal_basis.cache_info().currsize == 0
+        assert optimal_basis.cache_info().currsize == 0
 
     def test_tetra1_bell_misfit(self, cold):
         basis = optimal_basis(tetra1())
@@ -159,7 +159,7 @@ class TestRefusalsAreNotCached:
             messages.append(str(info.value))
         assert messages == [messages[0]] * 3
         assert cold()[1] == (0, 3)
-        assert bell_analysis._bell_measurement.cache_info().currsize == 0
+        assert bell_measurement.cache_info().currsize == 0
 
     def test_tetra1_estimate_refusal_repeats(self, capsys):
         argv = ["estimate", "--state", "tetra1", "--pipeline", "bell", "--trials", "5"]

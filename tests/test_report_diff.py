@@ -1,0 +1,52 @@
+"""scripts/report_diff.py: every listed invocation runs in process and ends with its listed exit code."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from rotosense.cli import main
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "report_diff.py"
+_spec = importlib.util.spec_from_file_location("report_diff", SCRIPT)
+report_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(report_diff)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("inputs")
+    report_diff.write_inputs(directory)
+    return directory
+
+
+@pytest.mark.parametrize(
+    "line,expected",
+    report_diff.INVOCATIONS,
+    ids=[line or "(no command)" for line, _ in report_diff.INVOCATIONS],
+)
+def test_invocation_exit_code(line, expected, inputs, capsys):
+    try:
+        code = main(report_diff.argv(line, inputs))
+    except SystemExit as exc:  # argparse's --help and usage errors
+        code = exc.code
+    assert code == expected, capsys.readouterr().err
+
+
+def test_invocations_are_distinct():
+    lines = [line for line, _ in report_diff.INVOCATIONS]
+    assert len(set(lines)) == len(lines)
+
+
+def test_float_deltas():
+    old = {"a": [1.0, 2.0, 4.0], "b": {"c": "x", "d": 1}, "e": None, "f": [1, 2], "z": 0.0}
+    new = {"a": [1.0, 2.5, 3.0], "b": {"c": "y", "d": 1}, "e": 0.5, "g": True, "z": -0.0}
+    assert report_diff.float_deltas(old, new) == {
+        "$.a[*]": [1.0, 0.25],
+        "$.z": [0.0, 0.0],
+        "$.b.c": None,
+        "$.e": None,
+        "$.f": None,
+        "$.g": None,
+    }
+    assert report_diff.float_deltas(old, old) == {}
