@@ -249,8 +249,9 @@ def cmd_probabilities(args) -> int:
     if args.format == "csv":
         _emit(args, None, csv_rows=table, csv_header=header)
         return 0
-    # the small-angle regime: |theta1| clipped to 0.02, its sign kept
-    theta1 = math.copysign(min(abs(args.theta1), 0.02), args.theta1)
+    # the small-angle regime: |theta1| clipped to 0.02, its sign kept; the
+    # unrotated probe (theta1 = 0 or -0) is singular, so it is read at +-0.02
+    theta1 = math.copysign(min(abs(args.theta1), 0.02) or 0.02, args.theta1)
     saturation_params = RotationParams(theta1, args.theta2, args.theta3)
     payload = {
         "state": args.state,

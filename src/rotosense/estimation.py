@@ -17,6 +17,7 @@ small difference between two probability vectors shifts every later row.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,29 @@ _MAX_SHOTS = int(np.iinfo(np.int64).max)
 _MASK128 = (1 << 128) - 1
 
 
+@functools.cache
+def _jump_map() -> tuple[int, int]:
+    """(a, g) with PCG64(seed).jumped() mapping the LCG state s -> a s + g inc.
+
+    A jump advances the LCG a fixed number of steps and keeps the increment
+    inc, so it maps the 128-bit state affinely, s -> a s + c (mod 2**128),
+    and c is inc times a constant g; neither a nor g depends on the seed.
+    Read off numpy's own jumped() at s = 0 and s = 1, once per process.
+    """
+    probe = np.random.PCG64(0)
+    state = probe.state
+    lcg = state["state"]
+
+    def jumped_from(s: int) -> int:
+        lcg["state"] = s
+        probe.state = state
+        return probe.jumped().state["state"]["state"]
+
+    c = jumped_from(0)
+    a = (jumped_from(1) - c) & _MASK128
+    return a, c * pow(lcg["inc"], -1, 1 << 128) & _MASK128
+
+
 def sample_outcomes(p, n: int, trials: int, seed: int) -> np.ndarray:
     """Read-only (trials, k) matrix of multinomial n-shot counts.
 
@@ -46,11 +70,13 @@ def sample_outcomes(p, n: int, trials: int, seed: int) -> np.ndarray:
     Generator(PCG64(seed).jumped(t)).multinomial(n, p), so it depends only
     on (seed, t, n, p): a run of k trials gives the first k rows of a
     longer run, and two vectors sampled with one seed stay paired row by
-    row.  The seed is a non-negative integer.  Counts repeat only for a
-    bit-identical p: numpy's binomial sampler branches on p, so p and 3p,
-    whose renormalised entries differ by at most 2.8e-17, draw rows that
-    differ by up to 17 counts (p = [0.2, 0.3, 0.1, 0.25, 0.15], n = 1000,
-    seed 42, rows 3 and 4).
+    row.  The seed is a non-negative integer.  No jumped generator is
+    built per row: one generator steps its LCG state through the jump's
+    affine map, computed once per process from numpy's own jumped().
+    Counts repeat only for a bit-identical p: numpy's binomial sampler
+    branches on p, so p and 3p, whose renormalised entries differ by at
+    most 2.8e-17, draw rows that differ by up to 17 counts
+    (p = [0.2, 0.3, 0.1, 0.25, 0.15], n = 1000, seed 42, rows 3 and 4).
     """
     if not 1 <= n <= _MAX_SHOTS:
         raise ValueError(f"n must be in 1..{_MAX_SHOTS}, got {n}")
@@ -62,28 +88,19 @@ def sample_outcomes(p, n: int, trials: int, seed: int) -> np.ndarray:
     if not 0.0 < total < math.inf:
         raise ValueError("p needs finite weights with a positive sum")
     p = p / total
+    a, g = _jump_map()
     bit_generator = np.random.PCG64(seed)
     rng = np.random.Generator(bit_generator)
     state = bit_generator.state
     lcg = state["state"]
-    start = lcg["state"]
-
-    def jumped_from(s: int) -> int:
-        lcg["state"] = s
-        bit_generator.state = state
-        return bit_generator.jumped().state["state"]["state"]
-
-    # A jump keeps the increment, so it maps the 128-bit LCG state affinely,
-    # s -> a s + c (mod 2**128); stepping that map once per row is cheaper
-    # than building the jumped generator of every row.
-    c = jumped_from(0)
-    a = (jumped_from(1) - c) & _MASK128
-    lcg["state"] = start
+    s = lcg["state"]
+    c = g * lcg["inc"] & _MASK128
     counts = np.empty((trials, p.size), dtype=np.int64)
     for t in range(trials):
+        lcg["state"] = s
         bit_generator.state = state
         counts[t] = rng.multinomial(n, p)
-        lcg["state"] = (a * lcg["state"] + c) & _MASK128
+        s = (a * s + c) & _MASK128
     counts.setflags(write=False)
     return counts
 
@@ -96,10 +113,14 @@ def estimate_params(counts, j) -> tuple[np.ndarray, np.ndarray]:
     are unobservable.  Rest-category counts are folded into P0; they are
     fourth order in theta1.  A row with every shot in P0 cannot tell the
     rotation from zero: its theta1 estimate is 0 and its axis is NaN.
+    Counts need an integer dtype: floats and bools are refused.
     """
-    c = np.asarray(counts, dtype=np.int64)
+    c = np.asarray(counts)
     if c.shape[-1:] != (5,):
         raise ValueError("expected counts over five categories")
+    if c.dtype.kind not in "iu":  # a float would be truncated, a bool read as 0 or 1
+        raise ValueError(f"counts must be integers, got dtype {c.dtype}")
+    c = c.astype(np.int64, copy=False)
     if c.min() < 0:
         raise ValueError("counts must be non-negative")
     n = c.sum(-1)
@@ -202,13 +223,16 @@ def qcrb_experiment(
     p_small = small_angle_probabilities(phi0.J, params.theta1, params.axis)
     counts = sample_outcomes(p, n, trials, seed)
     theta_hats, u_hats = estimate_params(counts, phi0.J)
-    degenerate = int(np.isnan(u_hats[:, 0]).sum())
+    signal_free = np.isnan(u_hats[:, 0])  # a NaN axis is NaN in all three entries
+    degenerate = int(signal_free.sum())
     if degenerate >= trials - 1:  # too few valid trials for axis statistics
         mean_u = np.full(3, np.nan)
         sigma_u = np.full(3, np.nan)
     else:
-        mean_u = np.nanmean(u_hats, axis=0)
-        sigma_u = np.nanstd(u_hats, axis=0, ddof=1)
+        # bit-identical to np.nanmean / np.nanstd over all rows, without their NaN masking
+        valid = u_hats[~signal_free]
+        mean_u = valid.mean(axis=0)
+        sigma_u = valid.std(axis=0, ddof=1)
     fisher = 4.0 * phi0.J * (phi0.J + 1.0) / 3.0
     sigma_pred = 1.0 / math.sqrt(n * fisher)
     sigma_emp = float(np.std(theta_hats, ddof=1))

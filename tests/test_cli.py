@@ -524,6 +524,17 @@ class TestProbabilities:
             saturations.append(json.loads(out)["saturation"])
         assert saturations[0] == saturations[1]
 
+    @pytest.mark.parametrize("state", ["tetra2", "balance"])
+    @pytest.mark.parametrize("zero, clipped", [("0", "0.02"), ("-0", "-0.02")])
+    def test_saturation_at_zero_reads_the_clip_angle(self, state, zero, clipped, capsys):
+        # the unrotated probe is singular (F_11 = 0), so theta1 = +-0 is read at +-0.02
+        saturations = []
+        for theta1 in (zero, clipped):
+            code, out, _ = run_cli(["probabilities", "--state", state, "--theta1", theta1], capsys)
+            assert code == 0
+            saturations.append(json.loads(out)["saturation"])
+        assert saturations[0] == saturations[1]
+
     def test_warns_when_bell_analyzer_misfits_probe(self, capsys):
         # the Bell supports of tetra1's optimal basis overlap: the report
         # leaves the Bell analyzer out and says so once

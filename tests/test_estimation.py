@@ -124,6 +124,22 @@ class TestSeeding:
         for t in (0, 4095, 4096, 8199):
             assert np.array_equal(counts[t], jumped_stream(2**64 + 3, t).multinomial(1000, p))
 
+    def test_jump_map_read_once_per_process(self, monkeypatch):
+        # the jump's affine map comes from numpy's jumped() on the first call only
+        p = np.array([0.9, 0.04, 0.03, 0.02, 0.01])
+        first = sample_outcomes(p, 1000, 5, 42)
+        calls = []
+
+        class CountingPCG64(np.random.PCG64):
+            def jumped(self, jumps=1):
+                calls.append(jumps)
+                return super().jumped(jumps)
+
+        monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
+        again = sample_outcomes(p, 1000, 5, 42)
+        assert calls == []
+        np.testing.assert_array_equal(again, first)
+
     def test_negative_seed_keeps_numpy_message(self):
         with pytest.raises(ValueError, match="^expected non-negative integer$"):
             sample_outcomes(np.array([0.2, 0.3, 0.1, 0.25, 0.15]), 1000, 3, -1)
@@ -181,6 +197,28 @@ class TestEstimateParams:
     def test_rejects_row_without_shots(self):
         with pytest.raises(ValueError):
             estimate_params(np.array([[10, 5, 0, 0, 0], [0, 0, 0, 0, 0]]), 2)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            np.array([[990.7, 3.9, 2.9, 1.9, 0.9]]),
+            np.array([[990.0, 3.0, 2.0, 1.0, 0.0]]),
+            np.array([[True, False, True, False, False]]),
+        ],
+        ids=["fractional", "whole-floats", "bool"],
+    )
+    def test_rejects_non_integer_counts(self, counts):
+        # a float count would be truncated and a bool read as 0 or 1
+        with pytest.raises(ValueError, match="counts must be integers, got dtype"):
+            estimate_params(counts, 2)
+
+    def test_accepts_every_integer_dtype(self):
+        counts = np.array([[120, 3, 2, 1, 0]])
+        expected = estimate_params(counts, 2)
+        for dtype in (np.int8, np.uint16, np.int32, np.uint64):
+            got = estimate_params(counts.astype(dtype), 2)
+            np.testing.assert_array_equal(got[0], expected[0])
+            np.testing.assert_array_equal(got[1], expected[1])
 
 
 class TestMultinomialStats:
@@ -297,6 +335,18 @@ class TestQcrbExperiment:
         report = qcrb_experiment(tetra2(), params, 100, 10, 1, "optimal")
         assert report.degenerate_trials == 10
         assert report.mean_theta1_hat == 0.0
+
+    @pytest.mark.parametrize("state", [tetra2, balance])
+    @pytest.mark.parametrize("pipeline", ["optimal", "bell"])
+    def test_axis_statistics_match_nan_aware_ones(self, state, pipeline):
+        # small n and a tiny theta1 leave many signal-free (NaN-axis) trials;
+        # the axis statistics over the others are numpy's NaN-aware ones, bit for bit
+        report = qcrb_experiment(state(), RotationParams(0.02, 1.0, 0.5), 1000, 200, 5, pipeline)
+        assert 0 < report.degenerate_trials < report.trials - 1
+        np.testing.assert_array_equal(report.mean_u_abs, np.nanmean(report.u_hats, axis=0))
+        np.testing.assert_array_equal(
+            report.sigma_u_abs, np.nanstd(report.u_hats, axis=0, ddof=1)
+        )
 
     def test_gap_diagnostics_reported(self):
         params = params_from_axis(0.05, AXIS)
