@@ -1,0 +1,147 @@
+"""Run the benchmark on a git revision and on the checkout in alternating pairs.
+
+    python scripts/bench_pairs.py REF --workload W --pairs N [--seed S]
+
+extracts REF's ``src``, ``perfbench`` and ``BENCHMARK.json`` with
+``git archive`` into a temporary directory and runs
+``python3 perfbench/run.py --workload W --seed S+i --seconds T --trace 0``
+there and in the checkout for i = 0..N-1, REF first in even pairs and the
+checkout first in odd ones; T is REF's ``run_seconds``.  For each
+end-to-end metric of REF's ``BENCHMARK.json`` it prints each side's median
+and quartiles, the checkout's wins out of N pairs (ties count for neither
+side), the relative change of the median, whether that change stays within
+the metric's bound, and whether the median moved the better way by more
+than REF's interquartile range.  The last line is a JSON summary.  Exit
+status: 0 when every run finished, 2 on a usage or git error or a run that
+printed no metrics.  Uses only the standard library and git; it edits
+nothing under ``perfbench/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import subprocess
+import sys
+import tempfile
+import zipfile
+from pathlib import Path
+from statistics import median, quantiles
+
+ROOT = Path(__file__).resolve().parents[1]
+EXTRACTED = ("src", "perfbench", "BENCHMARK.json")
+
+
+def _extract(ref: str, directory: Path) -> str:
+    """Extract REF's benchmark and package source into directory; return its commit."""
+    def git(*args) -> bytes:
+        command = ["git", "-C", str(ROOT), *args]
+        return subprocess.run(command, capture_output=True, check=True).stdout
+
+    commit = git("rev-parse", "--verify", f"{ref}^{{commit}}").decode().strip()
+    with zipfile.ZipFile(io.BytesIO(git("archive", "--format=zip", commit, *EXTRACTED))) as archive:
+        archive.extractall(directory)
+    return commit
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """Metric name -> value of one ``perfbench/run.py --trace 0`` run in tree."""
+    command = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    result = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    lines = result.stdout.splitlines()
+    try:
+        metrics = json.loads(lines[-1])["metrics"]
+    except (IndexError, ValueError, KeyError):
+        raise RuntimeError(
+            f"{tree}: run.py exited {result.returncode} without metrics:\n{result.stderr[-2000:]}"
+        ) from None
+    return {name: entry["value"] for name, entry in metrics.items()}
+
+
+def _quartiles(values: list) -> list:
+    """[first quartile, median, third quartile], inclusive method."""
+    if len(values) < 2:
+        return [values[0]] * 3
+    q1, _, q3 = quantiles(values, n=4, method="inclusive")
+    return [q1, median(values), q3]
+
+
+def summarize(ref_runs: list, new_runs: list, declared: list) -> dict:
+    """Per-metric comparison of paired runs (lists of name -> value dicts, pair by pair).
+
+    declared is BENCHMARK.json's end_to_end list.  A pair is a win when the
+    checkout's value is better than REF's in the metric's direction.
+    """
+    summary = {}
+    for metric in declared:
+        name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
+        ref = [run[name] for run in ref_runs]
+        new = [run[name] for run in new_runs]
+        ref_q, new_q = _quartiles(ref), _quartiles(new)
+        gain = sign * (new_q[1] - ref_q[1])  # > 0 when the checkout's median is better
+        relative = gain / abs(ref_q[1]) if ref_q[1] else 0.0
+        summary[name] = {
+            "ref": ref_q,
+            "new": new_q,
+            "wins": sum(sign * (b - a) > 0 for a, b in zip(ref, new)),
+            "change": sign * relative,
+            "within_bound": -relative <= metric["bound"],
+            "clears_ref_iqr": gain > ref_q[2] - ref_q[0],
+        }
+    return summary
+
+
+def main(args=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("ref")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair (default 1)")
+    args = parser.parse_args(args)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        ref_tree = Path(tmp)
+        try:
+            commit = _extract(args.ref, ref_tree)
+        except subprocess.CalledProcessError as exc:
+            print(f"error: git {exc.cmd[3]} failed: {exc.stderr.decode().strip()}", file=sys.stderr)
+            return 2
+        benchmark = json.loads((ref_tree / "BENCHMARK.json").read_text())
+        seconds = benchmark["run_seconds"]
+        ref_runs, new_runs = [], []
+        try:
+            for i in range(args.pairs):
+                seed = args.seed + i
+                trees = [(ref_tree, ref_runs), (ROOT, new_runs)]
+                for tree, runs in trees if i % 2 == 0 else trees[::-1]:
+                    runs.append(_run(tree, args.workload, seed, seconds))
+                print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    summary = summarize(ref_runs, new_runs, benchmark["end_to_end"])
+    print(f"{'metric':<16} {'ref q1/median/q3':>30} {'new q1/median/q3':>30} {'wins':>6} "
+          f"{'change':>8}  within bound, clears ref IQR")
+    for name, row in summary.items():
+        ref, new = ("/".join(f"{v:.4g}" for v in row[side]) for side in ("ref", "new"))
+        print(f"{name:<16} {ref:>30} {new:>30} {row['wins']:>3}/{args.pairs:<2} "
+              f"{row['change']:>+8.1%}  {row['within_bound']}, {row['clears_ref_iqr']}")
+    print(json.dumps({
+        "ref": args.ref,
+        "commit": commit,
+        "workload": args.workload,
+        "pairs": args.pairs,
+        "seeds": [args.seed, args.seed + args.pairs - 1],
+        "seconds": seconds,
+        "metrics": summary,
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

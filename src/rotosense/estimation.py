@@ -8,11 +8,17 @@ optimal-basis probabilities or from the probe's Bell analyzer.
 
 Trials are arrays: `sample_outcomes` draws every trial's counts into one
 (trials, 5) matrix and `estimate_params` inverts all rows in one call.
-Row t comes from its own RNG stream, PCG64(seed).jumped(t), so trial t
-gives the same counts whatever the number of trials, and the two
-pipelines are paired trial by trial.  One shared stream would unpair
-them: a binomial draw consumes a variable number of random numbers, so a
-small difference between two probability vectors shifts every later row.
+Trial t's signal count, the number of shots outside P0 and Prest that the
+theta1 estimate inverts, is the one draw of its own RNG stream,
+PCG64(seed).jumped(t), so the two pipelines' theta1 estimates are paired
+trial by trial.  Two streams shared by all trials split each row's
+signal over P1..P3 and its other shots over P0 and Prest, in batched
+draws; the axis estimates are therefore paired only in distribution.  Every
+stream is read in row order, so trial t gives the same counts whatever the
+number of trials.  One shared stream for the signal count too would
+unpair theta1: a binomial draw consumes a variable number of random
+numbers, so a small difference between two probability vectors shifts
+every later row.
 """
 
 from __future__ import annotations
@@ -32,8 +38,12 @@ from .measurement import (
 from .spin_core import RotationParams, SpinState
 
 # Largest trial count sample_outcomes draws: its (trials, 5) int64 count
-# matrix is allocated up front, 400 MB at this ceiling.
+# matrix is allocated up front, 400 MB at this ceiling.  The batched splits
+# are drawn _BLOCK rows at a time, so their temporaries add 2.0 MB at any
+# trial count (tracemalloc peak above the matrix); one call over all rows
+# would add about 0.3 GB at this ceiling.
 MAX_TRIALS = 10**7
+_BLOCK = 1 << 16
 # Counts are int64, so a round holds at most this many shots.
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
 _MASK128 = (1 << 128) - 1
@@ -63,31 +73,45 @@ def _jump_map() -> tuple[int, int]:
 
 
 def sample_outcomes(p, n: int, trials: int, seed: int) -> np.ndarray:
-    """Read-only (trials, k) matrix of multinomial n-shot counts.
+    """Read-only (trials, 5) matrix of multinomial n-shot counts.
 
-    The probability vector p is clipped at zero and renormalised once; it
-    needs finite weights with a positive sum.  Row t is
-    Generator(PCG64(seed).jumped(t)).multinomial(n, p), so it depends only
-    on (seed, t, n, p): a run of k trials gives the first k rows of a
-    longer run, and two vectors sampled with one seed stay paired row by
-    row.  The seed is a non-negative integer.  No jumped generator is
-    built per row: one generator steps its LCG state through the jump's
-    affine map, computed once per process from numpy's own jumped().
-    Counts repeat only for a bit-identical p: numpy's binomial sampler
-    branches on p, so p and 3p, whose renormalised entries differ by at
-    most 2.8e-17, draw rows that differ by up to 17 counts
-    (p = [0.2, 0.3, 0.1, 0.25, 0.15], n = 1000, seed 42, rows 3 and 4).
+    p holds the five outcome weights P0..P3, Prest; it is clipped at zero
+    and renormalised once, and needs finite weights with a positive sum.
+    Row t is drawn in three steps, each from its own stream:
+    - its signal count S_t = counts[t, 1:4].sum() ~ Bin(n, s), with
+      s = P1 + P2 + P3 (clipped to <= 1), is the one draw of
+      Generator(PCG64(seed).jumped(t)), so it depends only on (seed, t, n, s);
+    - counts[t, 1:4] ~ Mult(S_t, (P1, P2, P3)/s) comes from the first stream
+      of SeedSequence(seed).spawn(2), in batched calls over the rows;
+    - counts[t, 4] ~ Bin(n - S_t, Prest/(P0 + Prest)) comes from the second,
+      and P0 takes the remainder.
+    Every row is exactly Mult(n, p), and each stream is read in row order,
+    so a run of k trials gives the first k rows of a longer run.  Two
+    vectors sampled with one seed keep S_t, the count theta1's estimate
+    inverts, paired row by row; the split of the signal over the axis
+    outcomes and the P0/Prest split are paired only in distribution.  The
+    seed is a non-negative integer.  No jumped generator is built per row:
+    one generator steps its LCG state through the jump's affine map,
+    computed once per process from numpy's own jumped().  Counts repeat
+    only for a bit-identical p: numpy's binomial sampler branches on p, so
+    p = [0.2, 0.3, 0.1, 0.25, 0.15] and 3p, whose renormalised entries
+    differ by at most 2.8e-17 (in P0 and P2, not in s), draw the same
+    signal counts and signal splits at n = 1000, seed 42, but P0/Prest
+    splits that differ in 36 of the first 100 rows, by up to 30 counts.
     """
     if not 1 <= n <= _MAX_SHOTS:
         raise ValueError(f"n must be in 1..{_MAX_SHOTS}, got {n}")
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
     p = np.clip(np.asarray(p, dtype=float), 0.0, None)
+    if p.shape != (5,):
+        raise ValueError(f"p needs the five outcomes P0..P3, Prest, got shape {p.shape}")
     with np.errstate(over="ignore"):  # a sum past the float range is rejected below
         total = p.sum()
     if not 0.0 < total < math.inf:
         raise ValueError("p needs finite weights with a positive sum")
     p = p / total
+    signal = min(p[1:4].sum(), 1.0)
     a, g = _jump_map()
     bit_generator = np.random.PCG64(seed)
     rng = np.random.Generator(bit_generator)
@@ -95,12 +119,23 @@ def sample_outcomes(p, n: int, trials: int, seed: int) -> np.ndarray:
     lcg = state["state"]
     s = lcg["state"]
     c = g * lcg["inc"] & _MASK128
-    counts = np.empty((trials, p.size), dtype=np.int64)
+    counts = np.empty((trials, 5), dtype=np.int64)
+    hits = counts[:, 0]  # holds S_t until P0's remainder replaces it
     for t in range(trials):
         lcg["state"] = s
         bit_generator.state = state
-        counts[t] = rng.multinomial(n, p)
+        hits[t] = rng.binomial(n, signal)
         s = (a * s + c) & _MASK128
+    split, rest = (np.random.Generator(np.random.PCG64(child))
+                   for child in np.random.SeedSequence(seed).spawn(2))
+    axis_p = p[1:4] / signal if signal > 0.0 else np.array([1.0, 0.0, 0.0])
+    rest_p = p[4] / (p[0] + p[4]) if p[0] + p[4] > 0.0 else 0.0
+    for start in range(0, trials, _BLOCK):  # each stream drives one kind of draw
+        block = counts[start:start + _BLOCK]
+        hit = block[:, 0]
+        block[:, 1:4] = split.multinomial(hit, axis_p)
+        block[:, 4] = rest.binomial(n - hit, rest_p)
+        block[:, 0] = n - hit - block[:, 4]
     counts.setflags(write=False)
     return counts
 
@@ -113,13 +148,18 @@ def estimate_params(counts, j) -> tuple[np.ndarray, np.ndarray]:
     are unobservable.  Rest-category counts are folded into P0; they are
     fourth order in theta1.  A row with every shot in P0 cannot tell the
     rotation from zero: its theta1 estimate is 0 and its axis is NaN.
-    Counts need an integer dtype: floats and bools are refused.
+    Counts need an integer dtype: floats and bools are refused, and so is a
+    bool among the integers of a list, which numpy would read as 0 or 1.
     """
     c = np.asarray(counts)
     if c.shape[-1:] != (5,):
         raise ValueError("expected counts over five categories")
     if c.dtype.kind not in "iu":  # a float would be truncated, a bool read as 0 or 1
         raise ValueError(f"counts must be integers, got dtype {c.dtype}")
+    if not isinstance(counts, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(counts, dtype=object).flat
+    ):
+        raise ValueError("counts must be integers, got a bool")
     c = c.astype(np.int64, copy=False)
     if c.min() < 0:
         raise ValueError("counts must be non-negative")

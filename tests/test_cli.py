@@ -688,6 +688,22 @@ class TestEstimate:
         assert run_cli(args + ["--out", str(out_b)], capsys)[0] == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize("state", ["tetra2", "balance"])
+    def test_both_is_the_two_single_pipeline_reports(self, state, capsys):
+        # each pipeline's block of `--pipeline both` is its own report, number for number
+        common = [
+            "estimate", "--state", state, "--theta1", "0.05",
+            "--n", "100000", "--trials", "30", "--seed", "7",
+        ]
+        reports = {}
+        for pipeline in ("both", "optimal", "bell"):
+            code, out, err = run_cli(common + ["--pipeline", pipeline], capsys)
+            assert code == 0, err
+            reports[pipeline] = json.loads(out)
+        assert set(reports["both"]) == {"optimal", "bell"}
+        assert reports["both"]["optimal"] == reports["optimal"]["optimal"]
+        assert reports["both"]["bell"] == reports["bell"]["bell"]
+
     def test_pipelines_close(self, capsys):
         code, out, _ = run_cli(
             [

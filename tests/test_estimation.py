@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import multinomial_stats, params_from_axis
 from rotosense.estimation import (
+    _BLOCK,
     estimate_params,
     qcrb_experiment,
     sample_outcomes,
@@ -18,6 +19,11 @@ AXIS = np.array([1.0, 2.0, 2.0]) / 3.0
 def jumped_stream(seed, t):
     """The generator that row t of sample_outcomes(..., seed) draws from."""
     return np.random.Generator(np.random.PCG64(seed).jumped(t))
+
+
+def signal(p):
+    """The probability P1 + P2 + P3 of a signal shot, for a p that sums to 1."""
+    return p[1:4].sum()
 
 
 class TestSampling:
@@ -36,10 +42,46 @@ class TestSampling:
             counts[0, 0] = 1
 
     def test_row_is_its_own_stream(self):
+        # row t's signal count is the one draw of its own jumped stream
         p = np.array([0.2, 0.3, 0.1, 0.25, 0.15])
         counts = sample_outcomes(p, 1000, 4, 42)
         for t in range(4):
-            assert np.array_equal(counts[t], jumped_stream(42, t).multinomial(1000, p))
+            assert counts[t, 1:4].sum() == jumped_stream(42, t).binomial(1000, signal(p))
+
+    @pytest.mark.parametrize("trials", [30, _BLOCK + 3], ids=["one-block", "two-blocks"])
+    def test_splits_come_from_the_spawned_streams(self, trials):
+        # the signal splits over P1..P3 on the first spawned stream, the other
+        # shots over P0 and Prest on the second, each in one call over all rows;
+        # drawing them block by block reads each stream in the same order
+        p = np.array([0.2, 0.3, 0.1, 0.25, 0.15])
+        n, seed = 20, 42
+        counts = sample_outcomes(p, n, trials, seed)
+        hits = counts[:, 1:4].sum(axis=1)
+        split, rest = (
+            np.random.Generator(np.random.PCG64(child))
+            for child in np.random.SeedSequence(seed).spawn(2)
+        )
+        np.testing.assert_array_equal(counts[:, 1:4], split.multinomial(hits, p[1:4] / signal(p)))
+        np.testing.assert_array_equal(counts[:, 4], rest.binomial(n - hits, p[4] / (p[0] + p[4])))
+        np.testing.assert_array_equal(counts[:, 0], n - hits - counts[:, 4])
+
+    def test_column_means_are_n_p(self):
+        # each column's mean is n p_i within z = 5 standard errors
+        # sqrt(n p_i (1 - p_i) / trials), over 2e4 trials
+        p = np.array([0.2, 0.3, 0.1, 0.25, 0.15])
+        n, trials = 1000, 20000
+        counts = sample_outcomes(p, n, trials, 7)
+        se = np.sqrt(n * p * (1 - p) / trials)
+        assert np.all(np.abs(counts.mean(axis=0) - n * p) <= 5.0 * se)
+
+    @pytest.mark.parametrize(
+        "p",
+        [[0.5, 0.3, 0.2], [0.2, 0.3, 0.1, 0.25, 0.1, 0.05], [[0.2, 0.3, 0.1, 0.25, 0.15]]],
+        ids=["three", "six", "two-dimensional"],
+    )
+    def test_refuses_other_than_five_outcomes(self, p):
+        with pytest.raises(ValueError, match="five outcomes"):
+            sample_outcomes(np.array(p), 1000, 3, 42)
 
     def test_point_mass(self):
         counts = sample_outcomes(np.array([1.0, 0, 0, 0, 0]), 500, 3, 7)
@@ -111,7 +153,7 @@ class TestSeeding:
         p = np.array([0.9, 0.04, 0.03, 0.02, 0.01])
         counts = sample_outcomes(p, 10**6, trials, seed)
         for t in range(trials):
-            assert np.array_equal(counts[t], jumped_stream(seed, t).multinomial(10**6, p))
+            assert counts[t, 1:4].sum() == jumped_stream(seed, t).binomial(10**6, signal(p))
         if seed <= np.iinfo(np.int64).max:
             np.testing.assert_array_equal(
                 sample_outcomes(p, 10**6, trials, np.int64(seed)), counts
@@ -122,7 +164,7 @@ class TestSeeding:
         p = np.array([0.9, 0.04, 0.03, 0.02, 0.01])
         counts = sample_outcomes(p, 1000, 8200, 2**64 + 3)
         for t in (0, 4095, 4096, 8199):
-            assert np.array_equal(counts[t], jumped_stream(2**64 + 3, t).multinomial(1000, p))
+            assert counts[t, 1:4].sum() == jumped_stream(2**64 + 3, t).binomial(1000, signal(p))
 
     def test_jump_map_read_once_per_process(self, monkeypatch):
         # the jump's affine map comes from numpy's jumped() on the first call only
@@ -211,6 +253,27 @@ class TestEstimateParams:
         # a float count would be truncated and a bool read as 0 or 1
         with pytest.raises(ValueError, match="counts must be integers, got dtype"):
             estimate_params(counts, 2)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [[True, 3, 2, 1, 0]],
+            [120, 3, 2, False, 0],
+            [[120, 3, 2, 1, 0], [np.True_, 3, 2, 1, 0]],
+            [np.array([120, 3, 2, 1, 0]), np.array([True, False, True, False, False])],
+        ],
+        ids=["bool", "bool-1d", "numpy-bool", "bool-row-array"],
+    )
+    def test_rejects_a_bool_among_listed_integers(self, counts):
+        # numpy promotes the list to int64 before the dtype check sees the bool
+        with pytest.raises(ValueError, match="counts must be integers, got a bool"):
+            estimate_params(counts, 2)
+
+    def test_accepts_listed_integers(self):
+        listed = estimate_params([[120, 3, 2, 1, 0], [np.int32(90), 4, 3, 2, 1]], 2)
+        array = estimate_params(np.array([[120, 3, 2, 1, 0], [90, 4, 3, 2, 1]]), 2)
+        np.testing.assert_array_equal(listed[0], array[0])
+        np.testing.assert_array_equal(listed[1], array[1])
 
     def test_accepts_every_integer_dtype(self):
         counts = np.array([[120, 3, 2, 1, 0]])
