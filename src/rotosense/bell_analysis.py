@@ -8,7 +8,9 @@ captures the full state.  Each optimal-basis state psi_mu of a probe lies
 on its own set of Bell products, its support; where the four supports are
 disjoint, summing the Bell-pair outcome probabilities over each support
 reproduces the optimal-basis probabilities up to third order in the
-rotation angle.
+rotation angle.  The module's reports check that claim: the probabilities
+table and the Fisher saturation of both measurements, and the
+decomposition of a rotated probe.
 
 Bell phase conventions: phi0 = (HH+VV)/sqrt2, phi1 = i(HV+VH)/sqrt2,
 phi2 = -(HV-VH)/sqrt2, phi3 = i(HH-VV)/sqrt2.  Labels 0, 1, 3 are the
@@ -23,8 +25,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .measurement import MEMO_SIZE, Measurement, optimal_basis
-from .spin_core import MAX_QUBITS, SpinState
+from .measurement import (
+    MEMO_SIZE, Measurement, multiparam_saturation_check, optimal_basis,
+    small_angle_probabilities, small_angle_warnings, sweep_probabilities,
+)
+from .spin_core import MAX_QUBITS, RotationParams, SpinState, rotated_amplitudes
 from .states import balance, tetra2
 
 SYMMETRIC_LABELS = (0, 1, 3)
@@ -128,6 +133,58 @@ def bell_measurement(basis: Measurement) -> Measurement:
     blocks = [image[support[..., mu]] for mu in range(4)] + [image[~support.any(axis=-1)]]
     starts = tuple(accumulate((len(block) for block in blocks[:4]), initial=0))
     return Measurement(J=basis.J, rows=np.concatenate(blocks), starts=starts)
+
+
+def probabilities_report(phi0: SpinState, theta1s, u, saturation_at=None) -> tuple:
+    """Optimal-basis, small-angle and Bell-aggregated probabilities over a theta1 grid about u.
+
+    Returns the JSON-ready payload {"axis", "columns", "rows"}, the CSV
+    header and rows (the same objects) and the warnings.  Row k holds
+    theta1s[k], u, P0..Prest of the optimal basis, small_P0..3 of the
+    second-order model, bell_P0..3 of the Bell analyzer, and the largest
+    signal-outcome gaps gap_small = |P - small_P| and gap_bell = |bell_P - P|.
+    A Bell analyzer that does not fit the probe leaves out its columns with
+    a warning; the small-angle warning reads the grid's largest |theta1|.
+    Given a rotation saturation_at, the payload also holds "saturation", the
+    multiparam_saturation_check of both measurements with |theta1| clipped
+    to 0.02, its sign kept; the unrotated probe (theta1 = 0 or -0) is
+    singular, F_11 = 0, so it is read at +-0.02.
+    """
+    grid = np.asarray(theta1s, dtype=float)
+    basis = optimal_basis(phi0)
+    measurements = {"optimal": basis}
+    try:
+        measurements["bell"] = bell_measurement(basis)
+    except ValueError as exc:
+        misfit = exc  # warned about after the errors the probabilities may raise
+    exact, *bell = sweep_probabilities(phi0, list(measurements.values()), grid, u)
+    small = small_angle_probabilities(phi0.J, grid, u)[:, :4]
+    header = [
+        "theta1", "u1", "u2", "u3",
+        "P0", "P1", "P2", "P3", "Prest",
+        "small_P0", "small_P1", "small_P2", "small_P3",
+    ]
+    columns = [grid, np.broadcast_to(u, (grid.size, 3)), exact, small]
+    gaps = [np.abs(exact[:, :4] - small).max(axis=1)]
+    warnings = []
+    if bell:
+        bell = bell[0][:, :4]
+        header += ["bell_P0", "bell_P1", "bell_P2", "bell_P3"]
+        columns.append(bell)
+        gaps.append(np.abs(bell - exact[:, :4]).max(axis=1))
+    else:
+        warnings.append(
+            f"{misfit}; the report leaves out the bell_P* and gap_bell columns and saturation.bell"
+        )
+    header += ["gap_small", "gap_bell"][: len(gaps)]
+    table = np.column_stack(columns + gaps)
+    warnings += small_angle_warnings(float(grid[np.argmax(np.abs(grid))]))
+    payload = {"axis": list(u), "columns": header, "rows": table}
+    if saturation_at is not None:
+        t1, t2, t3 = saturation_at.theta1, saturation_at.theta2, saturation_at.theta3
+        clipped = RotationParams(math.copysign(min(abs(t1), 0.02) or 0.02, t1), t2, t3)
+        payload["saturation"] = multiparam_saturation_check(phi0, measurements, clipped)
+    return payload, header, table, warnings
 
 
 # ---------------------------------------------------------------------------
@@ -258,3 +315,28 @@ def verify_tabulated_decompositions() -> dict:
     for idx, (table, direct) in enumerate(zip(TABULATED_BELL_N6, _n6_reference_states())):
         checks.append(_check_one(f"n6_psi{idx}", table, direct))
     return {"all_ok": all(check["ok"] for check in checks), "checks": checks}
+
+
+def decompose_report(state: SpinState, params: RotationParams, verify_tables=False) -> tuple:
+    """The Bell-product decomposition of the probe rotated by params.
+
+    Returns the JSON-ready payload {"theta1", "theta2", "theta3",
+    "decomposition": {"pairing", "amps"}, "singlet_weight"}, with
+    "table_verification" (``verify_tabulated_decompositions``) where asked;
+    the CSV header and rows (labels, re, im, prob) in label order; and the
+    small-angle warnings.
+    """
+    rotated = SpinState(state.J, rotated_amplitudes(state, [params.theta1], params.axis)[:, 0])
+    bp = bell_decompose(rotated)
+    amps = {",".join(map(str, t)): [z.real, z.imag] for t, z in np.ndenumerate(bp)}
+    payload = {
+        "theta1": params.theta1,
+        "theta2": params.theta2,
+        "theta3": params.theta3,
+        "decomposition": {"pairing": [[2 * k, 2 * k + 1] for k in range(bp.ndim)], "amps": amps},
+        "singlet_weight": singlet_weight(bp),
+    }
+    if verify_tables:
+        payload["table_verification"] = verify_tabulated_decompositions()
+    rows = [[labels, re, im, re**2 + im**2] for labels, (re, im) in sorted(amps.items())]
+    return payload, ["labels", "re", "im", "prob"], rows, small_angle_warnings(params.theta1)

@@ -7,10 +7,11 @@ multi-controlled X/Z/H, and the named 2x2 unitaries U1, U2 and U; a user
 circuit may also give any 2x2 unitary as a custom gate.  A state is a plain
 (2^N,) complex array, qubit 0 the most significant bit, and ``run_circuit``
 returns a circuit's output amplitudes without renormalising them.  The
-module holds the two preparation circuits and the Bell analyzer, and the
+module holds the two preparation circuits and the Bell analyzer, the
 reports that check them (target fidelity, norm drift, disjoint analyzer
-outcomes).  Circuit outputs are diagnostic only: all downstream physics
-uses analytically constructed states.
+outcomes) and the report that checks a user's circuit.  Circuit outputs
+are diagnostic only: all downstream physics uses analytically constructed
+states.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .bell_analysis import BELL_STATES
-from .spin_core import MAX_QUBITS, complex_pairs, dicke_to_qubit
+from .spin_core import MAX_QUBITS, SpinState, complex_pairs, dicke_to_qubit
 from .states import balance, tetra2
 
 _SQRT2 = math.sqrt(2.0)
@@ -346,3 +347,34 @@ def analyzer_distinguishability_report() -> dict:
         "pairwise_tv": tv,
         "all_disjoint": all(dist >= 1.0 - 1e-10 for dist in tv.values()),
     }
+
+
+def reference_circuits_report() -> dict:
+    """{"prep": {"tetra", "n6"}, "bell_analyzer"}: both preparation reports and the analyzer report."""
+    return {
+        "prep": {name: prep_circuit_report(name) for name in ("tetra", "n6")},
+        "bell_analyzer": analyzer_distinguishability_report(),
+    }
+
+
+def user_circuit_report(circuit: Circuit, seed: int, target: SpinState | None = None) -> dict:
+    """The JSON-ready report {"n_qubits", "gate_count", "max_norm_drift"} of a circuit.
+
+    max_norm_drift is the largest | ||out|| - 1 | over 20 random unit inputs
+    from default_rng(seed).  Given a target probe with 2J photons, one per
+    qubit, "fidelity_vs_state" compares the output on |0...0> with it.
+    """
+    rng, dim = np.random.default_rng(seed), 2**circuit.n_qubits
+    drifts = []
+    for _ in range(20):
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        amps /= np.linalg.norm(amps)
+        drifts.append(abs(float(np.linalg.norm(run_circuit(circuit, amps))) - 1.0))
+    report = {
+        "n_qubits": circuit.n_qubits,
+        "gate_count": len(circuit.gates),
+        "max_norm_drift": max(drifts),
+    }
+    if target is not None:
+        report["fidelity_vs_state"] = fidelity(run_circuit(circuit), dicke_to_qubit(target))
+    return report

@@ -3,7 +3,10 @@
 Commands: fisher, probabilities, circuit-verify, estimate, decompose.
 Every command writes a machine-readable report (JSON or CSV) that is
 bit-for-bit reproducible for a given flag set and seed.  A JSON config
-file may supply the same keys as the flags; explicit flags win.
+file may supply the same keys as the flags; explicit flags win.  Each
+report is built by one call into the module it belongs to; this module
+parses the flags, reads the input files, prints the report's warnings and
+writes it.
 """
 
 from __future__ import annotations
@@ -13,29 +16,15 @@ import csv
 import functools
 import io
 import json
-import math
 import re
 import sys
 
 import numpy as np
 
-from . import bell_analysis, circuit_sim
-from .estimation import qcrb_experiment
-from .measurement import (
-    multiparam_saturation_check,
-    optimal_basis,
-    small_angle_probabilities,
-    sweep_probabilities,
-)
-from .metrology import anticoherence_report, j_expectations, qfi_matrix
-from .spin_core import RotationParams, SpinState, dicke_to_qubit, rotated_amplitudes
+from . import bell_analysis, circuit_sim, estimation, metrology
+from .spin_core import RotationParams, SpinState
 from .states import REGISTRY, get_state
 
-# Small-angle validity: warn past this, never reject on it.  The separate
-# hard limit theta1^2 J(J+1)/3 <= 1 (theta1 <= 0.707 for tetra2, 0.5 for
-# balance) is where the second-order probabilities stop existing; `estimate`
-# and `probabilities` reject theta1 beyond it.
-THETA1_WARN = 0.05
 # Largest theta1 grid `probabilities` evaluates; its rows are held in memory
 # and written as one report.
 MAX_GRID_POINTS = 10**5
@@ -126,13 +115,10 @@ def _params(args) -> RotationParams:
     return RotationParams(args.theta1, args.theta2, args.theta3)
 
 
-def _warn_theta1(theta1: float):
-    if abs(theta1) > THETA1_WARN:
-        print(
-            f"warning: theta1={theta1} exceeds the small-angle validity "
-            f"threshold {THETA1_WARN}; estimates may be biased",
-            file=sys.stderr,
-        )
+def _refuse_csv(args, reason: str = "this command only supports --format json"):
+    """Refuse --format csv before the command does any work."""
+    if args.format == "csv":
+        raise ValueError(reason)
 
 
 def _json_text(payload) -> str:
@@ -169,19 +155,17 @@ def _float_table(table: np.ndarray) -> list:
     return list(zip(*columns))
 
 
-def _emit(args, json_payload, csv_rows=None, csv_header=None):
-    """Write the report in the requested format to --out or stdout."""
+def _emit(args, payload, rows, header):
+    """Write the JSON payload, or the CSV header and rows, to --out or stdout."""
     if args.format == "json":
-        text = _json_text(json_payload) + "\n"
-    elif csv_rows is None:
-        raise ValueError("this command only supports --format json")
-    elif isinstance(csv_rows, np.ndarray):
-        text = "".join(",".join(row) + "\n" for row in [csv_header, *_float_table(csv_rows)])
+        text = _json_text(payload) + "\n"
+    elif isinstance(rows, np.ndarray):
+        text = "".join(",".join(row) + "\n" for row in [header, *_float_table(rows)])
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        writer.writerow(header)
+        writer.writerows(rows)
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w") as fh:
@@ -190,165 +174,55 @@ def _emit(args, json_payload, csv_rows=None, csv_header=None):
         sys.stdout.write(text)
 
 
-def cmd_fisher(args) -> int:
-    state = _load_state(args.state)
-    params = _params(args)
-    mean, cov = j_expectations(state)
-    qfi = qfi_matrix(state, params)
-    payload = {
-        "state": args.state,
-        "J": state.J,
-        "mean": list(mean),
-        "cov": [list(row) for row in cov],
-        "anticoherence": anticoherence_report(state, tol=1e-10),
-        "fisher_single": float(qfi[0, 0]),
-        "axis": list(params.axis),
-        "qfi": [list(row) for row in qfi],
-        "theta1": params.theta1,
-    }
-    _emit(args, payload)
-    return 0
+def cmd_fisher(args):
+    _refuse_csv(args)
+    report = metrology.fisher_report(_load_state(args.state), _params(args))
+    return {"state": args.state, **report}, None, None, []
 
 
-def cmd_probabilities(args) -> int:
+def cmd_probabilities(args):
     if not 1 <= args.grid_points <= MAX_GRID_POINTS:
         raise ValueError(
             f"--grid-points must be in 1..{MAX_GRID_POINTS}, got {args.grid_points}"
         )
-    state = _load_state(args.state)
-    u = _params(args).axis  # also rejects a non-finite theta1 before the sweep
-    grid = np.linspace(0.0, args.theta1, args.grid_points)
-    measurements = {"optimal": optimal_basis(state)}
-    try:
-        measurements["bell"] = bell_analysis.bell_measurement(measurements["optimal"])
-    except ValueError as exc:
-        misfit = exc  # warned about after the errors the probabilities may raise
-    exact, *bell = sweep_probabilities(state, list(measurements.values()), grid, u)
-    small = small_angle_probabilities(state.J, grid, u)[:, :4]
-    header = [
-        "theta1", "u1", "u2", "u3",
-        "P0", "P1", "P2", "P3", "Prest",
-        "small_P0", "small_P1", "small_P2", "small_P3",
-    ]
-    columns = [grid, np.broadcast_to(u, (grid.size, 3)), exact, small]
-    gaps = [np.abs(exact[:, :4] - small).max(axis=1)]
-    if bell:
-        bell = bell[0][:, :4]
-        header += ["bell_P0", "bell_P1", "bell_P2", "bell_P3"]
-        columns.append(bell)
-        gaps.append(np.abs(bell - exact[:, :4]).max(axis=1))
-    else:
-        print(
-            f"warning: {misfit}; the report leaves out the bell_P* and gap_bell "
-            "columns and saturation.bell",
-            file=sys.stderr,
-        )
-    header += ["gap_small", "gap_bell"][: len(gaps)]
-    table = np.column_stack(columns + gaps)
-    _warn_theta1(args.theta1)
-    if args.format == "csv":
-        _emit(args, None, csv_rows=table, csv_header=header)
-        return 0
-    # the small-angle regime: |theta1| clipped to 0.02, its sign kept; the
-    # unrotated probe (theta1 = 0 or -0) is singular, so it is read at +-0.02
-    theta1 = math.copysign(min(abs(args.theta1), 0.02) or 0.02, args.theta1)
-    saturation_params = RotationParams(theta1, args.theta2, args.theta3)
-    payload = {
-        "state": args.state,
-        "axis": list(u),
-        "columns": header,
-        "rows": table,
-        "saturation": multiparam_saturation_check(state, measurements, saturation_params),
-    }
-    _emit(args, payload)
-    return 0
+    state, params = _load_state(args.state), _params(args)
+    grid = np.linspace(0.0, params.theta1, args.grid_points)
+    saturation_at = params if args.format == "json" else None  # a CSV holds just the table
+    payload, *table = bell_analysis.probabilities_report(state, grid, params.axis, saturation_at)
+    return {"state": args.state, **payload}, *table
 
 
-def cmd_circuit_verify(args) -> int:
-    if args.circuit:
-        circuit = _read_json(args.circuit, "circuit", circuit_sim.Circuit.from_json_dict)
-        rng, dim = np.random.default_rng(args.seed), 2**circuit.n_qubits
-        drifts = []
-        for _ in range(20):
-            amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            amps /= np.linalg.norm(amps)
-            out = circuit_sim.run_circuit(circuit, amps)
-            drifts.append(abs(float(np.linalg.norm(out)) - 1.0))
-        payload = {
-            "circuit": args.circuit,
-            "n_qubits": circuit.n_qubits,
-            "gate_count": len(circuit.gates),
-            "max_norm_drift": max(drifts),
-        }
-        if "state" in args.flags:  # only a --state flag asks for the fidelity
-            target = _load_state(args.state)
-            if round(2 * target.J) != circuit.n_qubits:
-                raise ValueError(
-                    f"circuit {args.circuit} has {circuit.n_qubits} qubits, but state "
-                    f"{args.state} has {round(2 * target.J)} photons (2J)"
-                )
-            out = circuit_sim.run_circuit(circuit)
-            payload["fidelity_vs_state"] = circuit_sim.fidelity(out, dicke_to_qubit(target))
-        _emit(args, payload)
-        return 0
-    payload = {
-        "prep": {name: circuit_sim.prep_circuit_report(name) for name in ("tetra", "n6")},
-        "bell_analyzer": circuit_sim.analyzer_distinguishability_report(),
-    }
-    _emit(args, payload)
-    return 0
+def cmd_circuit_verify(args):
+    _refuse_csv(args)
+    if not args.circuit:
+        return circuit_sim.reference_circuits_report(), None, None, []
+    circuit = _read_json(args.circuit, "circuit", circuit_sim.Circuit.from_json_dict)
+    target = None
+    if "state" in args.flags:  # only a --state flag asks for the fidelity
+        target = _load_state(args.state)
+        if round(2 * target.J) != circuit.n_qubits:
+            raise ValueError(
+                f"circuit {args.circuit} has {circuit.n_qubits} qubits, but state "
+                f"{args.state} has {round(2 * target.J)} photons (2J)"
+            )
+    report = circuit_sim.user_circuit_report(circuit, args.seed, target)
+    return {"circuit": args.circuit, **report}, None, None, []
 
 
-def cmd_estimate(args) -> int:
-    state = _load_state(args.state)
-    params = _params(args)
+def cmd_estimate(args):
     pipelines = ("optimal", "bell") if args.pipeline == "both" else (args.pipeline,)
-    reports = {
-        pipe: qcrb_experiment(state, params, args.n, args.trials, args.seed, pipe)
-        for pipe in pipelines
-    }
-    _warn_theta1(args.theta1)
-    if args.format == "csv":
-        if len(pipelines) != 1:
-            raise ValueError("CSV output needs a single pipeline (--pipeline optimal|bell)")
-        rows = [list(r) for r in reports[pipelines[0]].rows()]
-        _emit(args, None, rows, ["trial", "theta1_hat", "u1_hat", "u2_hat", "u3_hat"])
-        return 0
-    _emit(args, {pipe: rep.to_dict() for pipe, rep in reports.items()})
-    return 0
+    if len(pipelines) > 1:
+        _refuse_csv(args, "CSV output needs a single pipeline (--pipeline optimal|bell)")
+    state, params = _load_state(args.state), _params(args)
+    return estimation.estimate_report(state, params, args.n, args.trials, args.seed, pipelines)
 
 
-def cmd_decompose(args) -> int:
-    if args.format == "csv" and args.verify_tables:
-        raise ValueError("--verify-tables needs JSON output (--format json)")
-    state = _load_state(args.state)
-    params = _params(args)
-    rotated = SpinState(state.J, rotated_amplitudes(state, [params.theta1], params.axis)[:, 0])
-    bp = bell_analysis.bell_decompose(rotated)
-    _warn_theta1(args.theta1)
-    decomposition = {
-        "pairing": [[2 * k, 2 * k + 1] for k in range(bp.ndim)],
-        "amps": {",".join(map(str, t)): [z.real, z.imag] for t, z in np.ndenumerate(bp)},
-    }
-    payload = {
-        "state": args.state,
-        "theta1": params.theta1,
-        "theta2": params.theta2,
-        "theta3": params.theta3,
-        "decomposition": decomposition,
-        "singlet_weight": bell_analysis.singlet_weight(bp),
-    }
+def cmd_decompose(args):
     if args.verify_tables:
-        payload["table_verification"] = bell_analysis.verify_tabulated_decompositions()
-    if args.format == "csv":
-        rows = [
-            [labels, z[0], z[1], z[0] ** 2 + z[1] ** 2]
-            for labels, z in sorted(decomposition["amps"].items())
-        ]
-        _emit(args, None, csv_rows=rows, csv_header=["labels", "re", "im", "prob"])
-        return 0
-    _emit(args, payload)
-    return 0
+        _refuse_csv(args, "--verify-tables needs JSON output (--format json)")
+    state, params = _load_state(args.state), _params(args)
+    payload, *table = bell_analysis.decompose_report(state, params, args.verify_tables)
+    return {"state": args.state, **payload}, *table
 
 
 class _Parser(argparse.ArgumentParser):
@@ -427,10 +301,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _resolve(args)
-        return args.func(args)
+        payload, header, rows, warnings = args.func(args)
+        for text in warnings:
+            print(f"warning: {text}", file=sys.stderr)
+        _emit(args, payload, rows, header)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from .measurement import (
     exact_probabilities,
     optimal_basis,
     small_angle_probabilities,
+    small_angle_warnings,
 )
 from .spin_core import RotationParams, SpinState
 
@@ -296,3 +297,21 @@ def qcrb_experiment(
         theta1_hats=theta_hats,
         u_hats=u_hats,
     )
+
+
+def estimate_report(
+    phi0: SpinState, params: RotationParams, n: int, trials: int, seed: int,
+    pipelines=("optimal", "bell"),
+) -> tuple:
+    """qcrb_experiment for each named pipeline, all on one seed.
+
+    Returns the JSON-ready payload {pipeline: QcrbReport.to_dict()}, the CSV
+    header and per-trial rows (trial, theta1_hat, u1_hat, u2_hat, u3_hat),
+    which hold a single pipeline's trials (None for more than one), and the
+    small-angle warnings.
+    """
+    reports = {pipe: qcrb_experiment(phi0, params, n, trials, seed, pipe) for pipe in pipelines}
+    rows = next(iter(reports.values())).rows() if len(reports) == 1 else None
+    header = ["trial", "theta1_hat", "u1_hat", "u2_hat", "u3_hat"]
+    payload = {pipe: report.to_dict() for pipe, report in reports.items()}
+    return payload, header, rows, small_angle_warnings(params.theta1)

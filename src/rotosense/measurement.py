@@ -141,6 +141,23 @@ def exact_probabilities(phi0: SpinState, measurements, params: RotationParams) -
     return sweep_probabilities(phi0, measurements, [params.theta1], params.axis)[..., 0, :]
 
 
+# Small-angle validity: warn past this, never reject on it.  The separate
+# hard limit theta1^2 J(J+1)/3 <= 1 (theta1 <= 0.707 for tetra2, 0.5 for
+# balance) is where the second-order probabilities stop existing;
+# small_angle_probabilities rejects theta1 beyond it.
+THETA1_WARN = 0.05
+
+
+def small_angle_warnings(theta1: float) -> list:
+    """The validity warning for a report at theta1: one string past THETA1_WARN, else none."""
+    if abs(theta1) <= THETA1_WARN:
+        return []
+    return [
+        f"theta1={theta1} exceeds the small-angle validity threshold {THETA1_WARN}; "
+        "estimates may be biased"
+    ]
+
+
 def small_angle_probabilities(j, theta1, u) -> np.ndarray:
     """Second-order expansion P0 = 1 - theta1^2 J(J+1)/3, P_i = theta1^2 u_i^2 J(J+1)/3.
 

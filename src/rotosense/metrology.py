@@ -100,3 +100,24 @@ def frame_qfi(psi: np.ndarray, g_psi: np.ndarray) -> np.ndarray:
     mean = (psi.conj() @ g_psi).real
     q = 4.0 * ((g_psi.conj().T @ g_psi).real - np.outer(mean, mean))
     return 0.5 * (q + q.T)
+
+
+def fisher_report(state: SpinState, params: RotationParams) -> dict:
+    """The JSON-ready Fisher report of a probe at a rotation.
+
+    {"J", "mean", "cov"} of the spin operators, "anticoherence" at tol
+    1e-10, the quantum Fisher matrix "qfi" with "fisher_single" = Q_11,
+    and the rotation's "theta1" and unit "axis".
+    """
+    mean, cov = j_expectations(state)
+    qfi = qfi_matrix(state, params)
+    return {
+        "J": state.J,
+        "mean": list(mean),
+        "cov": [list(row) for row in cov],
+        "anticoherence": anticoherence_report(state, tol=1e-10),
+        "fisher_single": float(qfi[0, 0]),
+        "axis": list(params.axis),
+        "qfi": [list(row) for row in qfi],
+        "theta1": params.theta1,
+    }

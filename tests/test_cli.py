@@ -19,7 +19,7 @@ from oracles import (
     three_peak_state,
 )
 
-from rotosense import spin_core
+from rotosense import circuit_sim, estimation, metrology, spin_core
 from rotosense.cli import _OPTIONS, _emit, _json_text, _resolve, build_parser, main
 from rotosense.estimation import qcrb_experiment
 from rotosense.spin_core import RotationParams, SpinState
@@ -115,6 +115,27 @@ def test_negative_exponent_value_parses(flag, capsys):
     code, joined, _ = run_cli(["fisher", f"{flag}=-1e-3"], capsys)
     assert code == 0
     assert spaced == joined
+
+
+@pytest.mark.parametrize(
+    "argv, module, name, message",
+    [
+        (
+            ["estimate", "--theta1", "0.1", "--trials", "20"], estimation, "sample_outcomes",
+            "CSV output needs a single pipeline (--pipeline optimal|bell)",
+        ),
+        (["fisher"], metrology, "j_expectations", "this command only supports --format json"),
+        (["circuit-verify"], circuit_sim, "run_circuit", "this command only supports --format json"),
+    ],
+    ids=["estimate", "fisher", "circuit-verify"],
+)
+def test_refuses_csv_before_any_work(argv, module, name, message, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise RuntimeError(f"{name} ran before the format was refused")
+
+    monkeypatch.setattr(module, name, refuse)
+    code, out, err = run_cli([*argv, "--format", "csv"], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestSharedParser:

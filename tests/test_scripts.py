@@ -38,6 +38,28 @@ def test_small_angle_sweep_exponents(state, tmp_path):
     assert len(out.read_text().splitlines()) == 21  # header + 20 grid points
 
 
+@pytest.mark.parametrize("points", ["1", "0"])
+def test_small_angle_sweep_refuses_too_few_points(points):
+    result = run_script("small_angle_sweep.py", "--points", points)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1].endswith(f"a fit needs at least 2 points, got {points}")
+
+
+def test_small_angle_sweep_fits_the_small_angle_gap_where_bell_misfits(tmp_path):
+    out = tmp_path / "sweep.csv"
+    result = run_script("small_angle_sweep.py", "--state", "tetra1", "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    warning, fit = result.stderr.splitlines()
+    assert warning.startswith("warning: the Bell analyzer does not fit this probe")
+    match = re.fullmatch(r"# convergence exponents: small-angle gap (\S+)", fit)
+    assert match, fit
+    assert abs(float(match.group(1)) - 4.0) <= 0.1
+    lines = out.read_text().splitlines()
+    assert "gap_small" in lines[0] and "bell" not in lines[0]
+    assert len(lines) == 21
+
+
 def test_qcrb_study_table():
     result = run_script("qcrb_study.py", "--trials", "20", "--shots", "10000")
     assert result.returncode == 0, result.stderr
