@@ -10,7 +10,7 @@ import numpy as np
 
 from rotosense.bell_analysis import probabilities_report
 from rotosense.spin_core import RotationParams
-from rotosense.states import get_state
+from rotosense.states import REGISTRY, get_state
 
 FITS = {"gap_small": "small-angle gap", "gap_bell": "Bell-aggregation gap"}
 
@@ -24,7 +24,7 @@ def grid_points(text: str) -> int:
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--state", default="tetra2")
+    parser.add_argument("--state", choices=sorted(REGISTRY), default="tetra2")
     parser.add_argument("--theta2", type=float, default=1.0)
     parser.add_argument("--theta3", type=float, default=0.5)
     parser.add_argument("--points", type=grid_points, default=20)

@@ -187,6 +187,7 @@ def cmd_probabilities(args):
         )
     state, params = _load_state(args.state), _params(args)
     grid = np.linspace(0.0, params.theta1, args.grid_points)
+    grid[-1] = params.theta1  # linspace's one point is 0, not the requested angle
     saturation_at = params if args.format == "json" else None  # a CSV holds just the table
     payload, *table = bell_analysis.probabilities_report(state, grid, params.axis, saturation_at)
     return {"state": args.state, **payload}, *table

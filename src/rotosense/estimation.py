@@ -9,21 +9,20 @@ optimal-basis probabilities or from the probe's Bell analyzer.
 Trials are arrays: `sample_outcomes` draws every trial's counts into one
 (trials, 5) matrix and `estimate_params` inverts all rows in one call.
 Trial t's signal count, the number of shots outside P0 and Prest that the
-theta1 estimate inverts, is the one draw of its own RNG stream,
-PCG64(seed).jumped(t), so the two pipelines' theta1 estimates are paired
-trial by trial.  Two streams shared by all trials split each row's
-signal over P1..P3 and its other shots over P0 and Prest, in batched
-draws; the axis estimates are therefore paired only in distribution.  Every
-stream is read in row order, so trial t gives the same counts whatever the
-number of trials.  One shared stream for the signal count too would
-unpair theta1: a binomial draw consumes a variable number of random
-numbers, so a small difference between two probability vectors shifts
-every later row.
+theta1 estimate inverts, is the one draw of its own counter-based stream,
+Philox with the seed's key and counter t << 64, so the two pipelines'
+theta1 estimates are paired trial by trial.  Two streams shared by all
+trials split each row's signal over P1..P3 and its other shots over P0
+and Prest, in batched draws; the axis estimates are therefore paired only
+in distribution.  Every stream is read in row order, so trial t gives the
+same counts whatever the number of trials.  One shared stream for the
+signal count too would unpair theta1: a binomial draw consumes a variable
+number of random numbers, so a small difference between two probability
+vectors shifts every later row.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -47,30 +46,6 @@ MAX_TRIALS = 10**7
 _BLOCK = 1 << 16
 # Counts are int64, so a round holds at most this many shots.
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
-_MASK128 = (1 << 128) - 1
-
-
-@functools.cache
-def _jump_map() -> tuple[int, int]:
-    """(a, g) with PCG64(seed).jumped() mapping the LCG state s -> a s + g inc.
-
-    A jump advances the LCG a fixed number of steps and keeps the increment
-    inc, so it maps the 128-bit state affinely, s -> a s + c (mod 2**128),
-    and c is inc times a constant g; neither a nor g depends on the seed.
-    Read off numpy's own jumped() at s = 0 and s = 1, once per process.
-    """
-    probe = np.random.PCG64(0)
-    state = probe.state
-    lcg = state["state"]
-
-    def jumped_from(s: int) -> int:
-        lcg["state"] = s
-        probe.state = state
-        return probe.jumped().state["state"]["state"]
-
-    c = jumped_from(0)
-    a = (jumped_from(1) - c) & _MASK128
-    return a, c * pow(lcg["inc"], -1, 1 << 128) & _MASK128
 
 
 def sample_outcomes(p, n: int, trials: int, seed: int) -> np.ndarray:
@@ -81,7 +56,9 @@ def sample_outcomes(p, n: int, trials: int, seed: int) -> np.ndarray:
     Row t is drawn in three steps, each from its own stream:
     - its signal count S_t = counts[t, 1:4].sum() ~ Bin(n, s), with
       s = P1 + P2 + P3 (clipped to <= 1), is the one draw of
-      Generator(PCG64(seed).jumped(t)), so it depends only on (seed, t, n, s);
+      Generator(Philox(key=K, counter=t << 64)), with
+      K = SeedSequence(seed).generate_state(2, np.uint64), so it depends
+      only on (seed, t, n, s);
     - counts[t, 1:4] ~ Mult(S_t, (P1, P2, P3)/s) comes from the first stream
       of SeedSequence(seed).spawn(2), in batched calls over the rows;
     - counts[t, 4] ~ Bin(n - S_t, Prest/(P0 + Prest)) comes from the second,
@@ -91,14 +68,14 @@ def sample_outcomes(p, n: int, trials: int, seed: int) -> np.ndarray:
     vectors sampled with one seed keep S_t, the count theta1's estimate
     inverts, paired row by row; the split of the signal over the axis
     outcomes and the P0/Prest split are paired only in distribution.  The
-    seed is a non-negative integer.  No jumped generator is built per row:
-    one generator steps its LCG state through the jump's affine map,
-    computed once per process from numpy's own jumped().  Counts repeat
-    only for a bit-identical p: numpy's binomial sampler branches on p, so
-    p = [0.2, 0.3, 0.1, 0.25, 0.15] and 3p, whose renormalised entries
-    differ by at most 2.8e-17 (in P0 and P2, not in s), draw the same
-    signal counts and signal splits at n = 1000, seed 42, but P0/Prest
-    splits that differ in 36 of the first 100 rows, by up to 30 counts.
+    seed is a non-negative integer.  No generator is built per row: one
+    Philox generator gets each row's counter through its state setter.
+    Counts repeat only for a bit-identical p: numpy's binomial sampler
+    branches on p, so p = [0.2, 0.3, 0.1, 0.25, 0.15] and 3p, whose
+    renormalised entries differ by at most 2.8e-17 (in P0 and P2, not in
+    s), draw the same signal counts and signal splits at n = 1000, seed 42,
+    but P0/Prest splits that differ in 37 of the first 100 rows, by up to
+    31 counts.
     """
     if not 1 <= n <= _MAX_SHOTS:
         raise ValueError(f"n must be in 1..{_MAX_SHOTS}, got {n}")
@@ -113,22 +90,22 @@ def sample_outcomes(p, n: int, trials: int, seed: int) -> np.ndarray:
         raise ValueError("p needs finite weights with a positive sum")
     p = p / total
     signal = min(p[1:4].sum(), 1.0)
-    a, g = _jump_map()
-    bit_generator = np.random.PCG64(seed)
+    sequence = np.random.SeedSequence(seed)
+    key = sequence.generate_state(2, np.uint64)
+    bit_generator = np.random.Philox(key=key)
     rng = np.random.Generator(bit_generator)
-    state = bit_generator.state
-    lcg = state["state"]
-    s = lcg["state"]
-    c = g * lcg["inc"] & _MASK128
+    # one state, reassigned per row; its setter reads lists as it reads arrays, and faster
+    counter = [0, 0, 0, 0]
+    state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key.tolist()},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     counts = np.empty((trials, 5), dtype=np.int64)
     hits = counts[:, 0]  # holds S_t until P0's remainder replaces it
     for t in range(trials):
-        lcg["state"] = s
+        counter[1] = t  # Philox(key=key, counter=t << 64)
         bit_generator.state = state
         hits[t] = rng.binomial(n, signal)
-        s = (a * s + c) & _MASK128
     split, rest = (np.random.Generator(np.random.PCG64(child))
-                   for child in np.random.SeedSequence(seed).spawn(2))
+                   for child in sequence.spawn(2))
     axis_p = p[1:4] / signal if signal > 0.0 else np.array([1.0, 0.0, 0.0])
     rest_p = p[4] / (p[0] + p[4]) if p[0] + p[4] > 0.0 else 0.0
     for start in range(0, trials, _BLOCK):  # each stream drives one kind of draw

@@ -191,7 +191,7 @@ def test_criterion_09_monte_carlo_qcrb():
         # the 0.9-1.1 band sits z = 7.1 from a ratio of 1 (two-sided
         # false-alarm rate 1.6e-12 per ratio); at 200 trials it sat at z = 2.0
         # and 17 of seeds 0-299 failed.  The ratios at seed 99 (tetra2
-        # 0.9855/0.9855, balance 0.9897/0.9906) lie z >= 6.0 inside it.
+        # 1.0035/1.0035, balance 1.0022/0.9987) lie z >= 6.8 inside it.
         n, trials = 10**6, 2500
         predictions = {
             "tetra2": 1.0 / (2.0 * math.sqrt(2.0 * n)),
@@ -204,10 +204,10 @@ def test_criterion_09_monte_carlo_qcrb():
                 ratio = report.sigma_empirical / predictions[label]
                 assert 0.9 <= ratio <= 1.1, f"{label}/{report.pipeline}: {ratio:.4f}"
             # the pipelines' theta1 estimates are paired (correlation 1 for
-            # tetra2, 0.994 for balance), so the ratio has SE
-            # sqrt((1 - corr^2)/(T-1)) = 0.0021 for balance and the band's
-            # edges sit z >= 23 from the measured 1.0000 and 1.0009
-            # (false-alarm rate below 1e-100)
+            # tetra2, 0.988 for balance), so the ratio has SE
+            # sqrt((1 - corr^2)/(T-1)) = 0.0031 for balance and the band's
+            # edges sit z >= 15 from the measured 1.0000 and 0.9965
+            # (false-alarm rate below 1e-50)
             pair = bell.sigma_empirical / opt.sigma_empirical
             assert 0.95 <= pair <= 1.05, f"{label} pipelines: {pair:.4f}"
 

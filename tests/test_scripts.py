@@ -46,6 +46,16 @@ def test_small_angle_sweep_refuses_too_few_points(points):
     assert result.stderr.splitlines()[-1].endswith(f"a fit needs at least 2 points, got {points}")
 
 
+def test_small_angle_sweep_refuses_unknown_state():
+    result = run_script("small_angle_sweep.py", "--state", "nosuch")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    errors = [line for line in result.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert "argument --state: invalid choice: 'nosuch'" in errors[0]
+    assert "Traceback" not in result.stderr
+
+
 def test_small_angle_sweep_fits_the_small_angle_gap_where_bell_misfits(tmp_path):
     out = tmp_path / "sweep.csv"
     result = run_script("small_angle_sweep.py", "--state", "tetra1", "--out", str(out))
