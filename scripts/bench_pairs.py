@@ -1,6 +1,6 @@
 """Run the benchmark on a git revision and on the checkout in alternating pairs.
 
-    python scripts/bench_pairs.py REF --workload W --pairs N [--seed S]
+    python scripts/bench_pairs.py REF --workload W --pairs N [--seed S] [--write PATH]
 
 extracts REF's ``src``, ``perfbench`` and ``BENCHMARK.json`` with
 ``git archive`` into a temporary directory and runs
@@ -11,17 +11,29 @@ end-to-end metric of REF's ``BENCHMARK.json`` it prints each side's median
 and quartiles, the checkout's wins out of N pairs (ties count for neither
 side), the relative change of the median, whether that change stays within
 the metric's bound, and whether the median moved the better way by more
-than REF's interquartile range.  The last line is a JSON summary.  Exit
-status: 0 when every run finished, 2 on a usage or git error or a run that
-printed no metrics.  Uses only the standard library and git; it edits
-nothing under ``perfbench/``.
+than REF's interquartile range.  The last line is a JSON summary.
+
+With ``--write PATH`` it also merges the workload's summary into the JSON
+file at PATH, which records one comparison: REF's commit, the checkout's
+HEAD and whether its ``src``, ``perfbench`` or ``BENCHMARK.json`` differ
+from HEAD, and the host (CPU count, Python, numpy,
+``PYTHONDONTWRITEBYTECODE``); under ``workloads`` it holds each workload's
+pairs, seeds, ``run_seconds`` and per-metric summary.  Running it once per
+workload builds one file with all of them; a file that records another
+comparison is refused before any run.  Exit status: 0 when every run
+finished, 2 on a usage or git error, a refused file or a run that printed
+no metrics.  Uses only the standard library and git; it edits nothing under
+``perfbench/``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import io
 import json
+import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -33,14 +45,16 @@ ROOT = Path(__file__).resolve().parents[1]
 EXTRACTED = ("src", "perfbench", "BENCHMARK.json")
 
 
+def _git(*args) -> bytes:
+    """The output of a git command run in this repository; raises on failure."""
+    command = ["git", "-C", str(ROOT), *args]
+    return subprocess.run(command, capture_output=True, check=True).stdout
+
+
 def _extract(ref: str, directory: Path) -> str:
     """Extract REF's benchmark and package source into directory; return its commit."""
-    def git(*args) -> bytes:
-        command = ["git", "-C", str(ROOT), *args]
-        return subprocess.run(command, capture_output=True, check=True).stdout
-
-    commit = git("rev-parse", "--verify", f"{ref}^{{commit}}").decode().strip()
-    with zipfile.ZipFile(io.BytesIO(git("archive", "--format=zip", commit, *EXTRACTED))) as archive:
+    commit = _git("rev-parse", "--verify", f"{ref}^{{commit}}").decode().strip()
+    with zipfile.ZipFile(io.BytesIO(_git("archive", "--format=zip", commit, *EXTRACTED))) as archive:
         archive.extractall(directory)
     return commit
 
@@ -95,12 +109,45 @@ def summarize(ref_runs: list, new_runs: list, declared: list) -> dict:
     return summary
 
 
+def host() -> dict:
+    """The facts of this host that a timing depends on."""
+    return {
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": importlib.metadata.version("numpy"),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+    }
+
+
+def load_record(path: Path, header: dict) -> dict:
+    """The record at path to merge a workload into, or a new one with header.
+
+    header holds the comparison (``ref``, ``new``, ``host``); a file that
+    records another one raises ValueError, so one file never mixes trees or hosts.
+    """
+    if not path.exists():
+        return {**header, "workloads": {}}
+    record = json.loads(path.read_text())
+    other = [key for key in header if record.get(key) != header[key]]
+    if other:
+        raise ValueError(f"{path} records another comparison (its {', '.join(other)} differ)")
+    return record
+
+
+def write_record(path: Path, record: dict, workload: str, entry: dict) -> None:
+    """Store entry as the record's workload, replacing an earlier one, and write path."""
+    record["workloads"][workload] = entry
+    path.write_text(json.dumps(record, indent=2) + "\n")
+
+
 def main(args=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair (default 1)")
+    parser.add_argument("--write", type=Path, metavar="PATH",
+                        help="merge this workload's summary into the JSON record at PATH")
     args = parser.parse_args(args)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -108,8 +155,19 @@ def main(args=None) -> int:
         ref_tree = Path(tmp)
         try:
             commit = _extract(args.ref, ref_tree)
+            if args.write:
+                head = _git("rev-parse", "HEAD").decode().strip()
+                modified = bool(_git("status", "--porcelain", "--", *EXTRACTED).strip())
+                record = load_record(args.write, {
+                    "ref": {"name": args.ref, "commit": commit},
+                    "new": {"commit": head, "modified": modified},
+                    "host": host(),
+                })
         except subprocess.CalledProcessError as exc:
             print(f"error: git {exc.cmd[3]} failed: {exc.stderr.decode().strip()}", file=sys.stderr)
+            return 2
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         benchmark = json.loads((ref_tree / "BENCHMARK.json").read_text())
         seconds = benchmark["run_seconds"]
@@ -140,6 +198,14 @@ def main(args=None) -> int:
         "seconds": seconds,
         "metrics": summary,
     }))
+    if args.write:
+        entry = {
+            "pairs": args.pairs,
+            "seeds": [args.seed, args.seed + args.pairs - 1],
+            "run_seconds": seconds,
+            "metrics": summary,
+        }
+        write_record(args.write, record, args.workload, entry)
     return 0
 
 

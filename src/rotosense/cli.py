@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import bell_analysis, circuit_sim, estimation, metrology
+from . import bell_analysis, estimation, metrology
 from .spin_core import RotationParams, SpinState
 from .states import REGISTRY, get_state
 
@@ -194,6 +194,8 @@ def cmd_probabilities(args):
 
 
 def cmd_circuit_verify(args):
+    from . import circuit_sim  # only this command simulates circuits: spare the others its import
+
     _refuse_csv(args)
     if not args.circuit:
         return circuit_sim.reference_circuits_report(), None, None, []

@@ -81,7 +81,7 @@ def sample_outcomes(p, n: int, trials: int, seed: int) -> np.ndarray:
         raise ValueError(f"n must be in 1..{_MAX_SHOTS}, got {n}")
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
-    p = np.clip(np.asarray(p, dtype=float), 0.0, None)
+    p = np.maximum(np.asarray(p, dtype=float), 0.0)
     if p.shape != (5,):
         raise ValueError(f"p needs the five outcomes P0..P3, Prest, got shape {p.shape}")
     with np.errstate(over="ignore"):  # a sum past the float range is rejected below
@@ -91,12 +91,12 @@ def sample_outcomes(p, n: int, trials: int, seed: int) -> np.ndarray:
     p = p / total
     signal = min(p[1:4].sum(), 1.0)
     sequence = np.random.SeedSequence(seed)
-    key = sequence.generate_state(2, np.uint64)
-    bit_generator = np.random.Philox(key=key)
+    bit_generator = np.random.Philox(sequence)  # keyed by sequence.generate_state(2, np.uint64)
     rng = np.random.Generator(bit_generator)
+    key = bit_generator.state["state"]["key"].tolist()
     # one state, reassigned per row; its setter reads lists as it reads arrays, and faster
     counter = [0, 0, 0, 0]
-    state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key.tolist()},
+    state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     counts = np.empty((trials, 5), dtype=np.int64)
     hits = counts[:, 0]  # holds S_t until P0's remainder replaces it
@@ -141,15 +141,33 @@ def estimate_params(counts, j) -> tuple[np.ndarray, np.ndarray]:
     c = c.astype(np.int64, copy=False)
     if c.min() < 0:
         raise ValueError("counts must be non-negative")
-    n = c.sum(-1)
+    signal = c[..., 1] + c[..., 2] + c[..., 3]  # column sums: exact, and cheaper than sum(-1)
+    n = c[..., 0] + signal + c[..., 4]
     if n.min() < 1:
         raise ValueError("every row needs at least one shot")
     j = float(j)
-    signal = c[..., 1:4].sum(-1)
     theta1 = np.sqrt(signal / n * 3.0 / (j * (j + 1.0)))
     with np.errstate(invalid="ignore"):  # 0/0 is the NaN axis of a signal-free row
         u_abs = np.sqrt(c[..., 1:4] / signal[..., None])
     return theta1, u_abs
+
+
+def _mean_std(x: np.ndarray) -> tuple:
+    """x.mean(axis=0) and x.std(axis=0, ddof=1), bit for bit, from one sum over x.
+
+    The same steps as numpy's: the sum divided by the count is the mean, and
+    the squared deviations' sum divided by count - 1 is the variance.
+    """
+    count = len(x)
+    mean = x.sum(axis=0) / count
+    dev = x - mean
+    dev *= dev
+    return mean, np.sqrt(dev.sum(axis=0) / (count - 1))
+
+
+def _max_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """float(np.max(np.abs(a - b))) of two NaN-free vectors, in less time at five entries."""
+    return max(abs(x - y) for x, y in zip(a.tolist(), b.tolist()))
 
 
 def _nan_to_none(values) -> list:
@@ -236,24 +254,23 @@ def qcrb_experiment(
             measurements.append(bell_measurement(measurements[0]))
         except ValueError as exc:
             raise ValueError(f"{exc}; use --pipeline optimal") from None
+    axis = params.axis
     rows = exact_probabilities(phi0, measurements, params)
     p_exact, p = rows[0], rows[-1]
-    p_small = small_angle_probabilities(phi0.J, params.theta1, params.axis)
+    p_small = small_angle_probabilities(phi0.J, params.theta1, axis)
     counts = sample_outcomes(p, n, trials, seed)
     theta_hats, u_hats = estimate_params(counts, phi0.J)
     signal_free = np.isnan(u_hats[:, 0])  # a NaN axis is NaN in all three entries
-    degenerate = int(signal_free.sum())
+    degenerate = int(np.count_nonzero(signal_free))
     if degenerate >= trials - 1:  # too few valid trials for axis statistics
         mean_u = np.full(3, np.nan)
         sigma_u = np.full(3, np.nan)
     else:
         # bit-identical to np.nanmean / np.nanstd over all rows, without their NaN masking
-        valid = u_hats[~signal_free]
-        mean_u = valid.mean(axis=0)
-        sigma_u = valid.std(axis=0, ddof=1)
+        mean_u, sigma_u = _mean_std(u_hats[~signal_free] if degenerate else u_hats)
     fisher = 4.0 * phi0.J * (phi0.J + 1.0) / 3.0
     sigma_pred = 1.0 / math.sqrt(n * fisher)
-    sigma_emp = float(np.std(theta_hats, ddof=1))
+    mean_theta, sigma_emp = map(float, _mean_std(theta_hats))
     return QcrbReport(
         pipeline=pipeline,
         params=params,
@@ -261,16 +278,16 @@ def qcrb_experiment(
         trials=trials,
         seed=seed,
         J=phi0.J,
-        mean_theta1_hat=float(theta_hats.mean()),
+        mean_theta1_hat=mean_theta,
         sigma_empirical=sigma_emp,
         sigma_predicted=sigma_pred,
         sigma_ratio=sigma_emp / sigma_pred,
-        u_true_abs=np.abs(params.axis),
+        u_true_abs=np.abs(axis),
         mean_u_abs=mean_u,
         sigma_u_abs=sigma_u,
         degenerate_trials=degenerate,
-        max_exact_vs_smallangle_gap=float(np.max(np.abs(p_exact - p_small))),
-        max_pipeline_vs_exact_gap=float(np.max(np.abs(p - p_exact))),
+        max_exact_vs_smallangle_gap=_max_gap(p_exact, p_small),  # validated rows: no NaN
+        max_pipeline_vs_exact_gap=_max_gap(p, p_exact),
         theta1_hats=theta_hats,
         u_hats=u_hats,
     )

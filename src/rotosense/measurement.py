@@ -55,13 +55,15 @@ def _check_rows(p: np.ndarray) -> np.ndarray:
     """Validate rows [P0, P1, P2, P3, Prest] (range, completeness); clip into [0, 1], read-only."""
     if p.shape[-1] != 5:
         raise ValueError("expected five outcome categories")
-    if not (p.min() >= -1e-12 and p.max() <= 1.0 + 1e-12):  # NaN fails too
+    low, high = p.min(), p.max()
+    if not (low >= -1e-12 and high <= 1.0 + 1e-12):  # NaN fails too
         raise ValueError("probabilities out of range")
-    total = p.sum(axis=-1).ravel()
-    worst = total[np.argmax(np.abs(total - 1.0))]
-    if abs(worst - 1.0) > 1e-12:
-        raise ValueError(f"probabilities sum to {worst}, not 1")
-    p = np.clip(p, 0.0, 1.0)
+    total = p.sum(axis=-1)
+    miss = np.abs(total - 1.0)
+    if miss.max() > 1e-12:
+        raise ValueError(f"probabilities sum to {total.flat[np.argmax(miss)]}, not 1")
+    # np.clip leaves rows inside [0, 1] as they are, -0.0 too: copy those
+    p = np.clip(p, 0.0, 1.0) if low < 0.0 or high > 1.0 else p.copy()
     p.setflags(write=False)
     return p
 
@@ -108,10 +110,13 @@ def optimal_basis(phi0: SpinState) -> Measurement:
 
 def _block_sums(measurement: Measurement, values: np.ndarray) -> np.ndarray:
     """Sum per-row values over each block K_mu (along the first axis)."""
-    edges = np.array([*measurement.starts, len(values)])
-    full = edges[1:] > edges[:-1]  # np.add.reduceat mis-sums an empty block
+    starts = measurement.starts
+    full = [start < end for start, end in zip(starts, (*starts[1:], len(values)))]
+    if all(full):
+        return np.add.reduceat(values, starts, axis=0)
+    # np.add.reduceat mis-sums an empty block: sum the others, zero the empty ones
     sums = np.zeros((len(full), *values.shape[1:]))
-    sums[full] = np.add.reduceat(values, edges[:-1][full], axis=0)
+    sums[full] = np.add.reduceat(values, np.compress(full, starts), axis=0)
     return sums
 
 
@@ -125,13 +130,17 @@ def sweep_probabilities(phi0: SpinState, measurements, theta1s, u) -> np.ndarray
 
     One eigendecomposition of u . J rotates the whole grid once for every
     measurement: one Measurement gives rows of shape (len(theta1s), 5), a
-    sequence of k gives shape (k, len(theta1s), 5).  Rows are validated, read-only.
+    sequence of k gives shape (k, len(theta1s), 5).  Rows are validated,
+    read-only, and each is a function of its angle alone: the row of a
+    one-angle grid, bit for bit.
     """
     single = isinstance(measurements, Measurement)
     measurements = (measurements,) if single else tuple(measurements)
     _check_sector(phi0, *measurements)
-    psi = rotated_amplitudes(phi0, theta1s, u)
-    p = np.stack([_block_sums(m, np.abs(m.rows @ psi) ** 2) for m in measurements])
+    psi = rotated_amplitudes(phi0, theta1s, u).T[..., None]  # one (2J+1, 1) column per angle
+    p = np.stack([  # K psi per angle, as rotated_amplitudes forms psi
+        _block_sums(m, (np.abs(np.matmul(m.rows, psi)) ** 2)[..., 0].T) for m in measurements
+    ])
     rows = _check_rows(p.swapaxes(1, 2))
     return rows[0] if single else rows
 
@@ -170,8 +179,8 @@ def small_angle_probabilities(j, theta1, u) -> np.ndarray:
     jj = float(j) * (float(j) + 1.0) / 3.0
     with np.errstate(over="ignore"):  # an overflowing square is an infinite leak
         leak = np.square(theta1) * jj
-    bad = np.flatnonzero(~(leak <= 1.0))  # NaN angles fail too
-    if bad.size:
+    if not (leak <= 1.0).all():  # NaN angles fail too
+        bad = np.flatnonzero(~(leak <= 1.0))
         raise ValueError(
             f"theta1={float(theta1.flat[bad[0]])} outside the small-angle validity range "
             f"(theta1^2 J(J+1)/3 = {leak.flat[bad[0]]:.3g} > 1)"

@@ -206,18 +206,21 @@ def check_unit_axis(u) -> np.ndarray:
 def rotated_amplitudes(state: SpinState, theta1s, u) -> np.ndarray:
     """Columns exp(-i t u . J)|state>, one per t in theta1s, about the unit axis u.
 
-    One eigendecomposition of u . J serves the whole grid; it refuses an
-    angle whose phases t m are NaN or past the float range.
+    One eigendecomposition of u . J serves the whole grid, and each angle is
+    its own matrix-vector product, so a column is a function of its angle
+    alone, bit for bit the column of a one-angle grid.  It refuses an angle
+    whose phases t m are NaN or past the float range.
     """
     u = check_unit_axis(u)
     jx, jy, jz = spin_operators(state.J)
     evals, evecs = np.linalg.eigh(u[0] * jx + u[1] * jy + u[2] * jz)
     coeffs = evecs.conj().T @ state.amps
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        phase = np.outer(evals, np.asarray(theta1s, dtype=float))
+        phase = np.outer(np.asarray(theta1s, dtype=float), evals)
     if not np.isfinite(phase).all():
         raise ValueError("theta1 out of range: the rotation phases theta1 * m are not finite")
-    return evecs @ (np.exp(-1j * phase) * coeffs[:, None])
+    # angle as the batch axis: one (2J+1)-vector per angle, not one matrix product over the grid
+    return np.matmul(evecs, (np.exp(-1j * phase) * coeffs)[..., None])[..., 0].T
 
 
 def dicke_to_qubit(state: SpinState) -> np.ndarray:

@@ -1,11 +1,14 @@
-"""scripts/bench_pairs.py: the paired summary of canned benchmark results."""
+"""scripts/bench_pairs.py: the paired summary and the --write record of canned benchmark results."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
@@ -81,3 +84,53 @@ def test_needs_a_pair():
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main(["HEAD", "--workload", "mc_study", "--pairs", "0"])
     assert exc.value.code == 2
+
+
+@pytest.fixture
+def canned_runs(monkeypatch):
+    """Replace the benchmark runs by canned metrics: the checkout's p50 is 10% lower."""
+    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    calls = []
+
+    def run(tree, workload, seed, seconds):
+        calls.append((tree == bench_pairs.ROOT, workload, seed))
+        values = dict.fromkeys(metrics, 1.0)
+        values["latency_p50_ms"] = (1.8 if tree == bench_pairs.ROOT else 2.0) + seed / 100
+        return values
+
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    return calls
+
+
+def test_write_merges_workloads_into_one_record(canned_runs, tmp_path, capsys):
+    path = tmp_path / "BENCH.json"
+    for workload, pairs in (("mc_study", 3), ("sweep", 2), ("mc_study", 4)):
+        argv = ["HEAD", "--workload", workload, "--pairs", str(pairs), "--write", str(path)]
+        assert bench_pairs.main(argv) == 0
+    capsys.readouterr()
+    record = json.loads(path.read_text())
+    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True,
+                          text=True, check=True).stdout.strip()
+    assert record["ref"] == {"name": "HEAD", "commit": head}
+    assert record["new"]["commit"] == head and isinstance(record["new"]["modified"], bool)
+    assert set(record["host"]) == {"cpus", "python", "numpy", "PYTHONDONTWRITEBYTECODE"}
+    assert list(record["workloads"]) == ["mc_study", "sweep"]
+    entry = record["workloads"]["mc_study"]  # the second mc_study run replaced the first
+    run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    assert (entry["pairs"], entry["seeds"], entry["run_seconds"]) == (4, [1, 4], run_seconds)
+    p50 = entry["metrics"]["latency_p50_ms"]
+    assert p50["wins"] == 4 and p50["within_bound"] and p50["clears_ref_iqr"]
+    assert p50["ref"] == pytest.approx([2.0175, 2.025, 2.0325])
+    assert p50["change"] == pytest.approx(-0.2 / 2.025)
+    assert set(p50) == {"ref", "new", "wins", "change", "within_bound", "clears_ref_iqr"}
+
+
+def test_write_refuses_another_comparison_before_any_run(canned_runs, tmp_path, capsys):
+    path = tmp_path / "BENCH.json"
+    text = json.dumps({"ref": {"name": "HEAD", "commit": "0" * 40}, "workloads": {}})
+    path.write_text(text)
+    argv = ["HEAD", "--workload", "sweep", "--pairs", "1", "--write", str(path)]
+    assert bench_pairs.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path} records another comparison (its ref, new, host differ)\n"
+    assert canned_runs == [] and path.read_text() == text

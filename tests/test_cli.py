@@ -4,7 +4,10 @@ import functools
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -136,6 +139,27 @@ def test_refuses_csv_before_any_work(argv, module, name, message, monkeypatch, c
     monkeypatch.setattr(module, name, refuse)
     code, out, err = run_cli([*argv, "--format", "csv"], capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_only_circuit_verify_imports_circuit_sim():
+    # a cold process pays 8-9 ms to import circuit_sim; only circuit-verify needs it
+    script = (
+        "import contextlib, io, sys\n"
+        "import rotosense.cli\n"
+        "seen = ['rotosense.circuit_sim' in sys.modules]\n"
+        "for argv in (['fisher'], ['circuit-verify']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert rotosense.cli.main(argv) == 0\n"
+        "    seen.append('rotosense.circuit_sim' in sys.modules)\n"
+        "print(seen)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert (result.returncode, result.stdout) == (0, "[False, False, True]\n"), result.stderr
 
 
 class TestSharedParser:
@@ -523,11 +547,20 @@ class TestProbabilities:
         rows = json.loads(out)["rows"]
         assert [row[0] for row in rows] == [float(theta1)]
         longer = run_cli(["probabilities", "--grid-points", "3", "--theta1", theta1], capsys)
-        # the same point, to the rounding of a batched rotation
-        last = json.loads(longer[1])["rows"][-1]
-        np.testing.assert_allclose(last, rows[0], rtol=1e-9, atol=1e-15)
+        # the same point, bit for bit: a row is a function of its angle alone
+        assert json.loads(longer[1])["rows"][-1] == rows[0]
         assert err == longer[2]
         assert ("warning:" in err) == (abs(float(theta1)) > 0.05)
+
+    def test_last_row_does_not_depend_on_the_grid(self, capsys):
+        # --grid-points 3 printed P0 = 0.9950094854699001 here, the one-point grid ...8999
+        last = [
+            run_cli(["probabilities", "--theta1", "0.05", "--grid-points", points,
+                     "--format", "csv"], capsys)[1].splitlines()[-1]
+            for points in ("1", "3", "101")
+        ]
+        assert last[0].split(",")[4] == "0.9950094854698999"
+        assert last[1] == last[0] and last[2] == last[0]
 
     def test_rejects_empty_grid(self, capsys):
         code, out, err = run_cli(

@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import multinomial_stats, params_from_axis
+from rotosense.bell_analysis import bell_measurement
 from rotosense.estimation import (
     _BLOCK,
     estimate_params,
     qcrb_experiment,
     sample_outcomes,
 )
+from rotosense.measurement import exact_probabilities, optimal_basis, small_angle_probabilities
 from rotosense.spin_core import RotationParams
 from rotosense.states import balance, tetra1, tetra2
 
@@ -312,6 +314,19 @@ class TestMultinomialStats:
         assert analytic == pytest.approx(2 * n * theta**2, rel=0.02)
 
 
+def assert_statistics_are_numpys(report, state, params):
+    """The theta1 statistics and both probability gaps are their numpy expressions, bit for bit."""
+    assert report.mean_theta1_hat == float(np.mean(report.theta1_hats))
+    assert report.sigma_empirical == float(np.std(report.theta1_hats, ddof=1))
+    assert report.sigma_ratio == report.sigma_empirical / report.sigma_predicted
+    basis = optimal_basis(state)
+    pipeline = basis if report.pipeline == "optimal" else bell_measurement(basis)
+    p_exact, p = exact_probabilities(state, [basis, pipeline], params)
+    p_small = small_angle_probabilities(state.J, params.theta1, params.axis)
+    assert report.max_exact_vs_smallangle_gap == float(np.max(np.abs(p_exact - p_small)))
+    assert report.max_pipeline_vs_exact_gap == float(np.max(np.abs(p - p_exact)))
+
+
 class TestQcrbExperiment:
     def test_deterministic(self):
         params = params_from_axis(0.05, AXIS)
@@ -397,12 +412,25 @@ class TestQcrbExperiment:
     def test_axis_statistics_match_nan_aware_ones(self, state, pipeline):
         # small n and a tiny theta1 leave many signal-free (NaN-axis) trials;
         # the axis statistics over the others are numpy's NaN-aware ones, bit for bit
-        report = qcrb_experiment(state(), RotationParams(0.02, 1.0, 0.5), 1000, 200, 5, pipeline)
+        params = RotationParams(0.02, 1.0, 0.5)
+        report = qcrb_experiment(state(), params, 1000, 200, 5, pipeline)
         assert 0 < report.degenerate_trials < report.trials - 1
-        np.testing.assert_array_equal(report.mean_u_abs, np.nanmean(report.u_hats, axis=0))
-        np.testing.assert_array_equal(
-            report.sigma_u_abs, np.nanstd(report.u_hats, axis=0, ddof=1)
+        assert report.mean_u_abs.tobytes() == np.nanmean(report.u_hats, axis=0).tobytes()
+        assert (
+            report.sigma_u_abs.tobytes() == np.nanstd(report.u_hats, axis=0, ddof=1).tobytes()
         )
+        assert_statistics_are_numpys(report, state(), params)
+
+    @pytest.mark.parametrize("state", [tetra2, balance])
+    @pytest.mark.parametrize("pipeline", ["optimal", "bell"])
+    def test_statistics_match_numpy(self, state, pipeline):
+        # no signal-free trial: the axis statistics are over every row
+        params = RotationParams(0.05, 1.0, 0.5)
+        report = qcrb_experiment(state(), params, 10**6, 200, 5, pipeline)
+        assert report.degenerate_trials == 0
+        assert report.mean_u_abs.tobytes() == report.u_hats.mean(axis=0).tobytes()
+        assert report.sigma_u_abs.tobytes() == report.u_hats.std(axis=0, ddof=1).tobytes()
+        assert_statistics_are_numpys(report, state(), params)
 
     def test_gap_diagnostics_reported(self):
         params = params_from_axis(0.05, AXIS)

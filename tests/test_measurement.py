@@ -11,6 +11,7 @@ from oracles import params_from_axis
 from rotosense.bell_analysis import bell_measurement
 from rotosense.measurement import (
     Measurement,
+    _block_sums,
     _check_rows,
     classical_fisher_matrix,
     exact_probabilities,
@@ -177,6 +178,32 @@ class TestExactProbabilities:
             np.testing.assert_array_equal(rows[k], sweep_probabilities(state, measurement, grid, u))
         params = params_from_axis(0.03, u)
         assert exact_probabilities(state, pair, params).shape == (2, 5)
+
+    @pytest.mark.parametrize("factory", [tetra2, balance])
+    def test_sweep_rows_are_one_point_rows(self, factory):
+        # a row is a function of its angle alone: row k of a 101-point sweep
+        # is exact_probabilities at grid[k], bit for bit, for both measurements
+        state = factory()
+        pair = measurements(state)
+        theta2, theta3 = 2.1, -0.7
+        grid = np.linspace(-0.3, 0.3, 101)
+        rows = sweep_probabilities(state, pair, grid, RotationParams(0.0, theta2, theta3).axis)
+        for k, theta1 in enumerate(grid):
+            exact = exact_probabilities(state, pair, RotationParams(theta1, theta2, theta3))
+            assert rows[:, k].tobytes() == exact.tobytes(), k
+
+    @pytest.mark.parametrize("factory", [tetra2, balance])
+    def test_block_sums_of_the_bell_analyzer(self, factory):
+        # tetra2's Bell rest block is empty, so it takes the zero-filling path;
+        # balance's five blocks all hold rows, so it takes the one reduceat
+        measurement = bell_measurement(optimal_basis(factory()))
+        values = np.random.default_rng(2).random((len(measurement.rows), 3))
+        edges = [*measurement.starts, len(values)]
+        assert (edges[-2] == edges[-1]) == (factory is tetra2)
+        sums = _block_sums(measurement, values)
+        expected = [values[a:b].sum(axis=0) for a, b in zip(edges, edges[1:])]
+        np.testing.assert_allclose(sums, expected, rtol=1e-15, atol=0)
+        assert (sums[4] == 0).all() == (factory is tetra2)
 
     def test_empty_blocks_sum_to_zero(self):
         # K_1, K_3 and K_rest hold no rows: np.add.reduceat alone would give
