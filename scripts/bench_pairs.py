@@ -134,12 +134,6 @@ def load_record(path: Path, header: dict) -> dict:
     return record
 
 
-def write_record(path: Path, record: dict, workload: str, entry: dict) -> None:
-    """Store entry as the record's workload, replacing an earlier one, and write path."""
-    record["workloads"][workload] = entry
-    path.write_text(json.dumps(record, indent=2) + "\n")
-
-
 def main(args=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref")
@@ -198,14 +192,14 @@ def main(args=None) -> int:
         "seconds": seconds,
         "metrics": summary,
     }))
-    if args.write:
-        entry = {
+    if args.write:  # replaces an earlier record of this workload
+        record["workloads"][args.workload] = {
             "pairs": args.pairs,
             "seeds": [args.seed, args.seed + args.pairs - 1],
             "run_seconds": seconds,
             "metrics": summary,
         }
-        write_record(args.write, record, args.workload, entry)
+        args.write.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

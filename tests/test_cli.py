@@ -553,7 +553,7 @@ class TestProbabilities:
         assert ("warning:" in err) == (abs(float(theta1)) > 0.05)
 
     def test_last_row_does_not_depend_on_the_grid(self, capsys):
-        # --grid-points 3 printed P0 = 0.9950094854699001 here, the one-point grid ...8999
+        # the last row is the one-point grid's, to the last digit, whatever the grid's length
         last = [
             run_cli(["probabilities", "--theta1", "0.05", "--grid-points", points,
                      "--format", "csv"], capsys)[1].splitlines()[-1]
