@@ -104,24 +104,22 @@ _SUPPORT_TOL = 1e-12
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def bell_measurement(basis: Measurement) -> Measurement:
+def bell_measurement(phi0: SpinState) -> Measurement:
     """The Bell-product analyzer of a probe, as row blocks over |J,m>.
 
-    ``basis`` has single-state outcomes psi_0..psi_3, as the optimal basis.
     Block mu holds the symmetric Bell products t with |<phi_t|psi_mu>|^2 >
-    1e-12, one row per t with its amplitude in each |J,m>, so outcome mu
-    sums the Bell probabilities over that support; the symmetric products
-    outside every support are the rest, and the rows form an isometry.  The
-    analyzer fits the probe only where the four supports are disjoint;
-    otherwise a ValueError names two outcomes that share a Bell product.  It
-    needs an even number of photons from 2 to spin_core.MAX_QUBITS.  Equal
-    bases share one read-only analyzer (the last measurement.MEMO_SIZE are
-    kept; refusals are not).
+    1e-12, where psi_mu is the probe's optimal-basis state mu, one row per t
+    with its amplitude in each |J,m>, so outcome mu sums the Bell
+    probabilities over that support; the symmetric products outside every
+    support are the rest, and the rows form an isometry.  The analyzer fits
+    the probe only where the four supports are disjoint; otherwise a
+    ValueError names two outcomes that share a Bell product.  It needs an
+    even number of photons from 2 to spin_core.MAX_QUBITS, checked before
+    the optimal basis is built.  Equal probes share one read-only analyzer
+    (the last measurement.MEMO_SIZE are kept; refusals are not).
     """
-    if basis.starts != (0, 1, 2, 3, 4):
-        raise ValueError(f"the Bell analyzer needs single-state outcomes 0..3, not {basis.starts}")
-    image = _bell_image(round(2 * basis.J))[1]
-    support = np.abs(image @ basis.rows[:4].conj().T) ** 2 > _SUPPORT_TOL
+    image = _bell_image(round(2 * phi0.J))[1]
+    support = np.abs(image @ optimal_basis(phi0).rows[:4].conj().T) ** 2 > _SUPPORT_TOL
     shared = np.argwhere(support.sum(axis=-1) > 1)
     if shared.size:
         labels = tuple(SYMMETRIC_LABELS[i] for i in shared[0])
@@ -132,7 +130,7 @@ def bell_measurement(basis: Measurement) -> Measurement:
         )
     blocks = [image[support[..., mu]] for mu in range(4)] + [image[~support.any(axis=-1)]]
     starts = tuple(accumulate((len(block) for block in blocks[:4]), initial=0))
-    return Measurement(J=basis.J, rows=np.concatenate(blocks), starts=starts)
+    return Measurement(J=phi0.J, rows=np.concatenate(blocks), starts=starts)
 
 
 def probabilities_report(phi0: SpinState, theta1s, u, saturation_at=None) -> tuple:
@@ -151,10 +149,9 @@ def probabilities_report(phi0: SpinState, theta1s, u, saturation_at=None) -> tup
     singular, F_11 = 0, so it is read at +-0.02.
     """
     grid = np.asarray(theta1s, dtype=float)
-    basis = optimal_basis(phi0)
-    measurements = {"optimal": basis}
+    measurements = {"optimal": optimal_basis(phi0)}
     try:
-        measurements["bell"] = bell_measurement(basis)
+        measurements["bell"] = bell_measurement(phi0)
     except ValueError as exc:
         misfit = exc  # warned about after the errors the probabilities may raise
     exact, *bell = sweep_probabilities(phi0, list(measurements.values()), grid, u)

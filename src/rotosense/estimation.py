@@ -24,7 +24,7 @@ vectors shifts every later row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -170,17 +170,21 @@ def _max_gap(a: np.ndarray, b: np.ndarray) -> float:
     return max(abs(x - y) for x, y in zip(a.tolist(), b.tolist()))
 
 
-def _nan_to_none(values) -> list:
-    """JSON-ready list with None (null) where a value is NaN."""
-    return [None if math.isnan(v) else float(v) for v in values]
-
-
 @dataclass(frozen=True)
 class QcrbReport:
-    """Empirical estimator statistics against the Cramer-Rao prediction."""
+    """Empirical estimator statistics against the Cramer-Rao prediction.
+
+    Every field but the per-trial arrays theta1_hats (trials,) and u_hats
+    (trials, 3) is a key of the ``estimate`` payload, in this order.  The
+    class exists for the readers of those arrays and of ``trials``,
+    ``degenerate_trials`` and ``sigma_empirical``: the benchmark harness
+    checks each op's run through these four.
+    """
 
     pipeline: str
-    params: RotationParams
+    theta1: float
+    theta2: float
+    theta3: float
     n: int
     trials: int
     seed: int
@@ -189,9 +193,9 @@ class QcrbReport:
     sigma_empirical: float
     sigma_predicted: float
     sigma_ratio: float
-    u_true_abs: np.ndarray
-    mean_u_abs: np.ndarray
-    sigma_u_abs: np.ndarray
+    u_true_abs: list
+    mean_u_abs: list  # [None] * 3 where fewer than two trials saw a signal shot
+    sigma_u_abs: list
     degenerate_trials: int
     max_exact_vs_smallangle_gap: float
     max_pipeline_vs_exact_gap: float
@@ -200,30 +204,9 @@ class QcrbReport:
 
     def to_dict(self) -> dict:
         return {
-            "pipeline": self.pipeline,
-            "theta1": self.params.theta1,
-            "theta2": self.params.theta2,
-            "theta3": self.params.theta3,
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "J": self.J,
-            "mean_theta1_hat": self.mean_theta1_hat,
-            "sigma_empirical": self.sigma_empirical,
-            "sigma_predicted": self.sigma_predicted,
-            "sigma_ratio": self.sigma_ratio,
-            "u_true_abs": list(self.u_true_abs),
-            "mean_u_abs": _nan_to_none(self.mean_u_abs),
-            "sigma_u_abs": _nan_to_none(self.sigma_u_abs),
-            "degenerate_trials": self.degenerate_trials,
-            "max_exact_vs_smallangle_gap": self.max_exact_vs_smallangle_gap,
-            "max_pipeline_vs_exact_gap": self.max_pipeline_vs_exact_gap,
+            f.name: getattr(self, f.name) for f in fields(self)
+            if f.name not in ("theta1_hats", "u_hats")
         }
-
-    def rows(self):
-        """Per-trial rows (trial, theta1_hat, u1_hat, u2_hat, u3_hat)."""
-        for t in range(self.trials):
-            yield (t, self.theta1_hats[t], *self.u_hats[t])
 
 
 def qcrb_experiment(
@@ -251,7 +234,7 @@ def qcrb_experiment(
     measurements = [optimal_basis(phi0)]
     if pipeline == "bell":
         try:
-            measurements.append(bell_measurement(measurements[0]))
+            measurements.append(bell_measurement(phi0))
         except ValueError as exc:
             raise ValueError(f"{exc}; use --pipeline optimal") from None
     axis = params.axis
@@ -262,18 +245,20 @@ def qcrb_experiment(
     theta_hats, u_hats = estimate_params(counts, phi0.J)
     signal_free = np.isnan(u_hats[:, 0])  # a NaN axis is NaN in all three entries
     degenerate = int(np.count_nonzero(signal_free))
-    if degenerate >= trials - 1:  # too few valid trials for axis statistics
-        mean_u = np.full(3, np.nan)
-        sigma_u = np.full(3, np.nan)
+    if degenerate >= trials - 1:  # too few valid trials for axis statistics: null in JSON
+        mean_u, sigma_u = [None] * 3, [None] * 3
     else:
         # bit-identical to np.nanmean / np.nanstd over all rows, without their NaN masking
-        mean_u, sigma_u = _mean_std(u_hats[~signal_free] if degenerate else u_hats)
+        stats = _mean_std(u_hats[~signal_free] if degenerate else u_hats)
+        mean_u, sigma_u = (x.tolist() for x in stats)
     fisher = 4.0 * phi0.J * (phi0.J + 1.0) / 3.0
     sigma_pred = 1.0 / math.sqrt(n * fisher)
     mean_theta, sigma_emp = map(float, _mean_std(theta_hats))
     return QcrbReport(
         pipeline=pipeline,
-        params=params,
+        theta1=params.theta1,
+        theta2=params.theta2,
+        theta3=params.theta3,
         n=n,
         trials=trials,
         seed=seed,
@@ -282,7 +267,7 @@ def qcrb_experiment(
         sigma_empirical=sigma_emp,
         sigma_predicted=sigma_pred,
         sigma_ratio=sigma_emp / sigma_pred,
-        u_true_abs=np.abs(axis),
+        u_true_abs=np.abs(axis).tolist(),
         mean_u_abs=mean_u,
         sigma_u_abs=sigma_u,
         degenerate_trials=degenerate,
@@ -305,7 +290,8 @@ def estimate_report(
     small-angle warnings.
     """
     reports = {pipe: qcrb_experiment(phi0, params, n, trials, seed, pipe) for pipe in pipelines}
-    rows = next(iter(reports.values())).rows() if len(reports) == 1 else None
+    report, *more = reports.values()
+    rows = None if more else zip(range(trials), report.theta1_hats, *report.u_hats.T)
     header = ["trial", "theta1_hat", "u1_hat", "u2_hat", "u3_hat"]
     payload = {pipe: report.to_dict() for pipe, report in reports.items()}
     return payload, header, rows, small_angle_warnings(params.theta1)

@@ -26,18 +26,18 @@ import numpy as np
 
 from .metrology import anticoherence_report, frame_qfi, rotated_frame
 from .spin_core import (
-    BitwiseValue, RotationParams, SpinState, check_unit_axis, rotated_amplitudes, spin_operators
+    RotationParams, SpinState, check_unit_axis, rotated_amplitudes, spin_operators
 )
 
 @dataclass(frozen=True, eq=False)
-class Measurement(BitwiseValue):
+class Measurement:
     """Five outcomes on the |J,m> basis, given by row blocks K_0..K_3, K_rest.
 
     Block mu is rows starts[mu] up to starts[mu+1] of ``rows`` (K_rest runs
     to the last row, and any block may be empty).  The rows form an
     isometry, R^dagger R = I, so P_mu = ||K_mu psi||^2 sums to 1 over the
     five outcomes, and sums of squared moduli keep every P_mu >= 0 exactly.
-    It holds a read-only copy of the rows and is equal by J, starts and row bits.
+    It holds a read-only copy of the rows.
     """
 
     J: float

@@ -77,31 +77,13 @@ def _unit_amplitudes(amps) -> np.ndarray:
     return amps
 
 
-class BitwiseValue:
-    """Equality and hashing of a frozen dataclass by the exact bits of its fields.
-
-    An array field counts as its dtype, shape and bytes, any other field as
-    itself, so bit-identical values share one ``functools.lru_cache`` entry.
-    """
-
-    def _bits(self) -> tuple:
-        return tuple([  # vars: the dataclass fields, in order
-            (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
-            for v in vars(self).values()
-        ])
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._bits() == other._bits()
-
-    def __hash__(self):
-        return hash(self._bits())
-
-
 @dataclass(frozen=True, eq=False)
-class SpinState(BitwiseValue):
+class SpinState:
     """Pure state of a spin-J system, amplitudes over |J,m> with m = J..-J.
 
-    Equal by J and the bits of its read-only amplitudes: 0.0 and -0.0 differ.
+    A value: equal, and hashed alike, by J and the bytes of its read-only
+    amplitudes, so bit-identical probes share one ``functools.lru_cache``
+    entry; 0.0 and -0.0 differ.
     """
 
     J: float
@@ -114,6 +96,14 @@ class SpinState(BitwiseValue):
             raise ValueError(f"expected {two_j + 1} amplitudes for J={self.J}, got {amps.size}")
         object.__setattr__(self, "J", two_j / 2.0)
         object.__setattr__(self, "amps", amps)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (self.J, self.amps.tobytes()) == (
+            other.J, other.amps.tobytes()
+        )
+
+    def __hash__(self):
+        return hash((self.J, self.amps.tobytes()))
 
     @classmethod
     def normalized(cls, j, amps) -> "SpinState":

@@ -284,7 +284,7 @@ def test_criterion_12_bell_fisher_matrix_saturation():
         # axis only.
         for state in (tetra2(), balance()):
             basis = optimal_basis(state)
-            for measurement in (basis, bell_measurement(basis)):
+            for measurement in (basis, bell_measurement(state)):
                 for theta in np.geomspace(1e-3, 0.05, 8):
                     params = RotationParams(float(theta), 1.0, 0.5)
                     q = qfi_matrix(state, params)

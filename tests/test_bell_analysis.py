@@ -12,9 +12,11 @@ from oracles import (
     params_from_axis,
     register_contraction,
     rotation_unitary,
+    seven_photon_state,
     three_peak_state,
 )
 
+from rotosense import bell_analysis
 from rotosense.bell_analysis import (
     BELL_STATES,
     SYMMETRIC_LABELS,
@@ -52,10 +54,6 @@ N6_GROUPS = [
 def rotated_qubit_state(state, params):
     spun = SpinState.normalized(state.J, rotation_unitary(state.J, params) @ state.amps)
     return dicke_to_qubit(spun)
-
-
-def analyzer(state):
-    return bell_measurement(optimal_basis(state))
 
 
 class TestBellStates:
@@ -181,23 +179,28 @@ class TestAggregation:
         basis = optimal_basis(tetra2())
         bp = register_contraction(dicke_to_qubit(tetra2()))
         np.testing.assert_allclose(bell_outcome_probabilities(bp, basis), [1, 0, 0, 0], atol=1e-12)
-        p = exact_probabilities(tetra2(), bell_measurement(basis), RotationParams(0.0, 1.0, 0.5))
+        p = exact_probabilities(
+            tetra2(), bell_measurement(tetra2()), RotationParams(0.0, 1.0, 0.5)
+        )
         np.testing.assert_allclose(p, [1, 0, 0, 0, 0], atol=1e-12)
 
     def test_tetra2_z_rotation(self):
         theta = 0.05
-        p = exact_probabilities(tetra2(), analyzer(tetra2()), params_from_axis(theta, [0, 0, 1]))
+        params = params_from_axis(theta, [0, 0, 1])
+        p = exact_probabilities(tetra2(), bell_measurement(tetra2()), params)
         assert abs(p[3] - 2 * theta**2) <= 1.0 * theta**3
 
     def test_balance_y_rotation(self):
         theta = 0.05
-        p = exact_probabilities(balance(), analyzer(balance()), params_from_axis(theta, [0, 1, 0]))
+        params = params_from_axis(theta, [0, 1, 0])
+        p = exact_probabilities(balance(), bell_measurement(balance()), params)
         assert abs(p[2] - 4 * theta**2) <= 1.0 * theta**3
 
     def test_rejects_wrong_pair_count(self):
         # the three-pair analyzer of balance does not measure a two-pair probe
+        params = RotationParams(0.05, 1.0, 0.5)
         with pytest.raises(ValueError, match="different spin sectors"):
-            exact_probabilities(tetra2(), analyzer(balance()), RotationParams(0.05, 1.0, 0.5))
+            exact_probabilities(tetra2(), bell_measurement(balance()), params)
 
     def test_groups_are_disjoint_and_distinct(self):
         for factory in (tetra2, balance, lambda: three_peak_state(4)):
@@ -208,7 +211,8 @@ class TestAggregation:
 
     @pytest.mark.parametrize("factory,groups", [(tetra2, N4_GROUPS), (balance, N6_GROUPS)])
     def test_derived_groups_are_the_paper_tables(self, factory, groups):
-        basis = optimal_basis(factory())
+        state = factory()
+        basis = optimal_basis(state)
         assert bell_supports(basis) == groups
         # the analyzer's rows are the Dicke-space images of those tuples, in
         # label order, to rounding: the register path is built independently
@@ -221,7 +225,7 @@ class TestAggregation:
         expected = [
             [image[t] for image in images] for group in [*groups, rest] for t in sorted(group)
         ]
-        measurement = bell_measurement(basis)
+        measurement = bell_measurement(state)
         np.testing.assert_allclose(measurement.rows, expected, rtol=0, atol=1e-15)
         assert measurement.starts == tuple(np.cumsum([0] + [len(g) for g in groups]))
 
@@ -247,11 +251,6 @@ class TestAggregation:
 ANGLE = st.floats(min_value=-math.pi, max_value=math.pi)
 
 
-def stand_in_basis(n_photons):
-    """The |J,m> basis as five outcomes, J = n_photons / 2: enough for the photon-number checks."""
-    return Measurement(J=n_photons / 2, rows=np.eye(n_photons + 1), starts=(0, 1, 2, 3, 4))
-
-
 class TestBellMeasurement:
     """Row blocks over |J,m> against the qubit-picture reference."""
 
@@ -262,31 +261,30 @@ class TestBellMeasurement:
         state = factory()
         basis = optimal_basis(state)
         params = RotationParams(theta1, theta2, theta3)
-        blocks = exact_probabilities(state, bell_measurement(basis), params)[:4]
+        blocks = exact_probabilities(state, bell_measurement(state), params)[:4]
         bp = register_contraction(rotated_qubit_state(state, params))
         assert bp.ndim == n_photons // 2
         reference = bell_outcome_probabilities(bp, basis)
         assert np.max(np.abs(blocks - reference)) <= 1e-13
 
     @pytest.mark.parametrize(
-        "n_photons,message",
-        [
-            (5, "Bell products need an even photon number 2J from 2 to 12, got 5"),
-            (40, "Bell products need an even photon number 2J from 2 to 12, got 40"),
-        ],
-        ids=["5", "40"],
+        "probe,n_photons",
+        [(seven_photon_state, 7), (lambda: three_peak_state(20), 40)],
+        ids=["7", "40"],
     )
-    def test_rejects_other_photon_numbers(self, n_photons, message):
-        # an odd photon number has no Bell pairs; past 12 photons the check
-        # comes before the 4^(N/2) x (N+1) image is allocated
+    def test_rejects_other_photon_numbers(self, probe, n_photons):
+        # anti-coherent probes, each with an optimal basis: an odd photon
+        # number has no Bell pairs; past 12 photons the check comes before
+        # the 4^(N/2) x (N+1) image is allocated
+        message = f"Bell products need an even photon number 2J from 2 to 12, got {n_photons}$"
         with pytest.raises(ValueError, match=message):
-            bell_measurement(stand_in_basis(n_photons))
+            bell_measurement(probe())
 
     def test_fits_the_cube_state(self):
         # an anti-coherent J = 4 probe: disjoint supports of 21, 8, 8 and 8
         # tuples, and the other 36 of the 81 symmetric-label tuples as the rest
         state = three_peak_state(4)
-        measurement = analyzer(state)
+        measurement = bell_measurement(state)
         assert measurement.starts == (0, 21, 29, 37, 45)
         assert len(measurement.rows) == 81
         exact_basis = optimal_basis(state)
@@ -313,7 +311,7 @@ class TestBellMeasurement:
         # products and no more
         cube = lambda: three_peak_state(4)
         for factory, n_rows, n_rest in ((tetra2, 9, 0), (balance, 27, 1), (cube, 81, 36)):
-            measurement = analyzer(factory())
+            measurement = bell_measurement(factory())
             rows = measurement.rows
             assert len(measurement.starts) == 5
             assert len(rows) == n_rows and len(rows) - measurement.starts[4] == n_rest
@@ -328,19 +326,14 @@ class TestBellMeasurement:
         # is read from its own rows, not from 1 - sum P, which cancels to
         # rounding noise at small angles
         u = RotationParams(0.0, 1.0, 0.5).axis
-        cases = [(tetra2, optimal_basis), (balance, optimal_basis), (balance, analyzer)]
+        cases = [(tetra2, optimal_basis), (balance, optimal_basis), (balance, bell_measurement)]
         for factory, build in cases:
             rest = sweep_probabilities(factory(), build(factory()), [1e-6, 1e-3], u)[:, 4]
             scaled = rest / np.array([1e-6, 1e-3]) ** 4
             assert scaled[1] > 0.1 and scaled[0] == pytest.approx(scaled[1], rel=0.01)
         # tetra2's Bell rest block is empty
-        rest = sweep_probabilities(tetra2(), analyzer(tetra2()), [1e-6, 1e-3], u)[:, 4]
+        rest = sweep_probabilities(tetra2(), bell_measurement(tetra2()), [1e-6, 1e-3], u)[:, 4]
         assert rest.tolist() == [0, 0]
-
-    def test_refuses_multi_row_outcomes(self):
-        # the supports are read off single-state outcomes 0..3
-        with pytest.raises(ValueError, match=r"single-state outcomes 0\.\.3"):
-            bell_measurement(analyzer(balance()))
 
 
 class TestTabulatedDecompositions:
@@ -405,7 +398,7 @@ class TestBellMisfit:
     @pytest.mark.parametrize("state", [tetra2, balance])
     def test_fits_reference_probes(self, state):
         # outcome 0 holds the whole unrotated probe
-        p = exact_probabilities(state(), analyzer(state()), RotationParams(0.0, 1.0, 0.5))
+        p = exact_probabilities(state(), bell_measurement(state()), RotationParams(0.0, 1.0, 0.5))
         assert p[0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -418,10 +411,22 @@ class TestBellMisfit:
     )
     def test_names_the_overlapping_outcomes(self, state, shared):
         with pytest.raises(ValueError, match=re.escape(f"does not fit this probe: {shared}")):
-            analyzer(state())
+            bell_measurement(state())
+
+    def test_a_product_in_two_outcomes_misfits(self, monkeypatch):
+        # in the J = 2 Dicke basis no Bell product lies in more than two
+        # outcomes: (0, 0) = (HH + VV)(HH + VV)/2 lies in |2,2> and |2,0>.
+        # The probe |2,2> has no optimal basis of its own, so whatever the
+        # analyzer does, no other test's memo entry is touched
+        dicke = Measurement(2, np.eye(5), (0, 1, 2, 3, 4))
+        monkeypatch.setattr(bell_analysis, "optimal_basis", lambda phi0: dicke)
+        bell_measurement.cache_clear()
+        shared = "outcomes 0 and 2 share the Bell product (0, 0)"
+        with pytest.raises(ValueError, match=re.escape(f"does not fit this probe: {shared}")):
+            bell_measurement(SpinState.from_m_amplitudes(2, {2: 1.0}))
 
     def test_names_the_photon_number(self):
         # an anti-coherent J = 7 probe: its optimal basis exists, but Bell
         # products stop at 12 photons
         with pytest.raises(ValueError, match=r"from 2 to 12, got 14$"):
-            analyzer(three_peak_state(7))
+            bell_measurement(three_peak_state(7))

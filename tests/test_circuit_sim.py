@@ -114,6 +114,10 @@ class TestGateValidation:
         with pytest.raises(ValueError):
             Gate("custom", (0,), matrix=np.array([[1, 1], [0, 1]], dtype=complex))
 
+    def test_rejects_custom_without_matrix(self):
+        with pytest.raises(ValueError, match="custom gates need a 2x2 matrix"):
+            Gate("custom", (0,))
+
     def test_rejects_overlapping_qubits(self):
         with pytest.raises(ValueError):
             Gate("X", (0,), (0,))

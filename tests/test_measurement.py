@@ -37,7 +37,7 @@ def random_axes(rng, count):
 def measurements(state):
     """The optimal basis and the Bell analyzer for a built-in probe."""
     basis = optimal_basis(state)
-    return basis, bell_measurement(basis)
+    return basis, bell_measurement(state)
 
 
 def central_difference_fisher(state, measurement, params, step=1e-5):
@@ -196,7 +196,7 @@ class TestExactProbabilities:
     def test_block_sums_of_the_bell_analyzer(self, factory):
         # tetra2's Bell rest block is empty, so it takes the zero-filling path;
         # balance's five blocks all hold rows, so it takes the one reduceat
-        measurement = bell_measurement(optimal_basis(factory()))
+        measurement = bell_measurement(factory())
         values = np.random.default_rng(2).random((len(measurement.rows), 3))
         edges = [*measurement.starts, len(values)]
         assert (edges[-2] == edges[-1]) == (factory is tetra2)
@@ -387,7 +387,7 @@ class TestSaturationCheck:
     def test_one_frame_serves_every_measurement(self, factory):
         state = factory()
         basis = optimal_basis(state)
-        named = {"optimal": basis, "bell": bell_measurement(basis)}
+        named = {"optimal": basis, "bell": bell_measurement(state)}
         report = multiparam_saturation_check(state, named, REFERENCE)
         qdiag = np.diag(qfi_matrix(state, REFERENCE)).tolist()
         for name, measurement in named.items():

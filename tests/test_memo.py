@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -63,11 +64,12 @@ class TestRepeatedReports:
         argv = ["probabilities", "--state", probe, "--grid-points", "11", "--format", fmt]
         assert main([*argv, "--out", str(outs[0])]) == 0
         assert work == {"svd": 1, "anticoherence_report": 1}
-        assert cold() == [(0, 1), (0, 1)]
+        # the Bell analyzer reads the optimal basis the report has just built
+        assert cold() == [(1, 1), (0, 1)]
         work.update(svd=0, anticoherence_report=0)
         assert main([*argv, "--out", str(outs[1])]) == 0
         assert work == {"svd": 0, "anticoherence_report": 0}
-        assert cold() == [(1, 1), (1, 1)]
+        assert cold() == [(2, 1), (1, 1)]
         assert outs[1].read_bytes() == outs[0].read_bytes()
 
     @pytest.mark.parametrize("pipeline", ["optimal", "bell"])
@@ -84,6 +86,11 @@ class TestRepeatedReports:
         for name, builder in (("tetra1", tetra1), ("tetra2", tetra2), ("balance", balance)):
             assert get_state(name) is builder() is builder()
 
+    def test_registry_names_its_probes(self):
+        message = "unknown state 'nosuch'; choose from ['balance', 'tetra1', 'tetra2']"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            get_state("nosuch")
+
 
 class TestByValue:
     def test_file_probe_with_tetra2_bytes_shares_the_entry(self, tmp_path, cold):
@@ -91,10 +98,9 @@ class TestByValue:
         assert loaded is not tetra2()
         assert loaded.amps.tobytes() == tetra2().amps.tobytes()
         basis = optimal_basis(tetra2())
-        shared = optimal_basis(loaded)
-        assert shared is basis
-        assert bell_measurement(shared) is bell_measurement(basis)
-        assert cold() == [(1, 1), (1, 1)]
+        assert optimal_basis(loaded) is basis
+        assert bell_measurement(loaded) is bell_measurement(tetra2())
+        assert cold() == [(2, 1), (1, 1)]
 
     def test_a_last_bit_is_another_probe(self, cold):
         amps = tetra2().amps.copy()
@@ -129,8 +135,7 @@ class TestReadOnly:
 
     @pytest.mark.parametrize("factory", [tetra2, balance])
     def test_cached_rows(self, factory):
-        basis = optimal_basis(factory())
-        for cached in (basis, bell_measurement(basis)):
+        for cached in (optimal_basis(factory()), bell_measurement(factory())):
             assert not cached.rows.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 cached.rows[0, 0] = 0.0
@@ -151,14 +156,13 @@ class TestRefusalsAreNotCached:
         assert optimal_basis.cache_info().currsize == 0
 
     def test_tetra1_bell_misfit(self, cold):
-        basis = optimal_basis(tetra1())
         messages = []
         for _ in range(3):
             with pytest.raises(ValueError, match="does not fit this probe") as info:
-                bell_measurement(basis)
+                bell_measurement(tetra1())
             messages.append(str(info.value))
         assert messages == [messages[0]] * 3
-        assert cold()[1] == (0, 3)
+        assert cold() == [(2, 1), (0, 3)]  # one optimal basis, the analyzer refused each time
         assert bell_measurement.cache_info().currsize == 0
 
     def test_tetra1_estimate_refusal_repeats(self, capsys):

@@ -68,13 +68,3 @@ def test_small_angle_sweep_fits_the_small_angle_gap_where_bell_misfits(tmp_path)
     lines = out.read_text().splitlines()
     assert "gap_small" in lines[0] and "bell" not in lines[0]
     assert len(lines) == 21
-
-
-def test_qcrb_study_table():
-    result = run_script("qcrb_study.py", "--trials", "20", "--shots", "10000")
-    assert result.returncode == 0, result.stderr
-    rows = [
-        line for line in result.stdout.splitlines()
-        if re.match(r"(tetra2|balance)\s+(optimal|bell)\s+10000\s", line)
-    ]
-    assert len(rows) == 4

@@ -193,6 +193,12 @@ class TestPictureConversions:
         assert qs.shape == (16,) and not qs.flags.writeable
         assert np.linalg.norm(qs) == pytest.approx(1.0, abs=1e-15)
 
+    def test_one_photon_is_the_floor(self):
+        # J = 1/2 is one qubit, its amplitudes as they are; J = 0 has no qubit
+        assert dicke_to_qubit(SpinState(0.5, [0.6, 0.8])).tolist() == [0.6, 0.8]
+        with pytest.raises(ValueError, match=r"the qubit picture needs 1\.\.12 photons"):
+            dicke_to_qubit(SpinState(0, [1.0]))
+
     def test_rejects_register_above_ceiling(self):
         # two photons past the ceiling: refused before 2^N amplitudes are allocated
         with pytest.raises(ValueError, match="qubit picture"):
