@@ -75,6 +75,16 @@ INPUTS = {
         "gates": [{"kind": "custom", "targets": [0], "matrix": [[[1, 0]], [[0, 0], [1, 0]]]}],
     },
     "nope.json": "nope",  # not JSON
+    "list.json": [1, 2],  # JSON, but not an object
+    "gates_str.json": {"n_qubits": 1, "gates": "ab"},
+    "gates_ints.json": {"n_qubits": 1, "gates": [1]},
+    "gates_obj.json": {"n_qubits": 1, "gates": {"a": 1}},
+    # a named gate's "matrix" key is not read, whatever it holds
+    "h_junk.json": {"n_qubits": 1, "gates": [{"kind": "H", "targets": [0], "matrix": "junk"}]},
+    "h_big.json": {
+        "n_qubits": 1,
+        "gates": [{"kind": "H", "targets": [0], "matrix": [[[5, 0], [0, 0]], [[0, 0], [0, 0]]]}],
+    },
 }
 
 # --- the invocations: (arguments after `rotosense`, expected exit code) -----
@@ -90,6 +100,7 @@ INVOCATIONS = [
     ("fisher --format csv", 2),
     ("fisher --state file:{dir}/j600.json", 2),
     ("fisher --config {dir}/nope.json", 2),
+    ("fisher --state file:{dir}/list.json", 2),
     ("fisher --help", 0),
     ("probabilities", 0),
     ("probabilities --format csv", 0),
@@ -151,6 +162,12 @@ INVOCATIONS = [
     ("circuit-verify --circuit {dir}/missing.json", 2),
     ("circuit-verify --circuit {dir}/twenty.json", 2),
     ("circuit-verify --circuit {dir}/ragged.json", 2),
+    ("circuit-verify --circuit {dir}/list.json", 2),
+    ("circuit-verify --circuit {dir}/gates_str.json", 2),
+    ("circuit-verify --circuit {dir}/gates_ints.json", 2),
+    ("circuit-verify --circuit {dir}/gates_obj.json", 2),
+    ("circuit-verify --circuit {dir}/h_junk.json", 0),
+    ("circuit-verify --circuit {dir}/h_big.json", 0),
     ("", 2),
     ("fisher --theta1", 2),
 ]

@@ -130,7 +130,7 @@ def bell_measurement(phi0: SpinState) -> Measurement:
         )
     blocks = [image[support[..., mu]] for mu in range(4)] + [image[~support.any(axis=-1)]]
     starts = tuple(accumulate((len(block) for block in blocks[:4]), initial=0))
-    return Measurement(J=phi0.J, rows=np.concatenate(blocks), starts=starts)
+    return Measurement(rows=np.concatenate(blocks), starts=starts)
 
 
 def probabilities_report(phi0: SpinState, theta1s, u, saturation_at=None) -> tuple:

@@ -46,14 +46,6 @@ for _m in _NAMED_2X2.values():
     _m.setflags(write=False)
 
 
-def gate_matrix(name: str) -> np.ndarray:
-    """The 2x2 matrix of a named gate (H, X, Z, S, U1, U2, U)."""
-    try:
-        return _NAMED_2X2[name]
-    except KeyError:
-        raise ValueError(f"unknown gate {name!r}; known: {sorted(_NAMED_2X2)}") from None
-
-
 def _qubit_list(key: str, value) -> tuple:
     """A JSON list of qubit indices; strings, floats and bools are rejected."""
     if not isinstance(value, list) or any(type(q) is not int for q in value):
@@ -61,9 +53,13 @@ def _qubit_list(key: str, value) -> tuple:
     return tuple(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gate:
-    """A single-qubit gate with optional closed (|1>) and open (|0>) controls."""
+    """A single-qubit gate with optional closed (|1>) and open (|0>) controls.
+
+    ``matrix`` is the gate's read-only 2x2 unitary, resolved when the gate is
+    built: a named kind's own, or the one a custom gate must be given.
+    """
 
     kind: str
     targets: tuple
@@ -94,17 +90,21 @@ class Gate:
                 raise ValueError("custom gate matrix is not unitary")
             m = m.copy()
             m.setflags(write=False)
-            object.__setattr__(self, "matrix", m)
+        elif type(self.kind) is not str or self.kind not in _NAMED_2X2:
+            raise ValueError(f"unknown gate {self.kind!r}; known: {sorted(_NAMED_2X2)}")
+        elif self.matrix is not None:
+            raise ValueError(f"only custom gates take a matrix, not {self.kind}")
         else:
-            gate_matrix(self.kind)  # validates the name
-
-    def matrix_2x2(self) -> np.ndarray:
-        return self.matrix if self.kind == "custom" else gate_matrix(self.kind)
+            m = _NAMED_2X2[self.kind]  # shared and read-only
+        object.__setattr__(self, "matrix", m)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Gate":
-        matrix = data.get("matrix")
+        """A gate from its JSON object; the "matrix" key is read for custom gates only."""
+        matrix = data.get("matrix") if data["kind"] == "custom" else None
         if matrix is not None:
+            if type(matrix) is not list:
+                raise TypeError("matrix must be a list of rows of [re, im] number pairs")
             matrix = [complex_pairs("a matrix row", row) for row in matrix]
         return cls(
             kind=data["kind"],
@@ -136,17 +136,17 @@ class Circuit:
     def from_json_dict(cls, data: dict) -> "Circuit":
         if type(data["n_qubits"]) is not int:  # a bool or a float would be truncated
             raise TypeError(f"n_qubits must be an integer, got {data['n_qubits']!r}")
-        return cls(
-            n_qubits=data["n_qubits"],
-            gates=tuple(Gate.from_json_dict(g) for g in data["gates"]),
-        )
+        gates = data["gates"]
+        if type(gates) is not list or not all(type(g) is dict for g in gates):
+            raise TypeError("gates must be a list of gate objects")
+        return cls(n_qubits=data["n_qubits"], gates=tuple(map(Gate.from_json_dict, gates)))
 
 
 def _apply_gates(amps: np.ndarray, gates, n: int) -> np.ndarray:
     """Apply gates to a raw amplitude vector; returns a new vector."""
     tensor = np.asarray(amps, dtype=complex).reshape([2] * n).copy()
     for gate in gates:
-        m = gate.matrix_2x2()
+        m = gate.matrix
         target = gate.targets[0]
         idx0 = [slice(None)] * n
         for c in gate.controls:

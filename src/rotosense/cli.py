@@ -47,20 +47,23 @@ _FLOAT_MAX = sys.float_info.max  # a larger JSON integer has no float value
 
 
 def _read_json(path: str, what: str, parse):
-    """parse() of the JSON value in the <what> file at path.
+    """parse() of the JSON object in the <what> file at path.
 
-    A missing file, text that is not JSON and a value that parse refuses (a
-    missing key, a wrong type, a bad value) each end in one ValueError that
-    names the file.
+    A missing file, text that is not JSON, a value that is not an object and
+    one that parse refuses (a missing key, a wrong type, a bad value) each
+    end in one ValueError that names the file.
     """
     try:
         with open(path) as fh:
-            return parse(json.load(fh))
+            data = json.load(fh)
+        if type(data) is not dict:
+            raise TypeError("expected a JSON object")
+        return parse(data)
     except FileNotFoundError:
         raise ValueError(f"{what} file not found: {path}") from None
     except (
         ValueError, RecursionError,  # not JSON (not UTF-8, too deep), or a bad value
-        AttributeError, KeyError, TypeError, OverflowError,  # the wrong shape for parse
+        KeyError, TypeError, OverflowError,  # the wrong shape for parse
     ) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"malformed {what} file {path}: {detail}") from None
@@ -72,8 +75,6 @@ def _config_values(data) -> dict:
     A float option takes a JSON integer or float, but no bool and no integer
     past the float range; an option whose default is null may be null.
     """
-    if not isinstance(data, dict):
-        raise TypeError("expected a JSON object")
     unknown = set(data) - set(_OPTIONS)
     if unknown:
         raise TypeError(f"unknown config keys: {sorted(unknown)}")

@@ -40,7 +40,6 @@ class Measurement:
     It holds a read-only copy of the rows.
     """
 
-    J: float
     rows: np.ndarray  # (rows of K_0, ..., rows of K_3, rows of K_rest) x (2J+1)
     starts: tuple  # first row of each of the five blocks
 
@@ -72,9 +71,6 @@ def _check_rows(p: np.ndarray) -> np.ndarray:
 # each for the last MEMO_SIZE probes of the process.
 MEMO_SIZE = 4
 
-# Largest deviation from second-order anti-coherence optimal_basis accepts.
-_ANTICOHERENCE_TOL = 1e-10
-
 
 @lru_cache(maxsize=MEMO_SIZE)
 def optimal_basis(phi0: SpinState) -> Measurement:
@@ -91,7 +87,7 @@ def optimal_basis(phi0: SpinState) -> Measurement:
             "optimal_basis needs J >= 3/2: its four states need 2J+1 >= 4 "
             f"dimensions, got J={phi0.J:g}"
         )
-    report = anticoherence_report(phi0, _ANTICOHERENCE_TOL)
+    report = anticoherence_report(phi0)
     if not report["pass"]:
         dev = report["deviations"]
         raise ValueError(
@@ -105,7 +101,7 @@ def optimal_basis(phi0: SpinState) -> Measurement:
         states.append(SpinState.normalized(phi0.J, op @ phi0.amps / scale))
     rows = np.array([s.amps.conj() for s in states])
     rows = np.vstack([rows, np.linalg.svd(rows)[2][4:]])
-    return Measurement(J=phi0.J, rows=rows, starts=(0, 1, 2, 3, 4))
+    return Measurement(rows=rows, starts=(0, 1, 2, 3, 4))
 
 
 def _block_sums(measurement: Measurement, values: np.ndarray) -> np.ndarray:
@@ -121,7 +117,7 @@ def _block_sums(measurement: Measurement, values: np.ndarray) -> np.ndarray:
 
 
 def _check_sector(phi0: SpinState, *measurements: Measurement):
-    if any(measurement.J != phi0.J for measurement in measurements):
+    if any(measurement.rows.shape[1] != phi0.amps.size for measurement in measurements):
         raise ValueError("measurement and state belong to different spin sectors")
 
 
@@ -129,25 +125,21 @@ def sweep_probabilities(phi0: SpinState, measurements, theta1s, u) -> np.ndarray
     """Rows [P0, P1, P2, P3, Prest], one per theta1 about the unit axis u.
 
     One eigendecomposition of u . J rotates the whole grid once for every
-    measurement: one Measurement gives rows of shape (len(theta1s), 5), a
-    sequence of k gives shape (k, len(theta1s), 5).  Rows are validated,
-    read-only, and each is a function of its angle alone: the row of a
-    one-angle grid, bit for bit.
+    measurement: a sequence of k measurements gives shape
+    (k, len(theta1s), 5).  Rows are validated, read-only, and each is a
+    function of its angle alone: the row of a one-angle grid, bit for bit.
     """
-    single = isinstance(measurements, Measurement)
-    measurements = (measurements,) if single else tuple(measurements)
     _check_sector(phi0, *measurements)
     psi = rotated_amplitudes(phi0, theta1s, u).T[..., None]  # one (2J+1, 1) column per angle
     p = np.stack([  # K psi per angle, as rotated_amplitudes forms psi
         _block_sums(m, (np.abs(np.matmul(m.rows, psi)) ** 2)[..., 0].T) for m in measurements
     ])
-    rows = _check_rows(p.swapaxes(1, 2))
-    return rows[0] if single else rows
+    return _check_rows(p.swapaxes(1, 2))
 
 
 def exact_probabilities(phi0: SpinState, measurements, params: RotationParams) -> np.ndarray:
-    """P_mu = ||K_mu exp(-i theta1 u.J) phi0||^2, rest included, per measurement."""
-    return sweep_probabilities(phi0, measurements, [params.theta1], params.axis)[..., 0, :]
+    """P_mu = ||K_mu exp(-i theta1 u.J) phi0||^2, rest included: shape (k, 5) for k measurements."""
+    return sweep_probabilities(phi0, measurements, [params.theta1], params.axis)[:, 0]
 
 
 # Small-angle validity: warn past this, never reject on it.  The separate

@@ -19,6 +19,10 @@ import numpy as np
 
 from .spin_core import RotationParams, SpinState, rotated_amplitudes, spin_operators
 
+# Largest deviation from second-order anti-coherence that anticoherence_report
+# passes, and so the one optimal_basis accepts.
+ANTICOHERENCE_TOL = 1e-10
+
 
 def j_expectations(state: SpinState) -> tuple[np.ndarray, np.ndarray]:
     """Mean vector <J_i> and symmetrized covariance matrix of the spin operators."""
@@ -33,8 +37,8 @@ def j_expectations(state: SpinState) -> tuple[np.ndarray, np.ndarray]:
     return mean, second - np.outer(mean, mean)
 
 
-def anticoherence_report(state: SpinState, tol: float = 1e-12) -> dict:
-    """Check <J_i> = 0 and Cov(J)_ij = delta_ij J(J+1)/3 within tol.
+def anticoherence_report(state: SpinState) -> dict:
+    """Check <J_i> = 0 and Cov(J)_ij = delta_ij J(J+1)/3 within ANTICOHERENCE_TOL.
 
     Returns the JSON-ready report {"pass", "deviations": {"max_mean_abs",
     "max_diagonal_dev", "max_offdiagonal_abs"}, "tol"}.  J < 3/2 fails, as
@@ -47,8 +51,8 @@ def anticoherence_report(state: SpinState, tol: float = 1e-12) -> dict:
         "max_diagonal_dev": float(np.max(np.abs(np.diag(cov) - target))),
         "max_offdiagonal_abs": float(np.max(np.abs(cov - np.diag(np.diag(cov))))),
     }
-    passed = state.J >= 1.5 and all(dev <= tol for dev in deviations.values())
-    return {"pass": passed, "deviations": deviations, "tol": tol}
+    passed = state.J >= 1.5 and all(dev <= ANTICOHERENCE_TOL for dev in deviations.values())
+    return {"pass": passed, "deviations": deviations, "tol": ANTICOHERENCE_TOL}
 
 
 def generator_coeffs(params: RotationParams) -> np.ndarray:
@@ -105,9 +109,9 @@ def frame_qfi(psi: np.ndarray, g_psi: np.ndarray) -> np.ndarray:
 def fisher_report(state: SpinState, params: RotationParams) -> dict:
     """The JSON-ready Fisher report of a probe at a rotation.
 
-    {"J", "mean", "cov"} of the spin operators, "anticoherence" at tol
-    1e-10, the quantum Fisher matrix "qfi" with "fisher_single" = Q_11,
-    and the rotation's "theta1" and unit "axis".
+    {"J", "mean", "cov"} of the spin operators, "anticoherence", the
+    quantum Fisher matrix "qfi" with "fisher_single" = Q_11, and the
+    rotation's "theta1" and unit "axis".
     """
     mean, cov = j_expectations(state)
     qfi = qfi_matrix(state, params)
@@ -115,7 +119,7 @@ def fisher_report(state: SpinState, params: RotationParams) -> dict:
         "J": state.J,
         "mean": list(mean),
         "cov": [list(row) for row in cov],
-        "anticoherence": anticoherence_report(state, tol=1e-10),
+        "anticoherence": anticoherence_report(state),
         "fisher_single": float(qfi[0, 0]),
         "axis": list(params.axis),
         "qfi": [list(row) for row in qfi],

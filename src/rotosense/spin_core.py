@@ -148,18 +148,9 @@ class RotationParams:
 
     @property
     def axis(self) -> np.ndarray:
-        return axis_from_angles(self.theta2, self.theta3)
-
-
-def axis_from_angles(theta2: float, theta3: float) -> np.ndarray:
-    """Unit vector (sin t2 cos t3, sin t2 sin t3, cos t2)."""
-    return np.array(
-        [
-            math.sin(theta2) * math.cos(theta3),
-            math.sin(theta2) * math.sin(theta3),
-            math.cos(theta2),
-        ]
-    )
+        """Unit vector (sin t2 cos t3, sin t2 sin t3, cos t2)."""
+        t2, t3 = self.theta2, self.theta3
+        return np.array([math.sin(t2) * math.cos(t3), math.sin(t2) * math.sin(t3), math.cos(t2)])
 
 
 @lru_cache(maxsize=None)

@@ -58,7 +58,8 @@ def register_contraction(amps: np.ndarray) -> np.ndarray:
 
 def bell_supports(basis) -> list:
     """The label tuples t with |<phi_t|psi_mu>|^2 > 1e-12, one set per optimal-basis state."""
-    states = (SpinState(basis.J, row.conj()) for row in basis.rows[:4])
+    j = (basis.rows.shape[1] - 1) / 2
+    states = (SpinState(j, row.conj()) for row in basis.rows[:4])
     return [
         {tuple(int(x) for x in t) for t in np.argwhere(np.abs(bp) ** 2 > 1e-12)}
         for bp in (register_contraction(dicke_to_qubit(psi)) for psi in states)

@@ -88,7 +88,7 @@ class TestBellDecompose:
 
     def test_psi1_up_to_global_phase(self):
         basis = optimal_basis(tetra2())
-        bp = bell_decompose(SpinState(basis.J, basis.rows[1].conj()))
+        bp = bell_decompose(SpinState(2, basis.rows[1].conj()))
         target = -1j / math.sqrt(2)
         ratio = bp[0, 1] / target
         assert abs(abs(ratio) - 1.0) <= 1e-12
@@ -180,27 +180,27 @@ class TestAggregation:
         bp = register_contraction(dicke_to_qubit(tetra2()))
         np.testing.assert_allclose(bell_outcome_probabilities(bp, basis), [1, 0, 0, 0], atol=1e-12)
         p = exact_probabilities(
-            tetra2(), bell_measurement(tetra2()), RotationParams(0.0, 1.0, 0.5)
-        )
+            tetra2(), [bell_measurement(tetra2())], RotationParams(0.0, 1.0, 0.5)
+        )[0]
         np.testing.assert_allclose(p, [1, 0, 0, 0, 0], atol=1e-12)
 
     def test_tetra2_z_rotation(self):
         theta = 0.05
         params = params_from_axis(theta, [0, 0, 1])
-        p = exact_probabilities(tetra2(), bell_measurement(tetra2()), params)
+        p = exact_probabilities(tetra2(), [bell_measurement(tetra2())], params)[0]
         assert abs(p[3] - 2 * theta**2) <= 1.0 * theta**3
 
     def test_balance_y_rotation(self):
         theta = 0.05
         params = params_from_axis(theta, [0, 1, 0])
-        p = exact_probabilities(balance(), bell_measurement(balance()), params)
+        p = exact_probabilities(balance(), [bell_measurement(balance())], params)[0]
         assert abs(p[2] - 4 * theta**2) <= 1.0 * theta**3
 
     def test_rejects_wrong_pair_count(self):
         # the three-pair analyzer of balance does not measure a two-pair probe
         params = RotationParams(0.05, 1.0, 0.5)
         with pytest.raises(ValueError, match="different spin sectors"):
-            exact_probabilities(tetra2(), bell_measurement(balance()), params)
+            exact_probabilities(tetra2(), [bell_measurement(balance())], params)
 
     def test_groups_are_disjoint_and_distinct(self):
         for factory in (tetra2, balance, lambda: three_peak_state(4)):
@@ -217,11 +217,11 @@ class TestAggregation:
         # the analyzer's rows are the Dicke-space images of those tuples, in
         # label order, to rounding: the register path is built independently
         images = [
-            register_contraction(dicke_to_qubit(SpinState(basis.J, e)))
+            register_contraction(dicke_to_qubit(SpinState(state.J, e)))
             for e in np.eye(len(basis.rows[0]))
         ]
         # followed by the symmetric-label tuples outside every group, the rest
-        rest = set(itertools.product(SYMMETRIC_LABELS, repeat=int(basis.J))) - set().union(*groups)
+        rest = set(itertools.product(SYMMETRIC_LABELS, repeat=int(state.J))) - set().union(*groups)
         expected = [
             [image[t] for image in images] for group in [*groups, rest] for t in sorted(group)
         ]
@@ -241,7 +241,7 @@ class TestAggregation:
         for theta in np.geomspace(1e-3, 0.05, 6):
             for u in axes:
                 params = params_from_axis(theta, u)
-                exact = exact_probabilities(state, basis, params)[:4]
+                exact = exact_probabilities(state, [basis], params)[0, :4]
                 bp = register_contraction(rotated_qubit_state(state, params))
                 assert bp.ndim == n_photons // 2
                 agg = bell_outcome_probabilities(bp, basis)
@@ -261,7 +261,7 @@ class TestBellMeasurement:
         state = factory()
         basis = optimal_basis(state)
         params = RotationParams(theta1, theta2, theta3)
-        blocks = exact_probabilities(state, bell_measurement(state), params)[:4]
+        blocks = exact_probabilities(state, [bell_measurement(state)], params)[0, :4]
         bp = register_contraction(rotated_qubit_state(state, params))
         assert bp.ndim == n_photons // 2
         reference = bell_outcome_probabilities(bp, basis)
@@ -290,9 +290,7 @@ class TestBellMeasurement:
         exact_basis = optimal_basis(state)
         for theta in (0.01, 0.02, 0.05):
             params = RotationParams(theta, 1.0, 0.5)
-            gap = exact_probabilities(state, measurement, params) - exact_probabilities(
-                state, exact_basis, params
-            )
+            gap = np.subtract(*exact_probabilities(state, [measurement, exact_basis], params))
             assert np.max(np.abs(gap[:4])) <= 1.0 * theta**3
 
     def test_every_measurement_is_an_isometry(self):
@@ -328,11 +326,11 @@ class TestBellMeasurement:
         u = RotationParams(0.0, 1.0, 0.5).axis
         cases = [(tetra2, optimal_basis), (balance, optimal_basis), (balance, bell_measurement)]
         for factory, build in cases:
-            rest = sweep_probabilities(factory(), build(factory()), [1e-6, 1e-3], u)[:, 4]
+            rest = sweep_probabilities(factory(), [build(factory())], [1e-6, 1e-3], u)[0, :, 4]
             scaled = rest / np.array([1e-6, 1e-3]) ** 4
             assert scaled[1] > 0.1 and scaled[0] == pytest.approx(scaled[1], rel=0.01)
         # tetra2's Bell rest block is empty
-        rest = sweep_probabilities(tetra2(), bell_measurement(tetra2()), [1e-6, 1e-3], u)[:, 4]
+        rest = sweep_probabilities(tetra2(), [bell_measurement(tetra2())], [1e-6, 1e-3], u)[0, :, 4]
         assert rest.tolist() == [0, 0]
 
 
@@ -398,8 +396,8 @@ class TestBellMisfit:
     @pytest.mark.parametrize("state", [tetra2, balance])
     def test_fits_reference_probes(self, state):
         # outcome 0 holds the whole unrotated probe
-        p = exact_probabilities(state(), bell_measurement(state()), RotationParams(0.0, 1.0, 0.5))
-        assert p[0] == pytest.approx(1.0, abs=1e-12)
+        p = exact_probabilities(state(), [bell_measurement(state())], RotationParams(0.0, 1.0, 0.5))
+        assert p[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "state,shared",
@@ -418,7 +416,7 @@ class TestBellMisfit:
         # outcomes: (0, 0) = (HH + VV)(HH + VV)/2 lies in |2,2> and |2,0>.
         # The probe |2,2> has no optimal basis of its own, so whatever the
         # analyzer does, no other test's memo entry is touched
-        dicke = Measurement(2, np.eye(5), (0, 1, 2, 3, 4))
+        dicke = Measurement(np.eye(5), (0, 1, 2, 3, 4))
         monkeypatch.setattr(bell_analysis, "optimal_basis", lambda phi0: dicke)
         bell_measurement.cache_clear()
         shared = "outcomes 0 and 2 share the Bell product (0, 0)"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from rotosense.circuit_sim import (
     balanced_n6_prep_circuit,
     bell_analyzer_circuit,
     fidelity,
-    gate_matrix,
     prep_circuit_report,
     run_circuit,
     tetra_prep_circuit,
@@ -38,6 +38,11 @@ def basis(n_qubits, index=0):
     amps = np.zeros(2**n_qubits, dtype=complex)
     amps[index] = 1.0
     return amps
+
+
+def named(kind):
+    """The 2x2 matrix a named gate resolves when it is built."""
+    return Gate(kind, (0,)).matrix
 
 
 def phi0_ud():
@@ -126,6 +131,36 @@ class TestGateValidation:
         with pytest.raises(ValueError):
             Gate("W", (0,))
 
+    @pytest.mark.parametrize("kind", [["H"], 5, None])
+    def test_rejects_a_kind_that_is_no_name(self, kind):
+        # a list is unhashable: it is refused by name, not by a dict lookup's TypeError
+        with pytest.raises(ValueError, match=re.escape(f"unknown gate {kind!r}; known: ")):
+            Gate(kind, (0,))
+
+    def test_rejects_a_matrix_on_a_named_gate(self):
+        # only a custom gate is given its matrix; a named kind resolves its own
+        with pytest.raises(ValueError, match="only custom gates take a matrix, not H"):
+            Gate("H", (0,), matrix=named("X"))
+
+    @pytest.mark.parametrize("kind", ["H", "X", "Z", "S", "U1", "U2", "U", "custom"])
+    def test_matrix_resolved_when_built(self, kind):
+        # a named gate shares its kind's read-only matrix; a custom gate holds
+        # a read-only copy of the one it is given
+        given = np.array(named("U2")) if kind == "custom" else None
+        gate = Gate(kind, (0,), matrix=given)
+        assert gate.matrix.shape == (2, 2) and not gate.matrix.flags.writeable
+        if kind == "custom":
+            assert gate.matrix is not given
+            np.testing.assert_array_equal(gate.matrix, named("U2"))
+        else:
+            assert gate.matrix is named(kind)
+
+    def test_gates_compare_by_identity(self):
+        # as Measurement: equal fields do not make equal gates, and no matrix is compared
+        rotation = [[0.6, -0.8], [0.8, 0.6]]
+        a, b = (Gate("custom", (0,), matrix=rotation) for _ in range(2))
+        assert a == a and a != b and Gate("H", (0,)) != Gate("H", (0,))
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Circuit(2, (Gate("X", (5,)),))
@@ -138,12 +173,12 @@ class TestGateValidation:
 class TestGateIdentities:
     @pytest.mark.parametrize("name", ["H", "X", "Z"])
     def test_involutions(self, name):
-        m = gate_matrix(name)
+        m = named(name)
         assert np.linalg.norm(m @ m - np.eye(2)) <= 1e-12
 
     def test_s_squared_is_z(self):
-        s = gate_matrix("S")
-        assert np.linalg.norm(s @ s - gate_matrix("Z")) <= 1e-12
+        s = named("S")
+        assert np.linalg.norm(s @ s - named("Z")) <= 1e-12
 
     def test_cnot_squared(self):
         rng = np.random.default_rng(4)
@@ -154,14 +189,14 @@ class TestGateIdentities:
 
     @pytest.mark.parametrize("name", ["H", "X", "Z", "S", "U1", "U2", "U"])
     def test_all_named_gates_unitary(self, name):
-        m = gate_matrix(name)
+        m = named(name)
         assert np.linalg.norm(m @ m.conj().T - np.eye(2)) <= 1e-12
 
     def test_s_phases_excited_state(self):
-        np.testing.assert_allclose(gate_matrix("S") @ [0, 1], [0, 1j], atol=1e-15)
+        np.testing.assert_allclose(named("S") @ [0, 1], [0, 1j], atol=1e-15)
 
     def test_u_first_column(self):
-        col = gate_matrix("U") @ [1, 0]
+        col = named("U") @ [1, 0]
         np.testing.assert_allclose(
             col, [1 / math.sqrt(3), math.sqrt(2) / math.sqrt(3)], atol=1e-15
         )
@@ -265,7 +300,7 @@ class TestCustomGates:
         return Circuit(
             3,
             tuple(
-                Gate("custom", g.targets, g.controls, g.open_controls, gate_matrix(g.kind))
+                Gate("custom", g.targets, g.controls, g.open_controls, g.matrix)
                 for g in self.NAMED.gates
             ),
         )
@@ -282,7 +317,7 @@ class TestCustomGates:
     def test_from_json_matrix_pairs(self):
         # the [re, im] pairs a circuit file holds give the named matrices bit for bit
         def pairs(name):
-            return [[[z.real, z.imag] for z in row] for row in gate_matrix(name).tolist()]
+            return [[[z.real, z.imag] for z in row] for row in named(name).tolist()]
 
         data = {
             "n_qubits": 3,

@@ -444,6 +444,30 @@ class TestFileErrors:
         assert (code, out, err) == (2, "", f"error: malformed {what} file {path}: {message}\n")
 
 
+    GATES_MESSAGE = "gates must be a list of gate objects"
+
+    @pytest.mark.parametrize(
+        "what, content, message",
+        [
+            ("state", "[1, 2]", "expected a JSON object"),
+            ("state", '"tetra2"', "expected a JSON object"),
+            ("circuit", "[1, 2]", "expected a JSON object"),
+            ("circuit", '{"n_qubits": 1, "gates": "ab"}', GATES_MESSAGE),
+            ("circuit", '{"n_qubits": 1, "gates": [1]}', GATES_MESSAGE),
+            ("circuit", '{"n_qubits": 1, "gates": {"a": 1}}', GATES_MESSAGE),
+        ],
+        ids=["state-list", "state-string", "circuit-list", "gates-string", "gates-of-numbers",
+             "gates-object"],
+    )
+    def test_not_an_object(self, what, content, message, tmp_path, capsys):
+        # a file or a gate list of the wrong JSON shape is refused by name,
+        # not with a message about list indices or a missing .get
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        code, out, err = run_cli(self.ARGV[what](str(path)), capsys)
+        assert (code, out, err) == (2, "", f"error: malformed {what} file {path}: {message}\n")
+
+
 class TestNegativeSeed:
     """A negative seed is refused by name, from a flag or from a config file."""
 
@@ -718,6 +742,32 @@ class TestCircuitVerify:
         assert "fidelity_vs_state" not in json.loads(out)
         code, out, _ = run_cli(argv + ["--state", "tetra2"], capsys)
         assert json.loads(out)["fidelity_vs_state"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "matrix", ["junk", [[[5, 0], [0, 0]], [[0, 0], [0, 0]]]], ids=["junk", "not-unitary"]
+    )
+    def test_named_gate_ignores_a_matrix_key(self, matrix, tmp_path, capsys):
+        # "matrix" is read for custom gates only: an H gate that carries one
+        # gives the report of the bare H gate, whatever the key holds
+        bare = {"kind": "H", "targets": [0]}
+        path = tmp_path / "circ.json"
+        runs = []
+        for gate in (bare, {**bare, "matrix": matrix}):
+            path.write_text(json.dumps({"n_qubits": 1, "gates": [gate]}))
+            runs.append(run_cli(["circuit-verify", "--circuit", str(path)], capsys))
+        assert runs[0][0] == 0 and json.loads(runs[0][1])["gate_count"] == 1
+        assert runs[1] == runs[0]
+
+    def test_rejects_a_custom_matrix_that_is_no_list(self, tmp_path, capsys):
+        gate = {"kind": "custom", "targets": [0], "matrix": 5}
+        path = tmp_path / "circ.json"
+        path.write_text(json.dumps({"n_qubits": 1, "gates": [gate]}))
+        code, out, err = run_cli(["circuit-verify", "--circuit", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: malformed circuit file {path}: "
+            "matrix must be a list of rows of [re, im] number pairs\n"
+        )
 
     @pytest.mark.parametrize("entry", [[10**400, 0], [True, 0]], ids=["past-float-range", "bool"])
     def test_rejects_mistyped_custom_gate_entry(self, entry, tmp_path, capsys):

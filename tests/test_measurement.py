@@ -42,13 +42,13 @@ def measurements(state):
 
 def central_difference_fisher(state, measurement, params, step=1e-5):
     """Oracle: the Fisher matrix from central differences of the probabilities."""
-    center = exact_probabilities(state, measurement, params)
+    center = exact_probabilities(state, [measurement], params)[0]
     derivs = []
     for name in ("theta1", "theta2", "theta3"):
         shifted = [
             exact_probabilities(
-                state, measurement, replace(params, **{name: getattr(params, name) + h})
-            )
+                state, [measurement], replace(params, **{name: getattr(params, name) + h})
+            )[0]
             for h in (step, -step)
         ]
         derivs.append((shifted[0] - shifted[1]) / (2.0 * step))
@@ -113,13 +113,13 @@ class TestOptimalBasis:
 class TestExactProbabilities:
     def test_zero_rotation(self):
         state = tetra2()
-        p = exact_probabilities(state, optimal_basis(state), RotationParams(0.0, 1.0, 0.5))
+        p = exact_probabilities(state, [optimal_basis(state)], RotationParams(0.0, 1.0, 0.5))[0]
         np.testing.assert_allclose(p, [1, 0, 0, 0, 0], atol=1e-12)
 
     def test_tetra2_z_axis(self):
         state = tetra2()
         params = params_from_axis(0.01, [0, 0, 1])
-        p = exact_probabilities(state, optimal_basis(state), params)
+        p = exact_probabilities(state, [optimal_basis(state)], params)[0]
         assert abs(p[0] - (1 - 2e-4)) <= 1e-6
         assert abs(p[3] - 2e-4) <= 1e-6
         # closed form for a z rotation of this state: P0 = cos(theta)^4
@@ -128,7 +128,7 @@ class TestExactProbabilities:
     def test_balance_x_axis(self):
         state = balance()
         params = params_from_axis(0.01, [1, 0, 0])
-        p = exact_probabilities(state, optimal_basis(state), params)
+        p = exact_probabilities(state, [optimal_basis(state)], params)[0]
         assert abs(p[1] - 4e-4) <= 1e-6
 
     def test_distribution_valid(self):
@@ -136,7 +136,7 @@ class TestExactProbabilities:
         basis = optimal_basis(state)
         rng = np.random.default_rng(7)
         for _ in range(20):
-            p = exact_probabilities(state, basis, RotationParams(*rng.uniform(-1, 1, 3)))
+            p = exact_probabilities(state, [basis], RotationParams(*rng.uniform(-1, 1, 3)))[0]
             assert p.min() >= 0.0
             assert abs(p.sum() - 1.0) <= 1e-12
 
@@ -146,25 +146,24 @@ class TestExactProbabilities:
     def test_both_measurements_valid(self, factory, theta1, theta2, theta3):
         state = factory()
         params = RotationParams(theta1, theta2, theta3)
-        for measurement in measurements(state):
-            p = exact_probabilities(state, measurement, params)
+        for p in exact_probabilities(state, measurements(state), params):
             assert p.min() >= 0.0
             assert abs(p.sum() - 1.0) <= 1e-12
 
     def test_rejects_nan_angle(self):
         state = tetra2()
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="out of range"):
-            sweep_probabilities(state, optimal_basis(state), [0.1, math.nan], [0, 0, 1])
+            sweep_probabilities(state, [optimal_basis(state)], [0.1, math.nan], [0, 0, 1])
 
     def test_rejects_other_spin_sector(self):
         with pytest.raises(ValueError, match="spin sectors"):
-            exact_probabilities(balance(), optimal_basis(tetra2()), RotationParams(0.1, 1, 1))
+            exact_probabilities(balance(), [optimal_basis(tetra2())], RotationParams(0.1, 1, 1))
 
     @pytest.mark.parametrize("u", [[2, 0, 0], [0.6, 0.8], [math.nan, 0, 1]])
     def test_rejects_non_unit_axis(self, u):
         # a longer axis would scale the angle: [2, 0, 0] gave the theta1 = 0.2 row
         with pytest.raises(ValueError, match="u must be a unit 3-vector"):
-            sweep_probabilities(tetra2(), optimal_basis(tetra2()), [0.1], u)
+            sweep_probabilities(tetra2(), [optimal_basis(tetra2())], [0.1], u)
 
     @pytest.mark.parametrize("factory", [tetra2, balance])
     def test_measurements_share_one_rotation(self, factory):
@@ -175,7 +174,8 @@ class TestExactProbabilities:
         rows = sweep_probabilities(state, pair, grid, u)
         assert rows.shape == (2, 11, 5)
         for k, measurement in enumerate(pair):
-            np.testing.assert_array_equal(rows[k], sweep_probabilities(state, measurement, grid, u))
+            alone = sweep_probabilities(state, [measurement], grid, u)[0]
+            np.testing.assert_array_equal(rows[k], alone)
         params = params_from_axis(0.03, u)
         assert exact_probabilities(state, pair, params).shape == (2, 5)
 
@@ -209,10 +209,10 @@ class TestExactProbabilities:
         # K_1, K_3 and K_rest hold no rows: np.add.reduceat alone would give
         # an empty block the next row, and refuses a start past the last row
         state = tetra2()
-        measurement = Measurement(J=2, rows=np.eye(5), starts=(0, 2, 2, 5, 5))
+        measurement = Measurement(rows=np.eye(5), starts=(0, 2, 2, 5, 5))
         params = RotationParams(0.3, 1.0, 0.5)
         w = np.abs(rotated_amplitudes(state, [0.3], params.axis)[:, 0]) ** 2
-        p = exact_probabilities(state, measurement, params)
+        p = exact_probabilities(state, [measurement], params)[0]
         np.testing.assert_allclose(p, [w[:2].sum(), 0, w[2:].sum(), 0, 0], atol=1e-15)
         assert p[[1, 3, 4]].tolist() == [0, 0, 0]
         f = classical_fisher_matrix(state, measurement, params)
@@ -405,7 +405,5 @@ class TestSmallAngleConsistency:
         axes = random_axes(rng, 5)
         for theta in np.geomspace(1e-3, 0.05, 8):
             for u in axes:
-                rest = exact_probabilities(
-                    state, basis, params_from_axis(theta, u)
-                )[4]
+                rest = exact_probabilities(state, [basis], params_from_axis(theta, u))[0, 4]
                 assert rest <= 1.0 * theta**3

@@ -11,7 +11,6 @@ from rotosense.spin_core import (
     MAX_SPIN,
     RotationParams,
     SpinState,
-    axis_from_angles,
     dicke_to_qubit,
     rotated_amplitudes,
     spin_operators,
@@ -65,11 +64,11 @@ class TestAxis:
         ],
     )
     def test_examples(self, t2, t3, expected):
-        np.testing.assert_allclose(axis_from_angles(t2, t3), expected, atol=1e-12)
+        np.testing.assert_allclose(RotationParams(0.0, t2, t3).axis, expected, atol=1e-12)
 
     @given(t2=ANGLES, t3=ANGLES)
     def test_unit_norm(self, t2, t3):
-        assert abs(np.linalg.norm(axis_from_angles(t2, t3)) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(RotationParams(0.0, t2, t3).axis) - 1.0) <= 1e-12
 
 
 class TestRotationUnitary:
@@ -113,7 +112,7 @@ class TestRotationUnitary:
         rng = np.random.default_rng(4)
         state = SpinState.normalized(3, rng.normal(size=7) + 1j * rng.normal(size=7))
         thetas = rng.uniform(-math.pi, math.pi, size=6)
-        u = axis_from_angles(0.7, -1.9)
+        u = RotationParams(0.0, 0.7, -1.9).axis
         columns = rotated_amplitudes(state, thetas, u)
         for k, theta in enumerate(thetas):
             expected = rotation_unitary(3, RotationParams(theta, 0.7, -1.9)) @ state.amps

@@ -45,7 +45,7 @@ class TestUnequalValues:
 class TestMeasurementFromLists:
     def test_is_a_read_only_value(self):
         basis = optimal_basis(tetra2())
-        listed = Measurement(basis.J, basis.rows.tolist(), list(basis.starts))
+        listed = Measurement(basis.rows.tolist(), list(basis.starts))
         assert listed.rows.tobytes() == basis.rows.tobytes()
         assert listed.starts == (0, 1, 2, 3, 4) and type(listed.starts) is tuple
         assert not listed.rows.flags.writeable
@@ -54,7 +54,7 @@ class TestMeasurementFromLists:
 
     def test_holds_a_copy(self):
         rows = np.eye(5)
-        measurement = Measurement(2, rows, (0, 1, 2, 3, 4))
+        measurement = Measurement(rows, (0, 1, 2, 3, 4))
         assert rows.flags.writeable and measurement.rows is not rows
         rows[0, 0] = 2.0
         assert measurement.rows[0, 0] == 1.0
