@@ -11,16 +11,20 @@ end-to-end metric of REF's ``BENCHMARK.json`` it prints each side's median
 and quartiles, the checkout's wins out of N pairs (ties count for neither
 side), the relative change of the median, whether that change stays within
 the metric's bound, and whether the median moved the better way by more
-than REF's interquartile range.  The last line is a JSON summary.
+than REF's interquartile range.  Below that table it summarises, the same
+way, the raw figures of each run's ``info`` line (``ops``,
+``raw_latency_p50_ms``, ``raw_latency_tail_ms``, ``raw_setup_s``: no host
+slowness divisor, no bound), so both spreads are on record.  The last line
+is a JSON summary.
 
 With ``--write PATH`` it also merges the workload's summary into the JSON
 file at PATH, which records one comparison: REF's commit, the checkout's
 HEAD and whether its ``src``, ``perfbench`` or ``BENCHMARK.json`` differ
 from HEAD, and the host (CPU count, Python, numpy,
 ``PYTHONDONTWRITEBYTECODE``); under ``workloads`` it holds each workload's
-pairs, seeds, ``run_seconds`` and per-metric summary.  Running it once per
-workload builds one file with all of them; a file that records another
-comparison is refused before any run.  Exit status: 0 when every run
+pairs, seeds, ``run_seconds``, per-metric summary and raw summary.  Running
+it once per workload builds one file with all of them; a file that records
+another comparison is refused before any run.  Exit status: 0 when every run
 finished, 2 on a usage or git error, a refused file or a run that printed
 no metrics.  Uses only the standard library and git; it edits nothing under
 ``perfbench/``.
@@ -43,6 +47,13 @@ from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parents[1]
 EXTRACTED = ("src", "perfbench", "BENCHMARK.json")
+# figures of run.py's info line summarised next to the gated metrics; they have no bound
+RAW = [
+    {"name": "ops", "better": "higher"},
+    {"name": "raw_latency_p50_ms", "better": "lower"},
+    {"name": "raw_latency_tail_ms", "better": "lower"},
+    {"name": "raw_setup_s", "better": "lower"},
+]
 
 
 def _git(*args) -> bytes:
@@ -60,7 +71,7 @@ def _extract(ref: str, directory: Path) -> str:
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """Metric name -> value of one ``perfbench/run.py --trace 0`` run in tree."""
+    """Metric name -> value of one ``perfbench/run.py --trace 0`` run in tree, RAW figures too."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -69,11 +80,13 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = result.stdout.splitlines()
     try:
         metrics = json.loads(lines[-1])["metrics"]
-    except (IndexError, ValueError, KeyError):
+        info = json.loads(next(line for line in lines if line.startswith("info "))[5:])
+        raw = {metric["name"]: info[metric["name"]] for metric in RAW}
+    except (IndexError, ValueError, KeyError, StopIteration):
         raise RuntimeError(
             f"{tree}: run.py exited {result.returncode} without metrics:\n{result.stderr[-2000:]}"
         ) from None
-    return {name: entry["value"] for name, entry in metrics.items()}
+    return {**{name: entry["value"] for name, entry in metrics.items()}, **raw}
 
 
 def _quartiles(values: list) -> list:
@@ -87,8 +100,9 @@ def _quartiles(values: list) -> list:
 def summarize(ref_runs: list, new_runs: list, declared: list) -> dict:
     """Per-metric comparison of paired runs (lists of name -> value dicts, pair by pair).
 
-    declared is BENCHMARK.json's end_to_end list.  A pair is a win when the
-    checkout's value is better than REF's in the metric's direction.
+    declared is BENCHMARK.json's end_to_end list, or RAW.  A pair is a win
+    when the checkout's value is better than REF's in the metric's direction;
+    a metric without a bound (RAW) has within_bound None.
     """
     summary = {}
     for metric in declared:
@@ -103,7 +117,7 @@ def summarize(ref_runs: list, new_runs: list, declared: list) -> dict:
             "new": new_q,
             "wins": sum(sign * (b - a) > 0 for a, b in zip(ref, new)),
             "change": sign * relative,
-            "within_bound": -relative <= metric["bound"],
+            "within_bound": -relative <= metric["bound"] if "bound" in metric else None,
             "clears_ref_iqr": gain > ref_q[2] - ref_q[0],
         }
     return summary
@@ -177,11 +191,14 @@ def main(args=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     summary = summarize(ref_runs, new_runs, benchmark["end_to_end"])
-    print(f"{'metric':<16} {'ref q1/median/q3':>30} {'new q1/median/q3':>30} {'wins':>6} "
+    raw = summarize(ref_runs, new_runs, RAW)
+    print(f"{'metric':<19} {'ref q1/median/q3':>30} {'new q1/median/q3':>30} {'wins':>6} "
           f"{'change':>8}  within bound, clears ref IQR")
-    for name, row in summary.items():
+    for name, row in {**summary, **raw}.items():
+        if name == RAW[0]["name"]:
+            print("raw figures of the info line (not gated):")
         ref, new = ("/".join(f"{v:.4g}" for v in row[side]) for side in ("ref", "new"))
-        print(f"{name:<16} {ref:>30} {new:>30} {row['wins']:>3}/{args.pairs:<2} "
+        print(f"{name:<19} {ref:>30} {new:>30} {row['wins']:>3}/{args.pairs:<2} "
               f"{row['change']:>+8.1%}  {row['within_bound']}, {row['clears_ref_iqr']}")
     print(json.dumps({
         "ref": args.ref,
@@ -191,6 +208,7 @@ def main(args=None) -> int:
         "seeds": [args.seed, args.seed + args.pairs - 1],
         "seconds": seconds,
         "metrics": summary,
+        "raw": raw,
     }))
     if args.write:  # replaces an earlier record of this workload
         record["workloads"][args.workload] = {
@@ -198,6 +216,7 @@ def main(args=None) -> int:
             "seeds": [args.seed, args.seed + args.pairs - 1],
             "run_seconds": seconds,
             "metrics": summary,
+            "raw": raw,
         }
         args.write.write_text(json.dumps(record, indent=2) + "\n")
     return 0

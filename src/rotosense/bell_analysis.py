@@ -52,15 +52,18 @@ BELL_STATES = (
 BELL_STATES.setflags(write=False)
 
 
-# _PAIR[l, v] = <phi_l| summed over the pair strings with v V photons: |00>,
-# |01> + |10>, |11>.  The singlet is antisymmetric, so row 2 is exactly 0.
-_PAIR = BELL_STATES.conj() @ np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]])
+# _PAIR[s, v] = <phi_l|, l = SYMMETRIC_LABELS[s], summed over the pair strings with v V
+# photons: |00>, |01> + |10>, |11>.  The antisymmetric singlet's row would be 0: it is left out.
+_PAIR = BELL_STATES[list(SYMMETRIC_LABELS)].conj() @ np.array(
+    [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]]
+)
 
 
 @lru_cache(maxsize=None)
-def _bell_image(n_photons: int) -> tuple[np.ndarray, np.ndarray]:
-    """<phi_t|J,J-k> at [t + (k,)], J = n_photons / 2, and its slice on symmetric labels.
+def _bell_image(n_photons: int) -> np.ndarray:
+    """<phi_t|J,J-k> at [s + (k,)], J = n_photons / 2, t_i = SYMMETRIC_LABELS[s_i].
 
+    A (3,) * (N/2) + (N+1,) array over the symmetric label tuples only.
     |J,J-k> sums the strings with k V photons over sqrt(C(N,k)); that sum
     factors over the pairs, so each pair adds a label axis and convolves the
     V count with _PAIR.  The photon number is checked before any allocation.
@@ -71,24 +74,26 @@ def _bell_image(n_photons: int) -> tuple[np.ndarray, np.ndarray]:
         )
     image = np.ones(1, dtype=complex)
     for count in range(1, n_photons, 2):  # V counts 0..count-1 so far
-        step = np.zeros((count, 4, count + 2), dtype=complex)
+        step = np.zeros((count, 3, count + 2), dtype=complex)
         for c in range(count):
-            step[c, :, c : c + 3] = _PAIR  # V count c -> (l, c + v)
-        image = (image @ step.reshape(count, -1)).reshape(image.shape[:-1] + (4, count + 2))
+            step[c, :, c : c + 3] = _PAIR  # V count c -> (s, c + v)
+        image = (image @ step.reshape(count, -1)).reshape(image.shape[:-1] + (3, count + 2))
     image /= np.sqrt([math.comb(n_photons, k) for k in range(n_photons + 1)])
-    symmetric = image[np.ix_(*[SYMMETRIC_LABELS] * (n_photons // 2))]
     image.setflags(write=False)
-    symmetric.setflags(write=False)
-    return image, symmetric
+    return image
 
 
 def bell_decompose(state: SpinState) -> np.ndarray:
     """Amplitudes <phi_{l1} ... phi_{lk}|state> as a (4,) * k array indexed by label tuples.
 
     The 2k photons are paired (0,1), (2,3), ..., and every tuple that holds
-    a singlet is exactly 0; no 2^N qubit register is built.
+    a singlet is 0 by construction: only the symmetric tuples are computed.
+    No 2^N qubit register is built.
     """
-    return _bell_image(round(2 * state.J))[0] @ state.amps
+    image = _bell_image(round(2 * state.J))
+    amps = np.zeros((4,) * (image.ndim - 1), dtype=complex)
+    amps[np.ix_(*[SYMMETRIC_LABELS] * amps.ndim)] = image @ state.amps
+    return amps
 
 
 def singlet_weight(amps: np.ndarray) -> float:
@@ -118,7 +123,7 @@ def bell_measurement(phi0: SpinState) -> Measurement:
     the optimal basis is built.  Equal probes share one read-only analyzer
     (the last measurement.MEMO_SIZE are kept; refusals are not).
     """
-    image = _bell_image(round(2 * phi0.J))[1]
+    image = _bell_image(round(2 * phi0.J))
     support = np.abs(image @ optimal_basis(phi0).rows[:4].conj().T) ** 2 > _SUPPORT_TOL
     shared = np.argwhere(support.sum(axis=-1) > 1)
     if shared.size:
@@ -323,7 +328,7 @@ def decompose_report(state: SpinState, params: RotationParams, verify_tables=Fal
     the CSV header and rows (labels, re, im, prob) in label order; and the
     small-angle warnings.
     """
-    rotated = SpinState(state.J, rotated_amplitudes(state, [params.theta1], params.axis)[:, 0])
+    rotated = SpinState(state.J, rotated_amplitudes(state, [params.theta1], params.axis)[0])
     bp = bell_decompose(rotated)
     amps = {",".join(map(str, t)): [z.real, z.imag] for t, z in np.ndenumerate(bp)}
     payload = {

@@ -156,10 +156,8 @@ def _apply_gates(amps: np.ndarray, gates, n: int) -> np.ndarray:
         idx1 = list(idx0)
         idx0[target], idx1[target] = 0, 1
         idx0, idx1 = tuple(idx0), tuple(idx1)
-        a = tensor[idx0].copy()
-        b = tensor[idx1].copy()
-        tensor[idx0] = m[0, 0] * a + m[0, 1] * b
-        tensor[idx1] = m[1, 0] * a + m[1, 1] * b
+        a, b = tensor[idx0], tensor[idx1]  # views: both halves are computed before either write
+        tensor[idx0], tensor[idx1] = m[0, 0] * a + m[0, 1] * b, m[1, 0] * a + m[1, 1] * b
     return tensor.reshape(-1)
 
 

@@ -165,11 +165,6 @@ def _mean_std(x: np.ndarray) -> tuple:
     return mean, np.sqrt(dev.sum(axis=0) / (count - 1))
 
 
-def _max_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """float(np.max(np.abs(a - b))) of two NaN-free vectors, in less time at five entries."""
-    return max(abs(x - y) for x, y in zip(a.tolist(), b.tolist()))
-
-
 @dataclass(frozen=True)
 class QcrbReport:
     """Empirical estimator statistics against the Cramer-Rao prediction.
@@ -271,8 +266,8 @@ def qcrb_experiment(
         mean_u_abs=mean_u,
         sigma_u_abs=sigma_u,
         degenerate_trials=degenerate,
-        max_exact_vs_smallangle_gap=_max_gap(p_exact, p_small),  # validated rows: no NaN
-        max_pipeline_vs_exact_gap=_max_gap(p, p_exact),
+        max_exact_vs_smallangle_gap=float(np.abs(p_exact - p_small).max()),
+        max_pipeline_vs_exact_gap=float(np.abs(p - p_exact).max()),
         theta1_hats=theta_hats,
         u_hats=u_hats,
     )

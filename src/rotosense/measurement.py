@@ -54,15 +54,13 @@ def _check_rows(p: np.ndarray) -> np.ndarray:
     """Validate rows [P0, P1, P2, P3, Prest] (range, completeness); clip into [0, 1], read-only."""
     if p.shape[-1] != 5:
         raise ValueError("expected five outcome categories")
-    low, high = p.min(), p.max()
-    if not (low >= -1e-12 and high <= 1.0 + 1e-12):  # NaN fails too
+    if not (p.min() >= -1e-12 and p.max() <= 1.0 + 1e-12):  # NaN fails too
         raise ValueError("probabilities out of range")
     total = p.sum(axis=-1)
     miss = np.abs(total - 1.0)
     if miss.max() > 1e-12:
         raise ValueError(f"probabilities sum to {total.flat[np.argmax(miss)]}, not 1")
-    # np.clip leaves rows inside [0, 1] as they are, -0.0 too: copy those
-    p = np.clip(p, 0.0, 1.0) if low < 0.0 or high > 1.0 else p.copy()
+    p = np.clip(p, 0.0, 1.0)  # a new array; values inside [0, 1] keep their bits, -0.0 too
     p.setflags(write=False)
     return p
 
@@ -130,7 +128,7 @@ def sweep_probabilities(phi0: SpinState, measurements, theta1s, u) -> np.ndarray
     function of its angle alone: the row of a one-angle grid, bit for bit.
     """
     _check_sector(phi0, *measurements)
-    psi = rotated_amplitudes(phi0, theta1s, u).T[..., None]  # one (2J+1, 1) column per angle
+    psi = rotated_amplitudes(phi0, theta1s, u)[..., None]  # one (2J+1, 1) column per angle
     p = np.stack([  # K psi per angle, as rotated_amplitudes forms psi
         _block_sums(m, (np.abs(np.matmul(m.rows, psi)) ** 2)[..., 0].T) for m in measurements
     ])
@@ -200,11 +198,11 @@ def classical_fisher_matrix(
     ratio of rounding errors.
     """
     _check_sector(phi0, measurement)
-    return _frame_fisher(measurement, np.column_stack(rotated_frame(phi0, params)))
+    return _frame_fisher(measurement, rotated_frame(phi0, params))
 
 
 def _frame_fisher(measurement: Measurement, frame: np.ndarray) -> np.ndarray:
-    """``classical_fisher_matrix`` from the frame columns psi, G_1 psi, G_2 psi, G_3 psi."""
+    """``classical_fisher_matrix`` from the ``rotated_frame`` [psi, G_1 psi, G_2 psi, G_3 psi]."""
     amps = measurement.rows @ frame
     p = _block_sums(measurement, np.abs(amps[:, 0]) ** 2)
     dp = 2.0 * _block_sums(measurement, (amps[:, :1].conj() * amps[:, 1:]).imag)
@@ -225,9 +223,8 @@ def multiparam_saturation_check(
     deviation rather than an error.
     """
     _check_sector(phi0, *measurements.values())
-    psi, g_psi = rotated_frame(phi0, params)
-    qdiag = np.diag(frame_qfi(psi, g_psi)).tolist()
-    frame = np.column_stack([psi, g_psi])
+    frame = rotated_frame(phi0, params)
+    qdiag = np.diag(frame_qfi(frame)).tolist()
     report = {}
     for name, measurement in measurements.items():
         fisher = np.diag(_frame_fisher(measurement, frame)).tolist()

@@ -6,9 +6,9 @@ becomes ``F = 4 u^T Cov(J) u``, maximized by second-order anti-coherent
 states, for which every diagonal entry of the covariance equals J(J+1)/3.
 The multi-parameter Fisher matrices are computed in the rotated frame: the
 probe is rotated once, and the generator coefficient vectors g_k turn it
-into the three images G_k psi that both the quantum matrix here and the
-classical matrix of any measurement (``measurement.classical_fisher_matrix``)
-read.
+into the three images G_k psi; the probe and its images form one frame
+array that both the quantum matrix here and the classical matrix of any
+measurement (``measurement.classical_fisher_matrix``) read.
 """
 
 from __future__ import annotations
@@ -78,15 +78,15 @@ def generator_coeffs(params: RotationParams) -> np.ndarray:
     return np.column_stack([u, coeff(du2), coeff(du3)])
 
 
-def rotated_frame(state: SpinState, params: RotationParams) -> tuple[np.ndarray, np.ndarray]:
+def rotated_frame(state: SpinState, params: RotationParams) -> np.ndarray:
     """The rotated probe psi = exp(-i theta1 u.J) phi0 and its generator images.
 
-    Returns psi and the (2J+1, 3) array whose column k-1 is
-    G_k psi = sum_i g_k[i] J_i psi, with g_k the generator_coeffs columns.
+    Returns the (2J+1, 4) array [psi, G_1 psi, G_2 psi, G_3 psi] of columns,
+    with G_k psi = sum_i g_k[i] J_i psi and g_k the generator_coeffs columns.
     """
-    psi = rotated_amplitudes(state, [params.theta1], params.axis)[:, 0]
+    psi = rotated_amplitudes(state, [params.theta1], params.axis)[0]
     j_psi = np.column_stack([op @ psi for op in spin_operators(state.J)])
-    return psi, j_psi @ generator_coeffs(params)
+    return np.column_stack([psi, j_psi @ generator_coeffs(params)])
 
 
 def qfi_matrix(state: SpinState, params: RotationParams) -> np.ndarray:
@@ -96,11 +96,12 @@ def qfi_matrix(state: SpinState, params: RotationParams) -> np.ndarray:
     anti-coherent probes this reduces to (4 J (J+1) / 3) * G^T G with G the
     column matrix of the g_k.
     """
-    return frame_qfi(*rotated_frame(state, params))
+    return frame_qfi(rotated_frame(state, params))
 
 
-def frame_qfi(psi: np.ndarray, g_psi: np.ndarray) -> np.ndarray:
-    """The quantum Fisher matrix of a ``rotated_frame`` (psi, G psi)."""
+def frame_qfi(frame: np.ndarray) -> np.ndarray:
+    """The quantum Fisher matrix of a ``rotated_frame`` [psi, G_1 psi, G_2 psi, G_3 psi]."""
+    psi, g_psi = frame[:, 0], frame[:, 1:]
     mean = (psi.conj() @ g_psi).real
     q = 4.0 * ((g_psi.conj().T @ g_psi).real - np.outer(mean, mean))
     return 0.5 * (q + q.T)

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-MAX_QUBITS = 12  # most photons in a 2^N qubit register or a 4^(N/2) x (N+1) Bell image
+MAX_QUBITS = 12  # most photons in a 2^N qubit register or a 3^(N/2) x (N+1) Bell image
 MAX_SPIN = 512  # largest J: each dense (2J+1)^2 spin operator stays under 17 MB
 
 _NORM_SLACK = 1e-6  # constructor rejects inputs farther than this from unit norm
@@ -185,12 +185,12 @@ def check_unit_axis(u) -> np.ndarray:
 
 
 def rotated_amplitudes(state: SpinState, theta1s, u) -> np.ndarray:
-    """Columns exp(-i t u . J)|state>, one per t in theta1s, about the unit axis u.
+    """Rows exp(-i t u . J)|state>, one per t in theta1s, about the unit axis u.
 
-    One eigendecomposition of u . J serves the whole grid, and each angle is
-    its own matrix-vector product, so a column is a function of its angle
-    alone, bit for bit the column of a one-angle grid.  It refuses an angle
-    whose phases t m are NaN or past the float range.
+    Shape (len(theta1s), 2J+1).  One eigendecomposition of u . J serves the
+    whole grid, and each angle is its own matrix-vector product, so a row is
+    a function of its angle alone, bit for bit the row of a one-angle grid.
+    It refuses an angle whose phases t m are NaN or past the float range.
     """
     u = check_unit_axis(u)
     jx, jy, jz = spin_operators(state.J)
@@ -201,7 +201,7 @@ def rotated_amplitudes(state: SpinState, theta1s, u) -> np.ndarray:
     if not np.isfinite(phase).all():
         raise ValueError("theta1 out of range: the rotation phases theta1 * m are not finite")
     # angle as the batch axis: one (2J+1)-vector per angle, not one matrix product over the grid
-    return np.matmul(evecs, (np.exp(-1j * phase) * coeffs)[..., None])[..., 0].T
+    return np.matmul(evecs, (np.exp(-1j * phase) * coeffs)[..., None])[..., 0]
 
 
 def dicke_to_qubit(state: SpinState) -> np.ndarray:

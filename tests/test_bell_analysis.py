@@ -169,7 +169,7 @@ class TestSingletExclusion:
         # singlet entries are rounding noise: the weight sums them, never
         # subtracts two sums
         state = balance()
-        amps = rotated_amplitudes(state, [0.02], RotationParams(0.02, 1.0, 0.5).axis)[:, 0]
+        amps = rotated_amplitudes(state, [0.02], RotationParams(0.02, 1.0, 0.5).axis)[0]
         bp = register_contraction(dicke_to_qubit(SpinState(state.J, amps)))
         assert 0.0 <= singlet_weight(bp) <= 1e-15
 

@@ -94,8 +94,9 @@ def canned_runs(monkeypatch):
 
     def run(tree, workload, seed, seconds):
         calls.append((tree == bench_pairs.ROOT, workload, seed))
-        values = dict.fromkeys(metrics, 1.0)
+        values = dict.fromkeys(metrics + [m["name"] for m in bench_pairs.RAW], 1.0)
         values["latency_p50_ms"] = (1.8 if tree == bench_pairs.ROOT else 2.0) + seed / 100
+        values["raw_latency_p50_ms"] = 2 * values["latency_p50_ms"]
         return values
 
     monkeypatch.setattr(bench_pairs, "_run", run)
@@ -123,6 +124,11 @@ def test_write_merges_workloads_into_one_record(canned_runs, tmp_path, capsys):
     assert p50["ref"] == pytest.approx([2.0175, 2.025, 2.0325])
     assert p50["change"] == pytest.approx(-0.2 / 2.025)
     assert set(p50) == {"ref", "new", "wins", "change", "within_bound", "clears_ref_iqr"}
+    assert list(entry["raw"]) == ["ops", "raw_latency_p50_ms", "raw_latency_tail_ms", "raw_setup_s"]
+    raw_p50 = entry["raw"]["raw_latency_p50_ms"]
+    assert raw_p50["ref"] == pytest.approx([4.035, 4.05, 4.065])
+    assert raw_p50["wins"] == 4 and raw_p50["within_bound"] is None  # raw figures have no bound
+    assert entry["raw"]["ops"]["wins"] == 0  # ties
 
 
 def test_write_refuses_another_comparison_before_any_run(canned_runs, tmp_path, capsys):
@@ -134,3 +140,30 @@ def test_write_refuses_another_comparison_before_any_run(canned_runs, tmp_path, 
     err = capsys.readouterr().err
     assert err == f"error: {path} records another comparison (its ref, new, host differ)\n"
     assert canned_runs == [] and path.read_text() == text
+
+
+def fake_run_py(tree: Path, *lines):
+    """A perfbench/run.py under tree that prints lines."""
+    (tree / "perfbench").mkdir()
+    (tree / "perfbench" / "run.py").write_text(
+        "".join(f"print({line!r})\n" for line in lines)
+    )
+
+
+def test_run_reads_the_info_line(tmp_path):
+    info = {"ops": 120, "raw_latency_p50_ms": 5.5, "raw_latency_tail_ms": 9.0,
+            "raw_setup_s": 0.4, "slowness_p50": 1.2}
+    fake_run_py(
+        tmp_path, 'env {"seed": 1}', "info " + json.dumps(info), "  ops_per_s  3.5 1/s",
+        json.dumps({"correct": True, "metrics": {"ops_per_s": {"value": 3.5, "unit": "1/s"}}}),
+    )
+    assert bench_pairs._run(tmp_path, "sweep", 1, 1.0) == {
+        "ops_per_s": 3.5, "ops": 120, "raw_latency_p50_ms": 5.5, "raw_latency_tail_ms": 9.0,
+        "raw_setup_s": 0.4,
+    }
+
+
+def test_run_without_info_figures_has_no_metrics(tmp_path):
+    fake_run_py(tmp_path, "info {}", json.dumps({"metrics": {}}))
+    with pytest.raises(RuntimeError, match="without metrics"):
+        bench_pairs._run(tmp_path, "sweep", 1, 1.0)

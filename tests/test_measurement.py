@@ -211,7 +211,7 @@ class TestExactProbabilities:
         state = tetra2()
         measurement = Measurement(rows=np.eye(5), starts=(0, 2, 2, 5, 5))
         params = RotationParams(0.3, 1.0, 0.5)
-        w = np.abs(rotated_amplitudes(state, [0.3], params.axis)[:, 0]) ** 2
+        w = np.abs(rotated_amplitudes(state, [0.3], params.axis)[0]) ** 2
         p = exact_probabilities(state, [measurement], params)[0]
         np.testing.assert_allclose(p, [w[:2].sum(), 0, w[2:].sum(), 0, 0], atol=1e-15)
         assert p[[1, 3, 4]].tolist() == [0, 0, 0]

@@ -113,10 +113,10 @@ class TestRotationUnitary:
         state = SpinState.normalized(3, rng.normal(size=7) + 1j * rng.normal(size=7))
         thetas = rng.uniform(-math.pi, math.pi, size=6)
         u = RotationParams(0.0, 0.7, -1.9).axis
-        columns = rotated_amplitudes(state, thetas, u)
+        rows = rotated_amplitudes(state, thetas, u)
         for k, theta in enumerate(thetas):
             expected = rotation_unitary(3, RotationParams(theta, 0.7, -1.9)) @ state.amps
-            assert np.linalg.norm(columns[:, k] - expected) <= 1e-13
+            assert np.linalg.norm(rows[k] - expected) <= 1e-13
 
 
 class TestStateTypes:
