@@ -8,7 +8,10 @@ runs every invocation in INVOCATIONS against both trees as
 files that it writes itself.  Exit code, stdout and stderr are compared byte
 for byte, with each tree's path read as ``<tree>``.  For a JSON report that
 differs it prints the largest absolute and relative float delta per key path
-(list indices read ``[*]``).  The last line is a JSON summary.  Exit status:
+(list indices read ``[*]``).  The last line is a JSON summary; its
+``max_abs_delta`` is the largest absolute float delta over every stdout that
+differs (0.0 when none does), or null when some stdout difference is not a
+float delta of two JSON reports.  Exit status:
 0 when every invocation matches, 1 when some differ, 2 on a usage or git
 error.  Uses only the standard library and git.
 
@@ -215,6 +218,28 @@ def float_deltas(old, new, path="$", out=None) -> dict:
     return out
 
 
+def max_abs_delta(deltas) -> float | None:
+    """The largest absolute delta over a sequence of float_deltas results.
+
+    None stands for a stdout that is not JSON; a None result, or a None path
+    in any result, makes the answer None.
+    """
+    worst = 0.0
+    for paths in deltas:
+        if paths is None or None in paths.values():
+            return None
+        worst = max([worst, *(delta[0] for delta in paths.values())])
+    return worst
+
+
+def _json_deltas(old: bytes, new: bytes) -> dict | None:
+    """float_deltas of two JSON outputs, or None when either is not JSON."""
+    try:
+        return float_deltas(json.loads(old), json.loads(new))
+    except ValueError:
+        return None
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -256,9 +281,8 @@ def _imports_from(tree: Path, inputs: Path) -> bool:
 
 def _explain(old: bytes, new: bytes) -> list:
     """Lines that say how two outputs differ: float deltas for JSON, else the first line."""
-    try:
-        deltas = float_deltas(json.loads(old), json.loads(new))
-    except ValueError:  # not JSON
+    deltas = _json_deltas(old, new)
+    if deltas is None:
         pairs = enumerate(zip(old.splitlines() + [b""], new.splitlines() + [b""]), 1)
         return [
             f"    first differing line {number}: {a[:120]!r} -> {b[:120]!r}"
@@ -291,10 +315,12 @@ def main(args=None) -> int:
                 print(f"error: python -m rotosense.cli does not load {tree}/src", file=sys.stderr)
                 return 2
         write_inputs(inputs)
-        differ = []
+        differ, stdout_deltas = [], []
         for line, _ in INVOCATIONS:
             old, new = (_run(tree, argv(line, inputs), inputs) for tree in (old_tree, ROOT))
             streams = [name for name, a, b in zip(("exit", "stdout", "stderr"), old, new) if a != b]
+            if old[1] != new[1]:
+                stdout_deltas.append(_json_deltas(old[1], new[1]))
             if streams:
                 differ.append(line)
                 print(f"DIFFER rotosense {line}: {', '.join(streams)}")
@@ -307,6 +333,7 @@ def main(args=None) -> int:
         "invocations": len(INVOCATIONS),
         "identical": len(INVOCATIONS) - len(differ),
         "differ": differ,
+        "max_abs_delta": max_abs_delta(stdout_deltas),
     }
     print(json.dumps(summary))
     return 1 if differ else 0

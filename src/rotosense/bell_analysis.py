@@ -175,9 +175,8 @@ def probabilities_report(phi0: SpinState, theta1s, u, saturation_at=None) -> tup
         columns.append(bell)
         gaps.append(np.abs(bell - exact[:, :4]).max(axis=1))
     else:
-        warnings.append(
-            f"{misfit}; the report leaves out the bell_P* and gap_bell columns and saturation.bell"
-        )
+        out = "the bell_P* and gap_bell columns" + (" and saturation.bell" if saturation_at else "")
+        warnings.append(f"{misfit}; the report leaves out {out}")
     header += ["gap_small", "gap_bell"][: len(gaps)]
     table = np.column_stack(columns + gaps)
     warnings += small_angle_warnings(float(grid[np.argmax(np.abs(grid))]))

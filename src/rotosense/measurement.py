@@ -9,8 +9,8 @@ A report rotates the probe once per set of angles (``sweep_probabilities``
 for a theta1 grid, one rotated frame for the Fisher matrices), and each of
 its measurements reads its probabilities or Fisher matrix from that rotation.
 
-For an anti-coherent probe phi0, the basis {phi0, J_1 phi0, J_2 phi0,
-J_3 phi0} (normalized) is orthonormal and, measured after a small rotation,
+For an anti-coherent probe phi0, its normalized spin frame {phi0, J_1 phi0,
+J_2 phi0, J_3 phi0} is orthonormal and, measured after a small rotation,
 yields outcome probabilities whose classical Fisher information saturates
 the quantum bound.  The remaining 2J-3 dimensions are lumped into a single
 rest outcome; their weight is fourth order in the rotation angle.
@@ -25,9 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .metrology import anticoherence_report, frame_qfi, rotated_frame
-from .spin_core import (
-    RotationParams, SpinState, check_unit_axis, rotated_amplitudes, spin_operators
-)
+from .spin_core import RotationParams, SpinState, check_unit_axis, rotated_amplitudes, spin_frame
 
 @dataclass(frozen=True, eq=False)
 class Measurement:
@@ -60,7 +58,7 @@ def _check_rows(p: np.ndarray) -> np.ndarray:
     miss = np.abs(total - 1.0)
     if miss.max() > 1e-12:
         raise ValueError(f"probabilities sum to {total.flat[np.argmax(miss)]}, not 1")
-    p = np.clip(p, 0.0, 1.0)  # a new array; values inside [0, 1] keep their bits, -0.0 too
+    p = p.clip(0.0, 1.0)  # a new array; values inside [0, 1] keep their bits, -0.0 too
     p.setflags(write=False)
     return p
 
@@ -72,7 +70,7 @@ MEMO_SIZE = 4
 
 @lru_cache(maxsize=MEMO_SIZE)
 def optimal_basis(phi0: SpinState) -> Measurement:
-    """Measurement basis [phi0, J_i phi0 / sqrt(J(J+1)/3)], K_mu = <psi_mu|.
+    """The normalized spin frame [phi0, J_i phi0 / sqrt(J(J+1)/3)] as K_mu = <psi_mu|.
 
     K_rest is an orthonormal basis of the complement of the four states.
     Requires J >= 3/2, so that the four states fit in the 2J+1 dimensions,
@@ -93,11 +91,8 @@ def optimal_basis(phi0: SpinState) -> Measurement:
             f"(max deviations: mean {dev['max_mean_abs']:.3g}, "
             f"diag {dev['max_diagonal_dev']:.3g}, offdiag {dev['max_offdiagonal_abs']:.3g})"
         )
-    scale = math.sqrt(phi0.J * (phi0.J + 1) / 3.0)
-    states = [phi0]
-    for op in spin_operators(phi0.J):
-        states.append(SpinState.normalized(phi0.J, op @ phi0.amps / scale))
-    rows = np.array([s.amps.conj() for s in states])
+    j_phi0 = spin_frame(phi0.J, phi0.amps).T[1:] / math.sqrt(phi0.J * (phi0.J + 1) / 3.0)
+    rows = np.array([phi0.amps, *(SpinState.normalized(phi0.J, v).amps for v in j_phi0)]).conj()
     rows = np.vstack([rows, np.linalg.svd(rows)[2][4:]])
     return Measurement(rows=rows, starts=(0, 1, 2, 3, 4))
 

@@ -4,11 +4,11 @@ The single-parameter quantum Fisher information of a pure probe is four
 times the variance of the rotation generator; for an unknown axis this
 becomes ``F = 4 u^T Cov(J) u``, maximized by second-order anti-coherent
 states, for which every diagonal entry of the covariance equals J(J+1)/3.
-The multi-parameter Fisher matrices are computed in the rotated frame: the
-probe is rotated once, and the generator coefficient vectors g_k turn it
-into the three images G_k psi; the probe and its images form one frame
-array that both the quantum matrix here and the classical matrix of any
-measurement (``measurement.classical_fisher_matrix``) read.
+Every second moment is read off one frame [psi, A_1 psi, A_2 psi, A_3 psi]
+(``frame_moments``): the probe's spin frame for Cov(J), and for the Fisher
+matrices the rotated probe's, whose J_i psi the generator coefficients g_k
+turn into G_k psi; the classical matrix of any measurement
+(``measurement.classical_fisher_matrix``) reads that same rotated frame.
 """
 
 from __future__ import annotations
@@ -17,24 +17,28 @@ import math
 
 import numpy as np
 
-from .spin_core import RotationParams, SpinState, rotated_amplitudes, spin_operators
+from .spin_core import RotationParams, SpinState, rotated_amplitudes, spin_frame
 
 # Largest deviation from second-order anti-coherence that anticoherence_report
 # passes, and so the one optimal_basis accepts.
 ANTICOHERENCE_TOL = 1e-10
 
 
+def frame_moments(frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means <A_k> and symmetrized covariance of a frame [psi, A_1 psi, A_2 psi, A_3 psi].
+
+    Both come from the frame's Gram matrix: <A_k> = Re <psi|A_k psi> and
+    Cov_kl = Re <A_k psi|A_l psi> - <A_k><A_l>, made exactly symmetric.
+    """
+    gram = (frame.conj().T @ frame).real
+    mean = gram[0, 1:]
+    cov = gram[1:, 1:] - np.outer(mean, mean)
+    return mean, 0.5 * (cov + cov.T)
+
+
 def j_expectations(state: SpinState) -> tuple[np.ndarray, np.ndarray]:
     """Mean vector <J_i> and symmetrized covariance matrix of the spin operators."""
-    ops = spin_operators(state.J)
-    jpsi = [op @ state.amps for op in ops]
-    mean = np.array([np.vdot(state.amps, v).real for v in jpsi])
-    second = np.empty((3, 3))
-    for i in range(3):
-        for k in range(i, 3):
-            # <J_i J_k> symmetrized: Re <J_i psi | J_k psi>
-            second[i, k] = second[k, i] = np.vdot(jpsi[i], jpsi[k]).real
-    return mean, second - np.outer(mean, mean)
+    return frame_moments(spin_frame(state.J, state.amps))
 
 
 def anticoherence_report(state: SpinState) -> dict:
@@ -58,35 +62,33 @@ def anticoherence_report(state: SpinState) -> dict:
 def generator_coeffs(params: RotationParams) -> np.ndarray:
     """Generator coefficients of exp(-i theta1 u . J) in the (theta1, theta2, theta3) chart.
 
-    Returns the 3x3 array whose column k-1 is g_k, with G_k = g_k . J:
-    g1 = u, and for the axis angles
+    Returns the 3x3 array whose column k-1 is g_k, with G_k = g_k . J: g1 = u,
+    and for the axis angles g_k = sin(theta1) du/dtheta_k + (1 - cos(theta1))
+    (u x du/dtheta_k), the half-angle form that the [Jx, Jy] = i Jz
+    normalization of the spin operators requires.  In the axis's orthonormal
+    triad (u, e_theta, e_phi), du/dtheta2 = e_theta, du/dtheta3 =
+    sin(theta2) e_phi, and u x e_theta = e_phi, u x e_phi = -e_theta give
 
-        g_k = sin(theta1) du/dtheta_k + (1 - cos(theta1)) (u x du/dtheta_k),
-
-    which is the half-angle form 2 sin(t/2)[cos(t/2) du - sin(t/2) (du x u)]
-    required by the [Jx, Jy] = i Jz normalization of the spin operators.
+        g2 = sin(theta1) e_theta + (1 - cos(theta1)) e_phi,
+        g3 = sin(theta2) [sin(theta1) e_phi - (1 - cos(theta1)) e_theta].
     """
     t1, t2, t3 = params.theta1, params.theta2, params.theta3
-    u = params.axis
-    du2 = np.array([math.cos(t2) * math.cos(t3), math.cos(t2) * math.sin(t3), -math.sin(t2)])
-    du3 = np.array([-math.sin(t2) * math.sin(t3), math.sin(t2) * math.cos(t3), 0.0])
-    s, c = math.sin(t1), math.cos(t1)
-
-    def coeff(du):
-        return s * du + (1.0 - c) * np.cross(u, du)
-
-    return np.column_stack([u, coeff(du2), coeff(du3)])
+    s, c = math.sin(t1), 1.0 - math.cos(t1)
+    e_theta = np.array([math.cos(t2) * math.cos(t3), math.cos(t2) * math.sin(t3), -math.sin(t2)])
+    e_phi = np.array([-math.sin(t3), math.cos(t3), 0.0])
+    g3 = math.sin(t2) * (s * e_phi - c * e_theta)
+    return np.column_stack([params.axis, s * e_theta + c * e_phi, g3])
 
 
 def rotated_frame(state: SpinState, params: RotationParams) -> np.ndarray:
     """The rotated probe psi = exp(-i theta1 u.J) phi0 and its generator images.
 
-    Returns the (2J+1, 4) array [psi, G_1 psi, G_2 psi, G_3 psi] of columns,
-    with G_k psi = sum_i g_k[i] J_i psi and g_k the generator_coeffs columns.
+    Returns the (2J+1, 4) array [psi, G_1 psi, G_2 psi, G_3 psi] of columns:
+    the spin frame of psi with its J_i psi columns times the generator_coeffs.
     """
-    psi = rotated_amplitudes(state, [params.theta1], params.axis)[0]
-    j_psi = np.column_stack([op @ psi for op in spin_operators(state.J)])
-    return np.column_stack([psi, j_psi @ generator_coeffs(params)])
+    frame = spin_frame(state.J, rotated_amplitudes(state, [params.theta1], params.axis)[0])
+    frame[:, 1:] = frame[:, 1:] @ generator_coeffs(params)
+    return frame
 
 
 def qfi_matrix(state: SpinState, params: RotationParams) -> np.ndarray:
@@ -100,11 +102,8 @@ def qfi_matrix(state: SpinState, params: RotationParams) -> np.ndarray:
 
 
 def frame_qfi(frame: np.ndarray) -> np.ndarray:
-    """The quantum Fisher matrix of a ``rotated_frame`` [psi, G_1 psi, G_2 psi, G_3 psi]."""
-    psi, g_psi = frame[:, 0], frame[:, 1:]
-    mean = (psi.conj() @ g_psi).real
-    q = 4.0 * ((g_psi.conj().T @ g_psi).real - np.outer(mean, mean))
-    return 0.5 * (q + q.T)
+    """The quantum Fisher matrix 4 Cov(G_k, G_l) of a ``rotated_frame``."""
+    return 4.0 * frame_moments(frame)[1]
 
 
 def fisher_report(state: SpinState, params: RotationParams) -> dict:

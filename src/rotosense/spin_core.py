@@ -176,6 +176,11 @@ def spin_operators(j):
     return _spin_operators_cached(_check_spin(j))
 
 
+def spin_frame(j, psi) -> np.ndarray:
+    """The (2J+1, 4) frame [psi, J_x psi, J_y psi, J_z psi], each spin operator applied once."""
+    return np.column_stack([psi, *(op @ psi for op in spin_operators(j))])
+
+
 def check_unit_axis(u) -> np.ndarray:
     """u as a float array, refused unless it is a unit 3-vector (within 1e-9)."""
     u = np.asarray(u, dtype=float)

@@ -15,6 +15,38 @@ from rotosense.spin_core import (
 )
 
 
+def vdot_j_expectations(state: SpinState) -> tuple[np.ndarray, np.ndarray]:
+    """<J_i> and the symmetrized Cov(J) by np.vdot over the J_i psi, pair by pair."""
+    jpsi = [op @ state.amps for op in spin_operators(state.J)]
+    mean = np.array([np.vdot(state.amps, v).real for v in jpsi])
+    second = np.empty((3, 3))
+    for i in range(3):
+        for k in range(i, 3):
+            # <J_i J_k> symmetrized: Re <J_i psi | J_k psi>
+            second[i, k] = second[k, i] = np.vdot(jpsi[i], jpsi[k]).real
+    return mean, second - np.outer(mean, mean)
+
+
+def cross_product_generator_coeffs(params: RotationParams) -> np.ndarray:
+    """The g_k columns as sin(theta1) du/dtheta_k + (1 - cos(theta1)) (u x du/dtheta_k)."""
+    t1, t2, t3 = params.theta1, params.theta2, params.theta3
+    u = params.axis
+    du2 = np.array([math.cos(t2) * math.cos(t3), math.cos(t2) * math.sin(t3), -math.sin(t2)])
+    du3 = np.array([-math.sin(t2) * math.sin(t3), math.sin(t2) * math.cos(t3), 0.0])
+    s, c = math.sin(t1), math.cos(t1)
+    return np.column_stack([u, *(s * du + (1.0 - c) * np.cross(u, du) for du in (du2, du3))])
+
+
+def per_operator_optimal_rows(phi0: SpinState) -> np.ndarray:
+    """The optimal basis rows, each J_i phi0 / sqrt(J(J+1)/3) normalized as its own SpinState."""
+    scale = math.sqrt(phi0.J * (phi0.J + 1) / 3.0)
+    states = [phi0]
+    for op in spin_operators(phi0.J):
+        states.append(SpinState.normalized(phi0.J, op @ phi0.amps / scale))
+    rows = np.array([s.amps.conj() for s in states])
+    return np.vstack([rows, np.linalg.svd(rows)[2][4:]])
+
+
 def rotation_unitary(j, params: RotationParams) -> np.ndarray:
     """The dense exp(-i theta1 u . J), by eigendecomposition of u . J."""
     u = params.axis

@@ -646,6 +646,21 @@ class TestProbabilities:
         assert len(data["rows"][0]) == len(data["columns"]) == 14
         assert set(data["saturation"]) == {"optimal"}
 
+    @pytest.mark.parametrize(
+        "fmt, left_out",
+        [
+            ("json", "the bell_P* and gap_bell columns and saturation.bell"),
+            ("csv", "the bell_P* and gap_bell columns"),  # a CSV has no saturation block
+        ],
+    )
+    def test_misfit_warning_names_what_the_format_leaves_out(self, fmt, left_out, capsys):
+        code, _, err = run_cli(["probabilities", "--state", "tetra1", "--format", fmt], capsys)
+        assert code == 0
+        assert err == (
+            "warning: the Bell analyzer does not fit this probe: outcomes 0 and 1 share the "
+            f"Bell product (0, 0); the report leaves out {left_out}\n"
+        )
+
     @pytest.mark.parametrize("state", ["tetra2", "balance"])
     @pytest.mark.parametrize("theta1", ["0.02", "0.05"])
     def test_reference_probes_do_not_warn(self, state, theta1, capsys):

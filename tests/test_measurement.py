@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import params_from_axis
+from oracles import (
+    params_from_axis,
+    per_operator_optimal_rows,
+    rotation_unitary,
+    three_peak_state,
+)
 
 from rotosense.bell_analysis import bell_measurement
 from rotosense.measurement import (
@@ -79,6 +84,16 @@ class TestCheckRows:
             _check_rows(p)
 
 
+    def test_clips_rounding_and_keeps_bits(self):
+        p = np.array([[-1e-13, 0.3, 0.7, -0.0, 1e-13], [1.0 + 1e-13, -1e-13, 0.0, -0.0, 0.0]])
+        clipped = _check_rows(p)
+        assert clipped[0, 0] == 0.0 and clipped[1, 1] == 0.0 and clipped[1, 0] == 1.0
+        assert not np.signbit(clipped[0, 0]) and not np.signbit(clipped[1, 1])
+        inside = np.array([[False, True, True, True, True], [False, False, True, True, True]])
+        assert clipped[inside].tobytes() == p[inside].tobytes()  # -0.0 keeps its sign
+        assert not clipped.flags.writeable
+
+
 class TestOptimalBasis:
     @pytest.mark.parametrize("factory", [tetra1, tetra2, balance])
     def test_orthonormal(self, factory):
@@ -104,6 +119,21 @@ class TestOptimalBasis:
         expected = np.zeros(5, dtype=complex)
         expected[1] = expected[3] = np.exp(1j * math.pi / 3) / math.sqrt(2)
         np.testing.assert_allclose(basis.rows[1].conj(), expected, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "factory", [tetra1, tetra2, balance, lambda: three_peak_state(4)],
+        ids=["tetra1", "tetra2", "balance", "cube"],
+    )
+    def test_rows_match_per_operator_oracle(self, factory):
+        # every outcome probability, and so every count, is fixed by these bits;
+        # turned copies of the probe tell apart roundings its own amplitudes share
+        rng = np.random.default_rng(67)
+        state = factory()
+        turns = [rotation_unitary(state.J, RotationParams(*angles))
+                 for angles in rng.uniform(-math.pi, math.pi, size=(5, 3))]
+        turned = [SpinState.normalized(state.J, turn @ state.amps) for turn in turns]
+        for probe in [state, *turned]:
+            assert optimal_basis(probe).rows.tobytes() == per_operator_optimal_rows(probe).tobytes()
 
     def test_rejects_polarized_state(self):
         with pytest.raises(ValueError):

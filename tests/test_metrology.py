@@ -3,7 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import fisher_single, rotation_unitary
+from oracles import (
+    cross_product_generator_coeffs,
+    fisher_single,
+    rotation_unitary,
+    vdot_j_expectations,
+)
 
 from rotosense.metrology import (
     anticoherence_report,
@@ -83,6 +88,18 @@ class TestJExpectations:
             mean, cov = j_expectations(state)
             expected = j * (j + 1) - float(mean @ mean)
             assert abs(np.trace(cov) - expected) <= 1e-10
+
+    def test_matches_vdot_oracle(self):
+        # one Gram matrix of the spin frame against np.vdot pair by pair; the
+        # moments are of size J(J+1), so the bound scales with it (one ulp of
+        # a J = 5 second moment is 3.6e-15)
+        rng = np.random.default_rng(59)
+        for two_j in range(1, 11):
+            j = two_j / 2
+            for _ in range(20):
+                state = random_state(rng, j)
+                for new, old in zip(j_expectations(state), vdot_j_expectations(state)):
+                    assert np.abs(new - old).max() <= 1e-15 * j * (j + 1)
 
     def test_covariance_symmetric_psd(self):
         rng = np.random.default_rng(53)
@@ -165,6 +182,20 @@ class TestGenerators:
         coeffs = generator_coeffs(RotationParams(0.0, 1.2, -0.3))
         np.testing.assert_allclose(coeffs[:, 1], 0, atol=1e-15)
         np.testing.assert_allclose(coeffs[:, 2], 0, atol=1e-15)
+
+    def test_matches_cross_product_oracle(self):
+        # the triad closed form against the two cross products, on random
+        # angles and on the poles and the equator of the axis sphere
+        rng = np.random.default_rng(61)
+        angles = [rng.uniform([-math.pi, 0.0, -math.pi], [math.pi, math.pi, math.pi])
+                  for _ in range(200)]
+        angles += [(t1, t2, t3) for t2 in (0.0, math.pi / 2, math.pi)
+                   for t1, t3 in rng.uniform(-math.pi, math.pi, size=(20, 2))]
+        for angle in angles:
+            params = RotationParams(*angle)
+            coeffs = generator_coeffs(params)
+            assert np.abs(coeffs - cross_product_generator_coeffs(params)).max() <= 1e-15
+            assert (generator_coeffs(replace(params, theta1=0.0))[:, 1:] == 0.0).all()
 
     def test_axis_orthogonality(self):
         rng = np.random.default_rng(29)

@@ -50,3 +50,17 @@ def test_float_deltas():
         "$.g": None,
     }
     assert report_diff.float_deltas(old, old) == {}
+
+
+def test_max_abs_delta():
+    # the largest absolute delta over all reports; a non-numeric difference or a
+    # stdout that is not JSON has no such bound
+    rounding = report_diff.float_deltas({"a": [1.0, 2.0]}, {"a": [1.0 + 2**-52, 2.0 - 2**-51]})
+    signed_zero = report_diff.float_deltas({"z": 0.0}, {"z": -0.0})
+    assert report_diff.max_abs_delta([rounding, signed_zero]) == 2**-51
+    assert report_diff.max_abs_delta([]) == 0.0
+    changed = report_diff.float_deltas({"s": "x"}, {"s": "y"})
+    assert report_diff.max_abs_delta([rounding, changed]) is None
+    assert report_diff.max_abs_delta([None, rounding]) is None
+    assert report_diff._json_deltas(b'{"a": 1.5}', b'{"a": 1.0}') == {"$.a": [0.5, 0.5 / 1.5]}
+    assert report_diff._json_deltas(b"theta1,P0\n", b"theta1,P1\n") is None
