@@ -73,11 +73,11 @@ def generator_coeffs(params: RotationParams) -> np.ndarray:
         g3 = sin(theta2) [sin(theta1) e_phi - (1 - cos(theta1)) e_theta].
     """
     t1, t2, t3 = params.theta1, params.theta2, params.theta3
-    s, c = math.sin(t1), 1.0 - math.cos(t1)
+    s, vers = math.sin(t1), 1.0 - math.cos(t1)
     e_theta = np.array([math.cos(t2) * math.cos(t3), math.cos(t2) * math.sin(t3), -math.sin(t2)])
     e_phi = np.array([-math.sin(t3), math.cos(t3), 0.0])
-    g3 = math.sin(t2) * (s * e_phi - c * e_theta)
-    return np.column_stack([params.axis, s * e_theta + c * e_phi, g3])
+    g3 = math.sin(t2) * (s * e_phi - vers * e_theta)
+    return np.column_stack([params.axis, s * e_theta + vers * e_phi, g3])
 
 
 def rotated_frame(state: SpinState, params: RotationParams) -> np.ndarray:
