@@ -15,7 +15,8 @@ than REF's interquartile range.  Below that table it summarises, the same
 way, the raw figures of each run's ``info`` line (``ops``,
 ``raw_latency_p50_ms``, ``raw_latency_tail_ms``, ``raw_setup_s``: no host
 slowness divisor, no bound), so both spreads are on record.  The last line
-is a JSON summary.
+is a JSON summary: ``ref``, ``commit`` and ``workload``, then the same
+workload entry that ``--write`` stores.
 
 With ``--write PATH`` it also merges the workload's summary into the JSON
 file at PATH, which records one comparison: REF's commit, the checkout's
@@ -200,24 +201,16 @@ def main(args=None) -> int:
         ref, new = ("/".join(f"{v:.4g}" for v in row[side]) for side in ("ref", "new"))
         print(f"{name:<19} {ref:>30} {new:>30} {row['wins']:>3}/{args.pairs:<2} "
               f"{row['change']:>+8.1%}  {row['within_bound']}, {row['clears_ref_iqr']}")
-    print(json.dumps({
-        "ref": args.ref,
-        "commit": commit,
-        "workload": args.workload,
+    entry = {
         "pairs": args.pairs,
         "seeds": [args.seed, args.seed + args.pairs - 1],
-        "seconds": seconds,
+        "run_seconds": seconds,
         "metrics": summary,
         "raw": raw,
-    }))
+    }
+    print(json.dumps({"ref": args.ref, "commit": commit, "workload": args.workload, **entry}))
     if args.write:  # replaces an earlier record of this workload
-        record["workloads"][args.workload] = {
-            "pairs": args.pairs,
-            "seeds": [args.seed, args.seed + args.pairs - 1],
-            "run_seconds": seconds,
-            "metrics": summary,
-            "raw": raw,
-        }
+        record["workloads"][args.workload] = entry
         args.write.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 

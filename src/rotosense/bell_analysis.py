@@ -138,22 +138,22 @@ def bell_measurement(phi0: SpinState) -> Measurement:
     return Measurement(rows=np.concatenate(blocks), starts=starts)
 
 
-def probabilities_report(phi0: SpinState, theta1s, u, saturation_at=None) -> tuple:
-    """Optimal-basis, small-angle and Bell-aggregated probabilities over a theta1 grid about u.
+def probabilities_report(phi0: SpinState, theta1s, params: RotationParams, saturation=False) -> tuple:
+    """Optimal-basis, small-angle and Bell probabilities on a theta1 grid about params.axis.
 
     Returns the JSON-ready payload {"axis", "columns", "rows"}, the CSV
     header and rows (the same objects) and the warnings.  Row k holds
-    theta1s[k], u, P0..Prest of the optimal basis, small_P0..3 of the
-    second-order model, bell_P0..3 of the Bell analyzer, and the largest
-    signal-outcome gaps gap_small = |P - small_P| and gap_bell = |bell_P - P|.
-    A Bell analyzer that does not fit the probe leaves out its columns with
-    a warning; the small-angle warning reads the grid's largest |theta1|.
-    Given a rotation saturation_at, the payload also holds "saturation", the
-    multiparam_saturation_check of both measurements with |theta1| clipped
-    to 0.02, its sign kept; the unrotated probe (theta1 = 0 or -0) is
-    singular, F_11 = 0, so it is read at +-0.02.
+    theta1s[k], u = params.axis, P0..Prest of the optimal basis, small_P0..3
+    of the second-order model, bell_P0..3 of the Bell analyzer, and the
+    largest signal-outcome gaps gap_small = |P - small_P| and gap_bell =
+    |bell_P - P|.  A Bell analyzer that does not fit the probe leaves out its
+    columns with a warning; the small-angle warning reads the grid's largest
+    |theta1|.  With saturation, the payload also holds "saturation", the
+    multiparam_saturation_check of both measurements at params with
+    |theta1| clipped to 0.02, its sign kept; the unrotated probe (theta1 = 0
+    or -0) is singular, F_11 = 0, so it is read at +-0.02.
     """
-    grid = np.asarray(theta1s, dtype=float)
+    grid, u = np.asarray(theta1s, dtype=float), params.axis
     measurements = {"optimal": optimal_basis(phi0)}
     try:
         measurements["bell"] = bell_measurement(phi0)
@@ -175,15 +175,15 @@ def probabilities_report(phi0: SpinState, theta1s, u, saturation_at=None) -> tup
         columns.append(bell)
         gaps.append(np.abs(bell - exact[:, :4]).max(axis=1))
     else:
-        out = "the bell_P* and gap_bell columns" + (" and saturation.bell" if saturation_at else "")
+        out = "the bell_P* and gap_bell columns" + (" and saturation.bell" if saturation else "")
         warnings.append(f"{misfit}; the report leaves out {out}")
     header += ["gap_small", "gap_bell"][: len(gaps)]
     table = np.column_stack(columns + gaps)
     warnings += small_angle_warnings(float(grid[np.argmax(np.abs(grid))]))
     payload = {"axis": list(u), "columns": header, "rows": table}
-    if saturation_at is not None:
-        t1, t2, t3 = saturation_at.theta1, saturation_at.theta2, saturation_at.theta3
-        clipped = RotationParams(math.copysign(min(abs(t1), 0.02) or 0.02, t1), t2, t3)
+    if saturation:
+        t1 = math.copysign(min(abs(params.theta1), 0.02) or 0.02, params.theta1)
+        clipped = RotationParams(t1, params.theta2, params.theta3)
         payload["saturation"] = multiparam_saturation_check(phi0, measurements, clipped)
     return payload, header, table, warnings
 
@@ -244,23 +244,19 @@ TABULATED_BELL_N6 = (
 )
 
 
-def _n4_reference_states() -> list[SpinState]:
-    basis = [SpinState(2, row.conj()) for row in optimal_basis(tetra2()).rows[:4]]
-    completion = SpinState.from_m_amplitudes(
-        2, {2: 0.5, -2: 0.5, 0: -0.5j * math.sqrt(2)}
-    )
-    return [*basis, completion]
+_R3, _R5 = math.sqrt(3) / 4, math.sqrt(5) / 4
 
-
-def _n6_reference_states() -> list[SpinState]:
-    basis = [SpinState(3, row.conj()) for row in optimal_basis(balance()).rows[:4]]
-    s3, s5 = math.sqrt(3) / 4, math.sqrt(5) / 4
-    extra4 = SpinState.from_m_amplitudes(3, {0: 1.0})
-    extra5 = SpinState.from_m_amplitudes(3, {3: s5, -3: s5, 1: -s3, -1: -s3})
-    extra6 = SpinState.from_m_amplitudes(
-        3, {3: -1j * s5, -3: 1j * s5, 1: -1j * s3, -1: 1j * s3}
-    )
-    return [*basis, extra4, extra5, extra6]
+# One record per photon number: (label prefix, probe builder, tabulated rows, completions).
+# Rows 0-3 decompose the probe's optimal-basis states; each later row decomposes
+# the completion state {m: amplitude} at its place in the list.
+TABULATED_REFERENCES = (
+    ("n4", tetra2, TABULATED_BELL_N4, ({2: 0.5, -2: 0.5, 0: -0.5j * _SQRT2},)),
+    ("n6", balance, TABULATED_BELL_N6, (
+        {0: 1.0},
+        {3: _R5, -3: _R5, 1: -_R3, -1: -_R3},
+        {3: -1j * _R5, -3: 1j * _R5, 1: -1j * _R3, -1: 1j * _R3},
+    )),
+)
 
 
 # A tabulated row passes when its fidelity with the direct state is at least 1 - this.
@@ -288,33 +284,34 @@ def _check_one(label: str, table: dict, direct: SpinState) -> dict:
         recomputed_anchor = complex(bp[anchor])
         phase = table[anchor] / recomputed_anchor if abs(recomputed_anchor) > 1e-12 else 1.0
         phase /= abs(phase)
-        seen = set(table) | {idx for idx in np.ndindex(bp.shape) if abs(bp[idx]) > 1e-10}
-        for labels in sorted(seen):
-            tabulated = table.get(labels, 0.0)
-            recomputed = phase * complex(bp[labels])
-            if abs(tabulated - recomputed) > 1e-8:
-                mismatches.append(
-                    {
-                        "labels": list(labels),
-                        "tabulated": [complex(tabulated).real, complex(tabulated).imag],
-                        "recomputed": [recomputed.real, recomputed.imag],
-                    }
-                )
+        for labels in np.argwhere(np.abs(tabulated_amps - phase * bp) > 1e-8).tolist():
+            tabulated = complex(table.get(tuple(labels), 0.0))
+            recomputed = phase * complex(bp[tuple(labels)])
+            mismatches.append({
+                "labels": labels,
+                "tabulated": [tabulated.real, tabulated.imag],
+                "recomputed": [recomputed.real, recomputed.imag],
+            })
     return {"label": label, "fidelity": fid, "ok": ok, "mismatches": mismatches}
 
 
 def verify_tabulated_decompositions() -> dict:
     """Compare every tabulated decomposition with the direct basis-change computation.
 
+    Each record of TABULATED_REFERENCES is read in one pass: its direct states
+    are the probe's four optimal-basis states, then its completion states.
     Returns the JSON-ready report {"all_ok", "checks"}, one check per
-    tabulated state.  Discrepancies are report content: each failing state
-    is listed with the recomputed coefficients, never patched silently.
+    tabulated state (label prefix_psi<row>).  Discrepancies are report
+    content: each failing state lists the recomputed coefficients, never
+    patched silently.
     """
     checks = []
-    for idx, (table, direct) in enumerate(zip(TABULATED_BELL_N4, _n4_reference_states())):
-        checks.append(_check_one(f"n4_psi{idx}", table, direct))
-    for idx, (table, direct) in enumerate(zip(TABULATED_BELL_N6, _n6_reference_states())):
-        checks.append(_check_one(f"n6_psi{idx}", table, direct))
+    for prefix, probe, rows, completions in TABULATED_REFERENCES:
+        phi0 = probe()
+        direct = [SpinState(phi0.J, row.conj()) for row in optimal_basis(phi0).rows[:4]]
+        direct += [SpinState.from_m_amplitudes(phi0.J, amps) for amps in completions]
+        for idx, (table, state) in enumerate(zip(rows, direct)):
+            checks.append(_check_one(f"{prefix}_psi{idx}", table, state))
     return {"all_ok": all(check["ok"] for check in checks), "checks": checks}
 
 
@@ -339,5 +336,5 @@ def decompose_report(state: SpinState, params: RotationParams, verify_tables=Fal
     }
     if verify_tables:
         payload["table_verification"] = verify_tabulated_decompositions()
-    rows = [[labels, re, im, re**2 + im**2] for labels, (re, im) in sorted(amps.items())]
+    rows = [[labels, re, im, re**2 + im**2] for labels, (re, im) in amps.items()]
     return payload, ["labels", "re", "im", "prob"], rows, small_angle_warnings(params.theta1)

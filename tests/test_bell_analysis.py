@@ -385,6 +385,21 @@ class TestTabulatedDecompositions:
                     got = complex(*listed[labels][key])
                     assert abs(got - value) <= 1e-12, (label, labels, key)
 
+    def test_lists_a_table_only_entry(self, monkeypatch):
+        # every mismatch of the paper's tables is an entry the direct state
+        # holds; here n4_psi1 gains (3, 3), where the direct state is 0
+        prefix, probe, rows, completions = bell_analysis.TABULATED_REFERENCES[0]
+        rows = list(rows)
+        rows[1] = {**rows[1], (3, 3): 0.1}
+        record = ((prefix, probe, tuple(rows), completions),)
+        monkeypatch.setattr(bell_analysis, "TABULATED_REFERENCES", record)
+        checks = verify_tabulated_decompositions()["checks"]
+        assert [c["label"] for c in checks if not c["ok"]] == ["n4_psi1"]
+        assert checks[1]["fidelity"] == pytest.approx(1 / 1.01, abs=1e-12)
+        assert checks[1]["mismatches"] == [
+            {"labels": [3, 3], "tabulated": [0.1, 0.0], "recomputed": [0.0, 0.0]}
+        ]
+
     def test_report_serializes(self):
         data = verify_tabulated_decompositions()
         assert len(data["checks"]) == 12

@@ -131,6 +131,18 @@ def test_write_merges_workloads_into_one_record(canned_runs, tmp_path, capsys):
     assert entry["raw"]["ops"]["wins"] == 0  # ties
 
 
+def test_summary_line_holds_the_written_entry(canned_runs, tmp_path, capsys):
+    path = tmp_path / "BENCH.json"
+    argv = ["HEAD", "--workload", "sweep", "--pairs", "2", "--write", str(path)]
+    assert bench_pairs.main(argv) == 0
+    line = json.loads(capsys.readouterr().out.splitlines()[-1])
+    record = json.loads(path.read_text())
+    assert line == {
+        "ref": "HEAD", "commit": record["ref"]["commit"], "workload": "sweep",
+        **record["workloads"]["sweep"],
+    }
+
+
 def test_write_refuses_another_comparison_before_any_run(canned_runs, tmp_path, capsys):
     path = tmp_path / "BENCH.json"
     text = json.dumps({"ref": {"name": "HEAD", "commit": "0" * 40}, "workloads": {}})

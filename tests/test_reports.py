@@ -48,7 +48,7 @@ class TestLibraryReportIsTheCliReport:
     def test_probabilities(self, name, capsys):
         grid = np.linspace(0.0, PARAMS.theta1, 21)
         payload, header, rows, warnings = probabilities_report(
-            get_state(name), grid, PARAMS.axis, PARAMS
+            get_state(name), grid, PARAMS, saturation=True
         )
         assert warnings == []
         data = json.loads(printed(["probabilities", "--state", name], capsys))
@@ -94,7 +94,7 @@ def test_reference_circuits(capsys):
 def test_probabilities_warn_past_the_small_angle_threshold():
     # the warning reads the grid's largest |theta1|, with its sign
     grid = np.linspace(0.0, -0.3, 5)
-    *_, warnings = probabilities_report(get_state("tetra2"), grid, PARAMS.axis)
+    *_, warnings = probabilities_report(get_state("tetra2"), grid, PARAMS)
     assert warnings == [
         "theta1=-0.3 exceeds the small-angle validity threshold 0.05; estimates may be biased"
     ]

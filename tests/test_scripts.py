@@ -38,6 +38,34 @@ def test_small_angle_sweep_exponents(state, tmp_path):
     assert len(out.read_text().splitlines()) == 21  # header + 20 grid points
 
 
+@pytest.mark.parametrize("points", ["20", "5"])
+def test_small_angle_sweep_names_a_gap_at_rounding_level(points):
+    # about z, balance's Bell gap is 0 up to rounding (<= 4.4e-16): no slope is fitted to it
+    result = run_script(
+        "small_angle_sweep.py", "--state", "balance", "--theta2", "0", "--points", points
+    )
+    assert result.returncode == 0, result.stderr
+    fit = result.stderr.splitlines()[-1]
+    match = re.fullmatch(
+        r"# convergence exponents: small-angle gap (\S+), "
+        r"Bell-aggregation gap at rounding level \(max (\S+)\)",
+        fit,
+    )
+    assert match, fit
+    assert abs(float(match.group(1)) - 4.0) <= 0.1
+    assert float(match.group(2)) <= 1e-14
+
+
+def test_small_angle_sweep_fits_only_gaps_above_the_floor():
+    # near z, balance's smallest Bell gaps sit at the rounding floor; fitted
+    # with them the slope read 3.62, fitted without them it reads 4
+    result = run_script("small_angle_sweep.py", "--state", "balance", "--theta2", "0.001")
+    assert result.returncode == 0, result.stderr
+    match = re.search(r"Bell-aggregation gap (\S+)$", result.stderr)
+    assert match, result.stderr
+    assert abs(float(match.group(1)) - 4.0) <= 0.1
+
+
 @pytest.mark.parametrize("points", ["1", "0"])
 def test_small_angle_sweep_refuses_too_few_points(points):
     result = run_script("small_angle_sweep.py", "--points", points)
