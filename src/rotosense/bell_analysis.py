@@ -285,7 +285,7 @@ def _check_one(label: str, table: dict, direct: SpinState) -> dict:
         phase = table[anchor] / recomputed_anchor if abs(recomputed_anchor) > 1e-12 else 1.0
         phase /= abs(phase)
         for labels in np.argwhere(np.abs(tabulated_amps - phase * bp) > 1e-8).tolist():
-            tabulated = complex(table.get(tuple(labels), 0.0))
+            tabulated = complex(tabulated_amps[tuple(labels)])
             recomputed = phase * complex(bp[tuple(labels)])
             mismatches.append({
                 "labels": labels,
