@@ -144,6 +144,7 @@ INVOCATIONS = [
     ("estimate --state tetra1 --trials 5 --pipeline optimal", 0),
     ("estimate --state file:{dir}/cube.json --trials 20 --pipeline bell", 0),
     ("estimate --n 1 --trials 5", 0),
+    ("estimate --n 200 --trials 20", 0),
     ("estimate --config {dir}/config.json", 0),
     ("estimate --trials 20 --theta1 0.3 --pipeline optimal", 0),
     ("estimate --trials 20 --format csv", 2),

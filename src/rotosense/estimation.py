@@ -24,7 +24,7 @@ vectors shifts every later row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -152,56 +152,8 @@ def estimate_params(counts, j) -> tuple[np.ndarray, np.ndarray]:
     return theta1, u_abs
 
 
-def _mean_std(x: np.ndarray) -> tuple:
-    """x.mean(axis=0) and x.std(axis=0, ddof=1), bit for bit, from one sum over x.
-
-    The same steps as numpy's: the sum divided by the count is the mean, and
-    the squared deviations' sum divided by count - 1 is the variance.
-    """
-    count = len(x)
-    mean = x.sum(axis=0) / count
-    dev = x - mean
-    dev *= dev
-    return mean, np.sqrt(dev.sum(axis=0) / (count - 1))
-
-
-@dataclass(frozen=True)
-class QcrbReport:
-    """Empirical estimator statistics against the Cramer-Rao prediction.
-
-    Every field but the per-trial arrays theta1_hats (trials,) and u_hats
-    (trials, 3) is a key of the ``estimate`` payload, in this order.  The
-    class exists for the readers of those arrays and of ``trials``,
-    ``degenerate_trials`` and ``sigma_empirical``: the benchmark harness
-    checks each op's run through these four.
-    """
-
-    pipeline: str
-    theta1: float
-    theta2: float
-    theta3: float
-    n: int
-    trials: int
-    seed: int
-    J: float
-    mean_theta1_hat: float
-    sigma_empirical: float
-    sigma_predicted: float
-    sigma_ratio: float
-    u_true_abs: list
-    mean_u_abs: list  # [None] * 3 where fewer than two trials saw a signal shot
-    sigma_u_abs: list
-    degenerate_trials: int
-    max_exact_vs_smallangle_gap: float
-    max_pipeline_vs_exact_gap: float
-    theta1_hats: np.ndarray
-    u_hats: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            f.name: getattr(self, f.name) for f in fields(self)
-            if f.name not in ("theta1_hats", "u_hats")
-        }
+# The per-trial estimates qcrb_experiment returns besides the estimate payload.
+PER_TRIAL = ("theta1_hats", "u_hats")
 
 
 def qcrb_experiment(
@@ -211,16 +163,23 @@ def qcrb_experiment(
     trials: int,
     seed: int,
     pipeline: str = "optimal",
-) -> QcrbReport:
+) -> SimpleNamespace:
     """Run repeated n-shot rounds and compare sigma(theta1_hat) with 1/sqrt(nF).
 
     Valid in the small-rotation regime (theta1 <= 0.05 documented); the
-    report carries the exact-vs-small-angle probability gap so the
+    result carries the exact-vs-small-angle probability gap so the
     breakdown at larger angles is visible, and theta1 with
     theta1^2 J(J+1)/3 > 1, where that expansion has no probabilities, is
     rejected.  Trial t draws from the stream of (seed, t) for every
     pipeline, so pipeline comparisons are paired.  The Bell pipeline
     rejects a probe that the Bell analyzer does not fit (`bell_measurement`).
+
+    Returns a namespace whose attributes are the keys of the ``estimate``
+    payload, in its order, followed by the PER_TRIAL arrays theta1_hats
+    (trials,) and u_hats (trials, 3).  mean_u_abs and sigma_u_abs are
+    [None] * 3 where fewer than two trials saw a signal shot.  The benchmark
+    harness checks each op through ``trials``, ``degenerate_trials``,
+    ``theta1_hats`` and ``sigma_empirical``.
     """
     if trials < 2:
         raise ValueError("need at least two trials for a spread estimate")
@@ -243,13 +202,12 @@ def qcrb_experiment(
     if degenerate >= trials - 1:  # too few valid trials for axis statistics: null in JSON
         mean_u, sigma_u = [None] * 3, [None] * 3
     else:
-        # bit-identical to np.nanmean / np.nanstd over all rows, without their NaN masking
-        stats = _mean_std(u_hats[~signal_free] if degenerate else u_hats)
-        mean_u, sigma_u = (x.tolist() for x in stats)
+        valid = u_hats[~signal_free]
+        mean_u, sigma_u = valid.mean(axis=0).tolist(), valid.std(axis=0, ddof=1).tolist()
     fisher = 4.0 * phi0.J * (phi0.J + 1.0) / 3.0
     sigma_pred = 1.0 / math.sqrt(n * fisher)
-    mean_theta, sigma_emp = map(float, _mean_std(theta_hats))
-    return QcrbReport(
+    sigma_emp = float(theta_hats.std(ddof=1))
+    return SimpleNamespace(
         pipeline=pipeline,
         theta1=params.theta1,
         theta2=params.theta2,
@@ -258,7 +216,7 @@ def qcrb_experiment(
         trials=trials,
         seed=seed,
         J=phi0.J,
-        mean_theta1_hat=mean_theta,
+        mean_theta1_hat=float(theta_hats.mean()),
         sigma_empirical=sigma_emp,
         sigma_predicted=sigma_pred,
         sigma_ratio=sigma_emp / sigma_pred,
@@ -279,14 +237,17 @@ def estimate_report(
 ) -> tuple:
     """qcrb_experiment for each named pipeline, all on one seed.
 
-    Returns the JSON-ready payload {pipeline: QcrbReport.to_dict()}, the CSV
-    header and per-trial rows (trial, theta1_hat, u1_hat, u2_hat, u3_hat),
-    which hold a single pipeline's trials (None for more than one), and the
-    small-angle warnings.
+    Returns the JSON-ready payload {pipeline: the result's attributes but
+    the PER_TRIAL arrays}, the CSV header and per-trial rows (trial,
+    theta1_hat, u1_hat, u2_hat, u3_hat), which hold a single pipeline's
+    trials (None for more than one), and the small-angle warnings.
     """
     reports = {pipe: qcrb_experiment(phi0, params, n, trials, seed, pipe) for pipe in pipelines}
     report, *more = reports.values()
     rows = None if more else zip(range(trials), report.theta1_hats, *report.u_hats.T)
     header = ["trial", "theta1_hat", "u1_hat", "u2_hat", "u3_hat"]
-    payload = {pipe: report.to_dict() for pipe, report in reports.items()}
+    payload = {
+        pipe: {key: value for key, value in vars(report).items() if key not in PER_TRIAL}
+        for pipe, report in reports.items()
+    }
     return payload, header, rows, small_angle_warnings(params.theta1)

@@ -28,7 +28,13 @@ from rotosense.bell_analysis import (
 from rotosense.measurement import (
     Measurement, exact_probabilities, optimal_basis, sweep_probabilities
 )
-from rotosense.spin_core import RotationParams, SpinState, dicke_to_qubit, rotated_amplitudes
+from rotosense.spin_core import (
+    RotationParams,
+    SpinState,
+    dicke_to_qubit,
+    rotated_amplitudes,
+    spin_operators,
+)
 from rotosense.states import balance, tetra1, tetra2
 
 SQ3 = math.sqrt(3.0)
@@ -68,6 +74,16 @@ class TestBellStates:
     def test_completeness(self):
         total = sum(np.outer(s, s.conj()) for s in BELL_STATES)
         np.testing.assert_allclose(total, np.eye(4), atol=1e-15)
+
+    def test_spin_is_imaginary_in_the_symmetric_bell_basis(self):
+        # the phases of BELL_STATES make phi0, phi1, phi3 a Cartesian basis of a
+        # pair's spin 1: every J_i is purely imaginary there, so rotations act on
+        # Bell-product amplitudes as real orthogonal matrices
+        image = bell_analysis._bell_image(2)
+        for op in spin_operators(1):
+            in_bell = image @ op @ image.conj().T
+            assert np.abs(in_bell.real).max() <= 1e-15
+            assert np.abs(in_bell.imag).max() == pytest.approx(1.0)
 
 
 class TestBellDecompose:

@@ -123,6 +123,11 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="custom gates need a 2x2 matrix"):
             Gate("custom", (0,))
 
+    @pytest.mark.parametrize("targets", [(), (0, 1)])
+    def test_rejects_other_than_one_target(self, targets):
+        with pytest.raises(ValueError, match="^gates act on exactly one target qubit$"):
+            Gate("X", targets)
+
     def test_rejects_overlapping_qubits(self):
         with pytest.raises(ValueError):
             Gate("X", (0,), (0,))
