@@ -5,7 +5,8 @@
 extracts REF's ``src`` with ``git archive`` into a temporary directory and
 runs every invocation in INVOCATIONS against both trees as
 ``PYTHONPATH=<tree>/src python -m rotosense.cli``, in one directory of input
-files that it writes itself.  Exit code, stdout and stderr are compared byte
+files that it writes itself, REF under ``PYTHONHASHSEED=0`` and the checkout
+under ``PYTHONHASHSEED=1``.  Exit code, stdout and stderr are compared byte
 for byte, with each tree's path read as ``<tree>``.  For a JSON report that
 differs it prints the largest absolute and relative float delta per key path
 (list indices read ``[*]``).  The last line is a JSON summary; its
@@ -15,9 +16,10 @@ float delta of two JSON reports.  Exit status:
 0 when every invocation matches, 1 when some differ, 2 on a usage or git
 error.  Uses only the standard library and git.
 
-``REF`` = ``HEAD`` checks that every listed report is reproducible across
-processes; ``tests/test_report_diff.py`` runs every invocation in process and
-checks its expected exit code, so the list keeps working.
+``REF`` = ``HEAD`` checks that every listed report is the same in any
+process, whatever the string hash seed.  ``tests/test_report_diff.py`` runs
+every invocation in process and checks its expected exit code and the run
+rule of ``tests/oracles.py``, so the list keeps working.
 """
 
 from __future__ import annotations
@@ -117,6 +119,8 @@ INVOCATIONS = [
     ("probabilities --theta2 0", 0),
     ("probabilities --state balance --theta2 0 --format csv", 0),
     ("probabilities --grid-points 1", 0),
+    ("probabilities --state balance --grid-points 11", 0),
+    ("probabilities --state balance --grid-points 11 --format csv", 0),
     ("probabilities --state balance --grid-points 101", 0),
     ("probabilities --state balance --grid-points 101 --format csv", 0),
     ("probabilities --theta1 0.3", 0),
@@ -145,6 +149,12 @@ INVOCATIONS = [
     ("estimate --state file:{dir}/cube.json --trials 20 --pipeline bell", 0),
     ("estimate --n 1 --trials 5", 0),
     ("estimate --n 200 --trials 20", 0),
+    # 10 of the 50 trials are degenerate in both pipelines: masked axis statistics
+    ("estimate --theta1 0.01 --n 10000 --trials 50", 0),
+    ("estimate --trials 50 --seed 7", 0),
+    # the README's Monte Carlo study loop at one shot number
+    ("estimate --theta1 0.05 --seed 99 --n 10000 --trials 20 --state tetra2", 0),
+    ("estimate --theta1 0.05 --seed 99 --n 10000 --trials 20 --state balance", 0),
     ("estimate --config {dir}/config.json", 0),
     ("estimate --trials 20 --theta1 0.3 --pipeline optimal", 0),
     ("estimate --trials 20 --format csv", 2),
@@ -161,6 +171,7 @@ INVOCATIONS = [
     ("circuit-verify --circuit {dir}/tetra.json", 0),
     ("circuit-verify --circuit {dir}/tetra.json --state tetra2", 0),
     ("circuit-verify --circuit {dir}/tetra.json --config {dir}/config.json", 0),
+    ("circuit-verify --circuit {dir}/custom.json", 0),
     ("circuit-verify --circuit {dir}/custom.json --seed 3", 0),
     ("circuit-verify --circuit {dir}/tetra.json --state balance", 2),
     ("circuit-verify --circuit {dir}/missing.json", 2),
@@ -258,11 +269,12 @@ def _extract(ref: str, directory: Path) -> str:
 
 
 def _python(tree: Path, inputs: Path, *args) -> subprocess.CompletedProcess:
-    """``python ARGS`` run in the inputs directory, with tree's src first on the path."""
+    """``python ARGS`` run in the inputs directory, with tree's src first on the path,
+    under PYTHONHASHSEED=1 for the checkout and 0 for REF."""
     path = os.pathsep.join(p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED="1" if tree == ROOT else "0")
     return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True, cwd=inputs, env=dict(os.environ, PYTHONPATH=path), timeout=600,
+        [sys.executable, *args], capture_output=True, cwd=inputs, env=env, timeout=600
     )
 
 

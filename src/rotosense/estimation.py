@@ -202,7 +202,7 @@ def qcrb_experiment(
     if degenerate >= trials - 1:  # too few valid trials for axis statistics: null in JSON
         mean_u, sigma_u = [None] * 3, [None] * 3
     else:
-        valid = u_hats[~signal_free]
+        valid = u_hats[~signal_free] if degenerate else u_hats
         mean_u, sigma_u = valid.mean(axis=0).tolist(), valid.std(axis=0, ddof=1).tolist()
     fisher = 4.0 * phi0.J * (phi0.J + 1.0) / 3.0
     sigma_pred = 1.0 / math.sqrt(n * fisher)

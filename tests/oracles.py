@@ -1,7 +1,12 @@
 """Reference implementations and data that only tests compare against."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -202,3 +207,37 @@ N6_PREP_JSON = {
         {"kind": "X", "targets": [4], "controls": [5]},
     ],
 }
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity: they are not JSON."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def assert_well_formed_run(code, report: str, err: str, context=None):
+    """The CLI's run rule: exit 0 or 2, no traceback, only `error:` and `warning:`
+    lines on stderr, exactly one `error:` line on exit 2, and strict JSON when the
+    report is a JSON object.  test_cli_fuzz applies it to random runs and
+    test_report_diff to every invocation of scripts/report_diff.py."""
+    lines = err.splitlines()
+    assert code in (0, 2), (context, err)
+    assert "Traceback" not in err, (context, err)
+    assert all(line.startswith(("error:", "warning:")) for line in lines), (context, lines)
+    if code == 2:
+        assert sum(line.startswith("error:") for line in lines) == 1, (context, lines)
+    elif report.startswith("{"):
+        strict_json(report)
+
+
+def fresh_python(*args) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a new process, with this checkout's src first on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )

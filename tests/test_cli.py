@@ -4,10 +4,7 @@ import functools
 import io
 import json
 import math
-import os
-import subprocess
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,8 +14,10 @@ from hypothesis import strategies as st
 from oracles import (
     N6_PREP_JSON,
     TETRA_PREP_JSON,
+    fresh_python,
     rotation_unitary,
     seven_photon_state,
+    strict_json,
     three_peak_state,
 )
 
@@ -153,13 +152,8 @@ def test_only_circuit_verify_imports_circuit_sim():
         "    seen.append('rotosense.circuit_sim' in sys.modules)\n"
         "print(seen)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path), timeout=120,
-    )
-    assert (result.returncode, result.stdout) == (0, "[False, False, True]\n"), result.stderr
+    result = fresh_python("-c", script)
+    assert (result.returncode, result.stdout) == (0, b"[False, False, True]\n"), result.stderr
 
 
 class TestSharedParser:
@@ -284,9 +278,7 @@ class TestFisher:
 
     def test_unknown_state_file_errors(self, capsys):
         code, out, err = run_cli(["fisher", "--state", "file:/nope/missing.json"], capsys)
-        assert code != 0
-        assert err.startswith("error:")
-        assert len(err.strip().splitlines()) == 1
+        assert_single_error(code, err)
 
     def test_unknown_selector_errors(self, capsys):
         code, _, err = run_cli(["fisher", "--state", "ghz"], capsys)
@@ -687,7 +679,7 @@ class TestCircuitVerify:
         assert code == 0
         data = json.loads(out)
         assert data["max_norm_drift"] <= 1e-12
-        assert data["fidelity_vs_state"] == pytest.approx(1.0, abs=1e-9)
+        assert data["fidelity_vs_state"] >= 1 - 1e-10
 
     @pytest.mark.parametrize(
         "circuit,state,n_qubits,n_photons",
@@ -756,7 +748,7 @@ class TestCircuitVerify:
         assert code == 0
         assert "fidelity_vs_state" not in json.loads(out)
         code, out, _ = run_cli(argv + ["--state", "tetra2"], capsys)
-        assert json.loads(out)["fidelity_vs_state"] == pytest.approx(1.0, abs=1e-9)
+        assert json.loads(out)["fidelity_vs_state"] >= 1 - 1e-10
 
     @pytest.mark.parametrize(
         "matrix", ["junk", [[[5, 0], [0, 0]], [[0, 0], [0, 0]]]], ids=["junk", "not-unitary"]
@@ -955,11 +947,7 @@ class TestEstimate:
             ["estimate", "--n", "1", "--trials", "3", "--pipeline", "optimal"], capsys
         )
         assert code == 0
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
-        report = json.loads(out, parse_constant=reject)["optimal"]
+        report = strict_json(out)["optimal"]
         assert report["mean_u_abs"] == [None] * 3
         assert report["sigma_u_abs"] == [None] * 3
 

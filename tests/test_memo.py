@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from oracles import three_peak_state
+from oracles import fresh_python, three_peak_state
 
 from rotosense import measurement
 from rotosense.bell_analysis import bell_measurement
@@ -70,7 +70,8 @@ class TestRepeatedReports:
         assert main([*argv, "--out", str(outs[1])]) == 0
         assert work == {"svd": 0, "anticoherence_report": 0}
         assert cold() == [(2, 1), (1, 1)]
-        assert outs[1].read_bytes() == outs[0].read_bytes()
+        fresh = fresh_python("-m", "rotosense.cli", *argv)
+        assert outs[1].read_bytes() == outs[0].read_bytes() == fresh.stdout, fresh.stderr
 
     @pytest.mark.parametrize("pipeline", ["optimal", "bell"])
     def test_second_experiment_reanalyses_nothing(self, pipeline, cold, work):

@@ -1,9 +1,10 @@
-"""scripts/report_diff.py: every listed invocation runs in process and ends with its listed exit code."""
+"""scripts/report_diff.py: every listed invocation has its exit code and keeps the run rule."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+from oracles import assert_well_formed_run
 
 from rotosense.cli import main
 
@@ -30,7 +31,9 @@ def test_invocation_exit_code(line, expected, inputs, capsys):
         code = main(report_diff.argv(line, inputs))
     except SystemExit as exc:  # argparse's --help and usage errors
         code = exc.code
-    assert code == expected, capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert code == expected, err
+    assert_well_formed_run(code, out, err, line)
 
 
 def test_invocations_are_distinct():

@@ -55,8 +55,10 @@ class TestLibraryReportIsTheCliReport:
         assert without(data, "state") == as_json(payload)
         text = printed(["probabilities", "--state", name, "--format", "csv"], capsys)
         cells = list(csv.reader(io.StringIO(text)))
-        assert cells[0] == header
+        assert cells[0] == header == data["columns"]
         assert cells[1:] == [[float.__repr__(x) for x in row] for row in rows.tolist()]
+        # each CSV cell is the repr of the JSON cell read back, so -0.0 stays -0.0
+        assert cells[1:] == [[repr(x) for x in row] for row in data["rows"]]
 
     def test_circuit_file(self, name, tmp_path, capsys):
         path = tmp_path / "circuit.json"
