@@ -37,6 +37,7 @@ import argparse
 import importlib.metadata
 import io
 import json
+import math
 import os
 import platform
 import subprocess
@@ -55,6 +56,8 @@ RAW = [
     {"name": "raw_latency_tail_ms", "better": "lower"},
     {"name": "raw_setup_s", "better": "lower"},
 ]
+# smallest coverage of the sign-test interval of the median paired change
+COVERAGE = 0.95
 
 
 def _git(*args) -> bytes:
@@ -98,12 +101,57 @@ def _quartiles(values: list) -> list:
     return [q1, median(values), q3]
 
 
+def sign_interval(pairs: int):
+    """(k, coverage) of the sign-test interval d_(k)..d_(pairs+1-k) of a median.
+
+    d_(i) is the i-th smallest of the pairs' differences; the interval covers
+    their median with probability 1 - 2 P(Bin(pairs, 1/2) < k) whatever their
+    distribution.  k is the largest whose coverage is at least COVERAGE
+    (k = 2, 97.9 % at ten pairs); None when even k = 1 falls short (pairs < 6).
+    """
+    best, below = None, 0  # below = sum of comb(pairs, i) for i < k
+    for k in range(1, pairs // 2 + 1):
+        below += math.comb(pairs, k - 1)
+        coverage = 1.0 - 2.0 * below / 2**pairs
+        if coverage < COVERAGE:
+            break
+        best = (k, coverage)
+    return best
+
+
+def paired_change(ref: list, new: list) -> dict:
+    """The median per-pair change exp(median log(new/ref)) - 1 and its sign-test interval.
+
+    Every value must be positive; otherwise the change, the interval and its
+    coverage are None.  The interval maps sign_interval's order statistics
+    of the log ratios back to changes; it is None, with its coverage, when
+    there are too few pairs.
+    """
+    per_pair = [[a, b] for a, b in zip(ref, new)]
+    interval = sign_interval(len(per_pair))
+    if min(ref + new) <= 0.0:
+        return {"per_pair": per_pair, "paired_change": None, "paired_interval": None,
+                "paired_coverage": None}
+    logs = sorted(math.log(b / a) for a, b in per_pair)
+    return {
+        "per_pair": per_pair,
+        "paired_change": math.expm1(median(logs)),
+        "paired_interval": (
+            [math.expm1(logs[interval[0] - 1]), math.expm1(logs[-interval[0]])]
+            if interval else None
+        ),
+        "paired_coverage": interval[1] if interval else None,
+    }
+
+
 def summarize(ref_runs: list, new_runs: list, declared: list) -> dict:
     """Per-metric comparison of paired runs (lists of name -> value dicts, pair by pair).
 
     declared is BENCHMARK.json's end_to_end list, or RAW.  A pair is a win
     when the checkout's value is better than REF's in the metric's direction;
-    a metric without a bound (RAW) has within_bound None.
+    a metric without a bound (RAW) has within_bound None.  The unpaired
+    figures (quartiles, change of the median, clears_ref_iqr) come first,
+    then paired_change's.
     """
     summary = {}
     for metric in declared:
@@ -120,8 +168,13 @@ def summarize(ref_runs: list, new_runs: list, declared: list) -> dict:
             "change": sign * relative,
             "within_bound": -relative <= metric["bound"] if "bound" in metric else None,
             "clears_ref_iqr": gain > ref_q[2] - ref_q[0],
+            **paired_change(ref, new),
         }
     return summary
+
+
+def _percent(change) -> str:
+    return "n/a" if change is None else f"{change:+.1%}"
 
 
 def host() -> dict:
@@ -193,14 +246,20 @@ def main(args=None) -> int:
             return 2
     summary = summarize(ref_runs, new_runs, benchmark["end_to_end"])
     raw = summarize(ref_runs, new_runs, RAW)
+    interval = sign_interval(args.pairs)
+    print("paired: the median per-pair change; interval: its sign-test interval, "
+          + (f"{interval[1]:.1%} coverage" if interval else f"too few pairs for {COVERAGE:.0%} coverage"))
     print(f"{'metric':<19} {'ref q1/median/q3':>30} {'new q1/median/q3':>30} {'wins':>6} "
-          f"{'change':>8}  within bound, clears ref IQR")
+          f"{'change':>8} {'paired':>8} {'interval':>17}  within bound, clears ref IQR")
     for name, row in {**summary, **raw}.items():
         if name == RAW[0]["name"]:
             print("raw figures of the info line (not gated):")
         ref, new = ("/".join(f"{v:.4g}" for v in row[side]) for side in ("ref", "new"))
+        interval = ("n/a" if row["paired_interval"] is None
+                    else "[" + ", ".join(map(_percent, row["paired_interval"])) + "]")
         print(f"{name:<19} {ref:>30} {new:>30} {row['wins']:>3}/{args.pairs:<2} "
-              f"{row['change']:>+8.1%}  {row['within_bound']}, {row['clears_ref_iqr']}")
+              f"{row['change']:>+8.1%} {_percent(row['paired_change']):>8} {interval:>17}  "
+              f"{row['within_bound']}, {row['clears_ref_iqr']}")
     entry = {
         "pairs": args.pairs,
         "seeds": [args.seed, args.seed + args.pairs - 1],

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .metrology import anticoherence_report, frame_qfi, rotated_frame
+from .metrology import _anticoherence, frame_moments, frame_qfi, rotated_frame
 from .spin_core import RotationParams, SpinState, check_unit_axis, rotated_amplitudes, spin_frame
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +83,8 @@ def optimal_basis(phi0: SpinState) -> Measurement:
             "optimal_basis needs J >= 3/2: its four states need 2J+1 >= 4 "
             f"dimensions, got J={phi0.J:g}"
         )
-    report = anticoherence_report(phi0)
+    frame = spin_frame(phi0.J, phi0.amps)
+    report = _anticoherence(phi0.J, *frame_moments(frame))
     if not report["pass"]:
         dev = report["deviations"]
         raise ValueError(
@@ -91,7 +92,7 @@ def optimal_basis(phi0: SpinState) -> Measurement:
             f"(max deviations: mean {dev['max_mean_abs']:.3g}, "
             f"diag {dev['max_diagonal_dev']:.3g}, offdiag {dev['max_offdiagonal_abs']:.3g})"
         )
-    j_phi0 = spin_frame(phi0.J, phi0.amps).T[1:] / math.sqrt(phi0.J * (phi0.J + 1) / 3.0)
+    j_phi0 = frame.T[1:] / math.sqrt(phi0.J * (phi0.J + 1) / 3.0)
     rows = np.array([phi0.amps, *(SpinState.normalized(phi0.J, v).amps for v in j_phi0)]).conj()
     rows = np.vstack([rows, np.linalg.svd(rows)[2][4:]])
     return Measurement(rows=rows, starts=(0, 1, 2, 3, 4))

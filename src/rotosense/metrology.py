@@ -48,14 +48,18 @@ def anticoherence_report(state: SpinState) -> dict:
     "max_diagonal_dev", "max_offdiagonal_abs"}, "tol"}.  J < 3/2 fails, as
     in optimal_basis: J = 0 meets both conditions with an all-zero QFI.
     """
-    mean, cov = j_expectations(state)
-    target = state.J * (state.J + 1) / 3.0
+    return _anticoherence(state.J, *j_expectations(state))
+
+
+def _anticoherence(j: float, mean: np.ndarray, cov: np.ndarray) -> dict:
+    """``anticoherence_report`` of a spin-j probe from its moments <J_i> and Cov(J)."""
+    target = j * (j + 1) / 3.0
     deviations = {
         "max_mean_abs": float(np.max(np.abs(mean))),
         "max_diagonal_dev": float(np.max(np.abs(np.diag(cov) - target))),
         "max_offdiagonal_abs": float(np.max(np.abs(cov - np.diag(np.diag(cov))))),
     }
-    passed = state.J >= 1.5 and all(dev <= ANTICOHERENCE_TOL for dev in deviations.values())
+    passed = j >= 1.5 and all(dev <= ANTICOHERENCE_TOL for dev in deviations.values())
     return {"pass": passed, "deviations": deviations, "tol": ANTICOHERENCE_TOL}
 
 
@@ -119,7 +123,7 @@ def fisher_report(state: SpinState, params: RotationParams) -> dict:
         "J": state.J,
         "mean": list(mean),
         "cov": [list(row) for row in cov],
-        "anticoherence": anticoherence_report(state),
+        "anticoherence": _anticoherence(state.J, mean, cov),
         "fisher_single": float(qfi[0, 0]),
         "axis": list(params.axis),
         "qfi": [list(row) for row in qfi],

@@ -75,6 +75,56 @@ def test_one_pair():
     assert row["wins"] == 1 and row["clears_ref_iqr"]
 
 
+def test_one_pair_has_no_interval():
+    row = bench_pairs.summarize(
+        runs(latency_p50_ms=[2.0]), runs(latency_p50_ms=[1.5]), DECLARED[:1]
+    )["latency_p50_ms"]
+    assert row["per_pair"] == [[2.0, 1.5]]
+    assert row["paired_change"] == pytest.approx(-0.25)
+    assert row["paired_interval"] is None and row["paired_coverage"] is None
+
+
+@pytest.mark.parametrize(
+    "pairs, expected",
+    [(1, None), (5, None), (6, (1, 31 / 32)), (10, (2, 1 - 22 / 1024)), (12, (3, 1 - 158 / 4096))],
+)
+def test_sign_interval(pairs, expected):
+    # coverage 1 - 2 P(Bin(pairs, 1/2) < k) at the largest k that reaches 95 %
+    assert bench_pairs.sign_interval(pairs) == expected
+
+
+def test_paired_interval_covers_a_known_shift():
+    # every pair's ratio is a 5 % shift times a small symmetric jitter; the
+    # runs drift by 30 % across pairs, more than the shift
+    jitter = [1.0, 1.01, 0.99, 1.02, 0.98, 1.005, 0.995, 1.015, 0.985, 1.0]
+    ref_p50 = [2.0 + 0.06 * i for i in range(10)]
+    ref_ops = [100.0 - 3 * i for i in range(10)]
+    summary = bench_pairs.summarize(
+        runs(latency_p50_ms=ref_p50, ops_per_s=ref_ops),
+        runs(
+            latency_p50_ms=[0.95 * r * j for r, j in zip(ref_p50, jitter)],
+            ops_per_s=[1.05 * r / j for r, j in zip(ref_ops, jitter)],
+        ),
+        DECLARED[:2],
+    )
+    for name, shift in (("latency_p50_ms", -0.05), ("ops_per_s", 0.05)):
+        row = summary[name]
+        assert row["paired_change"] == pytest.approx(shift, abs=1e-12)
+        low, high = row["paired_interval"]
+        assert low < shift < high and not low <= 0.0 <= high
+        assert row["paired_coverage"] == pytest.approx(0.9785, abs=1e-4)
+        # the unpaired medians' gap does not clear REF's spread
+        assert not row["clears_ref_iqr"]
+
+
+def test_paired_change_needs_positive_values():
+    row = bench_pairs.summarize(
+        runs(latency_p50_ms=[0.0] * 6), runs(latency_p50_ms=[1.0] * 6), DECLARED[:1]
+    )["latency_p50_ms"]
+    assert row["per_pair"] == [[0.0, 1.0]] * 6
+    assert row["paired_change"] is row["paired_interval"] is row["paired_coverage"] is None
+
+
 def test_unknown_ref_is_a_git_error(capsys):
     assert bench_pairs.main(["no-such-ref", "--workload", "mc_study", "--pairs", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: git rev-parse failed")
@@ -123,7 +173,13 @@ def test_write_merges_workloads_into_one_record(canned_runs, tmp_path, capsys):
     assert p50["wins"] == 4 and p50["within_bound"] and p50["clears_ref_iqr"]
     assert p50["ref"] == pytest.approx([2.0175, 2.025, 2.0325])
     assert p50["change"] == pytest.approx(-0.2 / 2.025)
-    assert set(p50) == {"ref", "new", "wins", "change", "within_bound", "clears_ref_iqr"}
+    assert set(p50) == {
+        "ref", "new", "wins", "change", "within_bound", "clears_ref_iqr",
+        "per_pair", "paired_change", "paired_interval", "paired_coverage",
+    }
+    assert [len(pair) for pair in p50["per_pair"]] == [2] * 4
+    assert sum(p50["per_pair"], []) == pytest.approx([2.01, 1.81, 2.02, 1.82, 2.03, 1.83, 2.04, 1.84])
+    assert p50["paired_interval"] is None and p50["paired_coverage"] is None  # 4 pairs
     assert list(entry["raw"]) == ["ops", "raw_latency_p50_ms", "raw_latency_tail_ms", "raw_setup_s"]
     raw_p50 = entry["raw"]["raw_latency_p50_ms"]
     assert raw_p50["ref"] == pytest.approx([4.035, 4.05, 4.065])

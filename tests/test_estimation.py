@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from oracles import multinomial_stats, params_from_axis
 from rotosense.bell_analysis import bell_measurement
 from rotosense.estimation import (
     _BLOCK,
+    _MAX_SHOTS,
     estimate_params,
     qcrb_experiment,
     sample_outcomes,
@@ -114,6 +117,27 @@ class TestSampling:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             sample_outcomes(np.array([1.0, 0, 0, 0, 0]), 0, 1, 1)
+
+    def test_shot_ceiling_is_drawn_exactly(self):
+        # n = _MAX_SHOTS, the largest int64, passes the sampler's int64 n unchanged
+        p = np.array([0.2, 0.3, 0.1, 0.25, 0.15])
+        counts = sample_outcomes(p, _MAX_SHOTS, 4, 42)
+        assert np.all(counts.sum(axis=1) == _MAX_SHOTS)
+        for t in range(4):
+            expected = counter_stream(42, t).binomial(_MAX_SHOTS, signal(p))
+            assert counts[t, 1:4].sum() == expected
+
+    def test_refuses_one_shot_past_the_ceiling(self):
+        message = f"n must be in 1..{_MAX_SHOTS}, got {_MAX_SHOTS + 1}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_outcomes(np.array([0.2, 0.3, 0.1, 0.25, 0.15]), _MAX_SHOTS + 1, 1, 42)
+
+    @pytest.mark.parametrize("n", [1, 1000, 10**6, _MAX_SHOTS])
+    def test_numpy_int_n_draws_the_python_int_counts(self, n):
+        p = np.array([0.9, 0.04, 0.03, 0.02, 0.01])
+        np.testing.assert_array_equal(
+            sample_outcomes(p, np.int64(n), 20, 7), sample_outcomes(p, n, 20, 7)
+        )
 
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):

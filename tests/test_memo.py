@@ -28,8 +28,8 @@ def cold():
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of the calls that analyse a probe: np.linalg.svd and anticoherence_report."""
-    counts = {"svd": 0, "anticoherence_report": 0}
+    """Counts of the calls that analyse a probe: np.linalg.svd and the anti-coherence check."""
+    counts = {"svd": 0, "anticoherence": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -41,8 +41,8 @@ def work(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(
         measurement,
-        "anticoherence_report",
-        counted("anticoherence_report", measurement.anticoherence_report),
+        "_anticoherence",
+        counted("anticoherence", measurement._anticoherence),
     )
     return counts
 
@@ -63,12 +63,12 @@ class TestRepeatedReports:
         outs = [tmp_path / f"first.{fmt}", tmp_path / f"second.{fmt}"]
         argv = ["probabilities", "--state", probe, "--grid-points", "11", "--format", fmt]
         assert main([*argv, "--out", str(outs[0])]) == 0
-        assert work == {"svd": 1, "anticoherence_report": 1}
+        assert work == {"svd": 1, "anticoherence": 1}
         # the Bell analyzer reads the optimal basis the report has just built
         assert cold() == [(1, 1), (0, 1)]
-        work.update(svd=0, anticoherence_report=0)
+        work.update(svd=0, anticoherence=0)
         assert main([*argv, "--out", str(outs[1])]) == 0
-        assert work == {"svd": 0, "anticoherence_report": 0}
+        assert work == {"svd": 0, "anticoherence": 0}
         assert cold() == [(2, 1), (1, 1)]
         fresh = fresh_python("-m", "rotosense.cli", *argv)
         assert outs[1].read_bytes() == outs[0].read_bytes() == fresh.stdout, fresh.stderr
@@ -77,9 +77,9 @@ class TestRepeatedReports:
     def test_second_experiment_reanalyses_nothing(self, pipeline, cold, work):
         params = RotationParams(0.03, 1.0, 0.5)
         first = qcrb_experiment(balance(), params, 10**6, 50, 9, pipeline)
-        work.update(svd=0, anticoherence_report=0)
+        work.update(svd=0, anticoherence=0)
         second = qcrb_experiment(balance(), params, 10**6, 50, 9, pipeline)
-        assert work == {"svd": 0, "anticoherence_report": 0}
+        assert work == {"svd": 0, "anticoherence": 0}
         payloads = [
             {key: value for key, value in vars(result).items() if key not in PER_TRIAL}
             for result in (first, second)
@@ -157,7 +157,7 @@ class TestRefusalsAreNotCached:
                 optimal_basis(coherent)
             messages.append(str(info.value))
         assert len(set(messages)) == 1
-        assert work["anticoherence_report"] == 3  # checked again on every call
+        assert work["anticoherence"] == 3  # checked again on every call
         assert optimal_basis.cache_info().currsize == 0
 
     def test_tetra1_bell_misfit(self, cold):
