@@ -10,8 +10,10 @@ checkout first in odd ones; T is REF's ``run_seconds``.  For each
 end-to-end metric of REF's ``BENCHMARK.json`` it prints each side's median
 and quartiles, the checkout's wins out of N pairs (ties count for neither
 side), the relative change of the median, whether that change stays within
-the metric's bound, and whether the median moved the better way by more
-than REF's interquartile range.  Below that table it summarises, the same
+the metric's bound, whether the median moved the better way by more
+than REF's interquartile range, and the paired change: the median of the
+pairs' changes, exp(median log(new/ref)) - 1, with its sign-test interval
+(``paired_change``).  Below that table it summarises, the same
 way, the raw figures of each run's ``info`` line (``ops``,
 ``raw_latency_p50_ms``, ``raw_latency_tail_ms``, ``raw_setup_s``: no host
 slowness divisor, no bound), so both spreads are on record.  The last line
@@ -23,7 +25,8 @@ file at PATH, which records one comparison: REF's commit, the checkout's
 HEAD and whether its ``src``, ``perfbench`` or ``BENCHMARK.json`` differ
 from HEAD, and the host (CPU count, Python, numpy,
 ``PYTHONDONTWRITEBYTECODE``); under ``workloads`` it holds each workload's
-pairs, seeds, ``run_seconds``, per-metric summary and raw summary.  Running
+pairs, seeds, ``run_seconds``, per-metric summary and raw summary, each
+metric with its ``per_pair`` [ref, new] values.  Running
 it once per workload builds one file with all of them; a file that records
 another comparison is refused before any run.  Exit status: 0 when every run
 finished, 2 on a usage or git error, a refused file or a run that printed
@@ -101,7 +104,7 @@ def _quartiles(values: list) -> list:
     return [q1, median(values), q3]
 
 
-def sign_interval(pairs: int):
+def sign_interval(pairs: int) -> tuple[int, float] | None:
     """(k, coverage) of the sign-test interval d_(k)..d_(pairs+1-k) of a median.
 
     d_(i) is the i-th smallest of the pairs' differences; the interval covers
@@ -122,26 +125,25 @@ def sign_interval(pairs: int):
 def paired_change(ref: list, new: list) -> dict:
     """The median per-pair change exp(median log(new/ref)) - 1 and its sign-test interval.
 
-    Every value must be positive; otherwise the change, the interval and its
-    coverage are None.  The interval maps sign_interval's order statistics
-    of the log ratios back to changes; it is None, with its coverage, when
-    there are too few pairs.
+    The interval maps sign_interval's order statistics of the log ratios
+    back to changes.  It and its coverage are None when there are too few
+    pairs; the change is None too when a value is not positive.
     """
-    per_pair = [[a, b] for a, b in zip(ref, new)]
-    interval = sign_interval(len(per_pair))
-    if min(ref + new) <= 0.0:
-        return {"per_pair": per_pair, "paired_change": None, "paired_interval": None,
-                "paired_coverage": None}
-    logs = sorted(math.log(b / a) for a, b in per_pair)
-    return {
-        "per_pair": per_pair,
-        "paired_change": math.expm1(median(logs)),
-        "paired_interval": (
-            [math.expm1(logs[interval[0] - 1]), math.expm1(logs[-interval[0]])]
-            if interval else None
-        ),
-        "paired_coverage": interval[1] if interval else None,
+    summary = {
+        "per_pair": [[a, b] for a, b in zip(ref, new)],
+        "paired_change": None,
+        "paired_interval": None,
+        "paired_coverage": None,
     }
+    if min(ref + new) <= 0.0:  # no log ratio
+        return summary
+    logs = sorted(math.log(b / a) for a, b in zip(ref, new))
+    summary["paired_change"] = math.expm1(median(logs))
+    interval = sign_interval(len(logs))
+    if interval:
+        k, summary["paired_coverage"] = interval
+        summary["paired_interval"] = [math.expm1(logs[k - 1]), math.expm1(logs[-k])]
+    return summary
 
 
 def summarize(ref_runs: list, new_runs: list, declared: list) -> dict:
@@ -149,9 +151,8 @@ def summarize(ref_runs: list, new_runs: list, declared: list) -> dict:
 
     declared is BENCHMARK.json's end_to_end list, or RAW.  A pair is a win
     when the checkout's value is better than REF's in the metric's direction;
-    a metric without a bound (RAW) has within_bound None.  The unpaired
-    figures (quartiles, change of the median, clears_ref_iqr) come first,
-    then paired_change's.
+    a metric without a bound (RAW) has within_bound None.  Each metric also
+    holds its ``paired_change``.
     """
     summary = {}
     for metric in declared:
@@ -246,9 +247,9 @@ def main(args=None) -> int:
             return 2
     summary = summarize(ref_runs, new_runs, benchmark["end_to_end"])
     raw = summarize(ref_runs, new_runs, RAW)
-    interval = sign_interval(args.pairs)
-    print("paired: the median per-pair change; interval: its sign-test interval, "
-          + (f"{interval[1]:.1%} coverage" if interval else f"too few pairs for {COVERAGE:.0%} coverage"))
+    coverage = sign_interval(args.pairs)
+    coverage = f"{coverage[1]:.1%}" if coverage else f"too few pairs for {COVERAGE:.0%}"
+    print(f"paired: the median per-pair change; interval: its sign-test interval ({coverage})")
     print(f"{'metric':<19} {'ref q1/median/q3':>30} {'new q1/median/q3':>30} {'wins':>6} "
           f"{'change':>8} {'paired':>8} {'interval':>17}  within bound, clears ref IQR")
     for name, row in {**summary, **raw}.items():
