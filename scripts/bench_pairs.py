@@ -3,7 +3,9 @@
     python scripts/bench_pairs.py REF --workload W --pairs N [--seed S] [--write PATH]
 
 extracts REF's ``src``, ``perfbench`` and ``BENCHMARK.json`` with
-``git archive`` into a temporary directory and runs
+``git archive`` into a temporary directory ``.bench-pairs-*`` under the
+repository root, so that both trees' runs, whose perfbench temp dirs sit
+in their own tree, write to one filesystem, and runs
 ``python3 perfbench/run.py --workload W --seed S+i --seconds T --trace 0``
 there and in the checkout for i = 0..N-1, REF first in even pairs and the
 checkout first in odd ones; T is REF's ``run_seconds``.  For each
@@ -24,7 +26,8 @@ With ``--write PATH`` it also merges the workload's summary into the JSON
 file at PATH, which records one comparison: REF's commit, the checkout's
 HEAD and whether its ``src``, ``perfbench`` or ``BENCHMARK.json`` differ
 from HEAD, and the host (CPU count, Python, numpy,
-``PYTHONDONTWRITEBYTECODE``); under ``workloads`` it holds each workload's
+``PYTHONDONTWRITEBYTECODE``, and ``fs``: the type and options of the mount
+that holds the repository); under ``workloads`` it holds each workload's
 pairs, seeds, ``run_seconds``, per-metric summary and raw summary, each
 metric with its ``per_pair`` [ref, new] values.  Running
 it once per workload builds one file with all of them; a file that records
@@ -43,6 +46,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -178,13 +182,37 @@ def _percent(change) -> str:
     return "n/a" if change is None else f"{change:+.1%}"
 
 
+def filesystem(path: Path, mounts: str) -> dict | None:
+    """{"type", "options"} of the mount that holds path, or None.
+
+    mounts is the text of /proc/mounts; the mount is the one whose mount
+    point is the longest prefix of path, the last listed among equals (it
+    is mounted over the others).
+    """
+    best, length = None, -1
+    for line in mounts.splitlines():
+        fields = line.split()
+        if len(fields) < 4:
+            continue
+        # /proc/mounts writes a space, tab, newline or backslash as an octal escape
+        point = re.sub(r"\\([0-7]{3})", lambda m: chr(int(m[1], 8)), fields[1])
+        if path.is_relative_to(point) and len(point) >= length:
+            best, length = {"type": fields[2], "options": fields[3]}, len(point)
+    return best
+
+
 def host() -> dict:
     """The facts of this host that a timing depends on."""
+    try:
+        fs = filesystem(ROOT, Path("/proc/mounts").read_text())
+    except OSError:  # no /proc: not Linux, or not mounted
+        fs = None
     return {
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "fs": fs,
     }
 
 
@@ -214,7 +242,7 @@ def main(args=None) -> int:
     args = parser.parse_args(args)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+    with tempfile.TemporaryDirectory(prefix=".bench-pairs-", dir=ROOT) as tmp:
         ref_tree = Path(tmp)
         try:
             commit = _extract(args.ref, ref_tree)

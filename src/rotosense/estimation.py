@@ -81,7 +81,12 @@ def sample_outcomes(p, n: int, trials: int, seed: int) -> np.ndarray:
     s), draw the same signal counts and signal splits at n = 1000, seed 42,
     but P0/Prest splits that differ in 37 of the first 100 rows, by up to
     31 counts.
+    n and trials are integers (numpy's too); a float or a bool is refused
+    before any draw.
     """
+    for name, value in (("n", n), ("trials", trials)):  # bool is a subclass of int
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 1 <= n <= _MAX_SHOTS:
         raise ValueError(f"n must be in 1..{_MAX_SHOTS}, got {n}")
     if not 1 <= trials <= MAX_TRIALS:

@@ -143,7 +143,7 @@ def canned_runs(monkeypatch):
     calls = []
 
     def run(tree, workload, seed, seconds):
-        calls.append((tree == bench_pairs.ROOT, workload, seed))
+        calls.append((tree, workload, seed))
         values = dict.fromkeys(metrics + [m["name"] for m in bench_pairs.RAW], 1.0)
         values["latency_p50_ms"] = (1.8 if tree == bench_pairs.ROOT else 2.0) + seed / 100
         values["raw_latency_p50_ms"] = 2 * values["latency_p50_ms"]
@@ -164,7 +164,7 @@ def test_write_merges_workloads_into_one_record(canned_runs, tmp_path, capsys):
                           text=True, check=True).stdout.strip()
     assert record["ref"] == {"name": "HEAD", "commit": head}
     assert record["new"]["commit"] == head and isinstance(record["new"]["modified"], bool)
-    assert set(record["host"]) == {"cpus", "python", "numpy", "PYTHONDONTWRITEBYTECODE"}
+    assert set(record["host"]) == {"cpus", "python", "numpy", "PYTHONDONTWRITEBYTECODE", "fs"}
     assert list(record["workloads"]) == ["mc_study", "sweep"]
     entry = record["workloads"]["mc_study"]  # the second mc_study run replaced the first
     run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
@@ -185,6 +185,44 @@ def test_write_merges_workloads_into_one_record(canned_runs, tmp_path, capsys):
     assert raw_p50["ref"] == pytest.approx([4.035, 4.05, 4.065])
     assert raw_p50["wins"] == 4 and raw_p50["within_bound"] is None  # raw figures have no bound
     assert entry["raw"]["ops"]["wins"] == 0  # ties
+
+
+def test_ref_is_extracted_under_the_checkout(canned_runs, capsys):
+    # so that both trees' perfbench temp dirs are on one filesystem
+    assert bench_pairs.main(["HEAD", "--workload", "sweep", "--pairs", "2"]) == 0
+    trees = [tree for tree, _, _ in canned_runs]
+    assert trees[1] == trees[2] == bench_pairs.ROOT  # REF runs first in even pairs only
+    ref = trees[0]
+    assert trees[3] == ref and ref.parent == bench_pairs.ROOT
+    assert ref.name.startswith(".bench-pairs-") and not ref.exists()
+
+
+MOUNTS = """\
+/dev/vda / ext4 rw,relatime,discard 0 0
+tmpfs /tmp tmpfs rw,nosuid,nodev 0 0
+/dev/vdb /srv/data ext4 ro,relatime 0 0
+/dev/vdc /srv/data xfs rw,noatime 0 0
+/dev/vdd /srv/my\\040disk btrfs rw,ssd 0 0
+"""
+
+
+@pytest.mark.parametrize(
+    "path, expected",
+    [
+        ("/root/repo", {"type": "ext4", "options": "rw,relatime,discard"}),
+        ("/tmp/bench-pairs-1", {"type": "tmpfs", "options": "rw,nosuid,nodev"}),
+        ("/tmpx", {"type": "ext4", "options": "rw,relatime,discard"}),  # not under /tmp
+        ("/srv/data/repo", {"type": "xfs", "options": "rw,noatime"}),  # mounted over the ext4
+        ("/srv/my disk/repo", {"type": "btrfs", "options": "rw,ssd"}),  # \040 is a space
+    ],
+)
+def test_filesystem_is_the_longest_mount_point_prefix(path, expected):
+    assert bench_pairs.filesystem(Path(path), MOUNTS) == expected
+
+
+def test_filesystem_is_none_without_a_mount():
+    assert bench_pairs.filesystem(Path("/root/repo"), "") is None
+    assert bench_pairs.filesystem(Path("/root/repo"), MOUNTS.replace(" / ", " /boot ")) is None
 
 
 def test_summary_line_holds_the_written_entry(canned_runs, tmp_path, capsys):

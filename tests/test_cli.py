@@ -4,6 +4,8 @@ import functools
 import io
 import json
 import math
+import os
+import stat
 import sys
 from types import SimpleNamespace
 
@@ -458,6 +460,60 @@ class TestFileErrors:
         path.write_text(content)
         code, out, err = run_cli(self.ARGV[what](str(path)), capsys)
         assert (code, out, err) == (2, "", f"error: malformed {what} file {path}: {message}\n")
+
+
+class TestOut:
+    """--out rewrites an existing regular file in place: the same inode, no
+    tail of a longer report.  A pipe or device is written as a stream, and a
+    path that cannot be opened ends in one error: line."""
+
+    LONG = ["probabilities", "--state", "balance"]  # a 101-row JSON table
+    SHORT = ["probabilities", "--grid-points", "3", "--format", "csv"]
+
+    @pytest.mark.parametrize("link", [None, "symlink", "hardlink"])
+    def test_shorter_report_over_a_longer_one(self, link, tmp_path, capsys):
+        target, fresh = tmp_path / "report", tmp_path / "fresh"
+        path = target if link is None else tmp_path / "link"
+        if link == "symlink":
+            path.symlink_to(target)
+        elif link == "hardlink":
+            target.touch()
+            os.link(target, path)
+        assert run_cli(self.LONG + ["--out", str(path)], capsys) == (0, "", "")
+        target.chmod(0o604)
+        inode = target.stat().st_ino
+        assert run_cli(self.SHORT + ["--out", str(path)], capsys) == (0, "", "")
+        assert run_cli(self.SHORT + ["--out", str(fresh)], capsys) == (0, "", "")
+        assert target.read_bytes() == fresh.read_bytes()
+        assert path.is_symlink() == (link == "symlink")
+        assert (target.stat().st_ino, stat.S_IMODE(target.stat().st_mode)) == (inode, 0o604)
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path, capsys):
+        path = tmp_path / "report"
+        umask = os.umask(0o027)
+        try:
+            code = main(self.SHORT + ["--out", str(path)])
+        finally:
+            os.umask(umask)
+        assert (code, stat.S_IMODE(path.stat().st_mode)) == (0, 0o640)
+
+    @pytest.mark.parametrize("device", [os.devnull, "/dev/stdout"])
+    def test_device_is_written_as_a_stream(self, device):
+        # the child's stdout is a pipe, which can neither seek nor be truncated
+        plain = fresh_python("-m", "rotosense.cli", *self.SHORT)
+        run = fresh_python("-m", "rotosense.cli", *self.SHORT, "--out", device)
+        expected = plain.stdout if device == "/dev/stdout" else b""
+        assert (plain.returncode, run.returncode, run.stdout, run.stderr) == (0, 0, expected, b"")
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [(".", "[Errno 21] Is a directory"), ("missing/report", "[Errno 2] No such file or directory")],
+        ids=["directory", "missing-parent"],
+    )
+    def test_unopenable_path_is_one_error_line(self, name, message, tmp_path, capsys):
+        path = tmp_path / name
+        code, out, err = run_cli(self.SHORT + ["--out", str(path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}: {str(path)!r}\n")
 
 
 class TestNegativeSeed:

@@ -139,6 +139,20 @@ class TestSampling:
             sample_outcomes(p, np.int64(n), 20, 7), sample_outcomes(p, n, 20, 7)
         )
 
+    @pytest.mark.parametrize(
+        "name, n, trials",
+        [("n", 1000.5, 20), ("n", True, 20), ("trials", 1000, 2.5), ("trials", 1000, True)],
+    )
+    def test_refuses_a_non_integer_before_any_draw(self, name, n, trials, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a stream was seeded")
+
+        monkeypatch.setattr(np.random, "SeedSequence", no_draw)
+        value = n if name == "n" else trials
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_outcomes(np.array([0.9, 0.04, 0.03, 0.02, 0.01]), n, trials, 7)
+
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
             sample_outcomes(np.array([1.0, 0, 0, 0, 0]), 10, 0, 1)
