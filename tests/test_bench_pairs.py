@@ -209,7 +209,7 @@ tmpfs /tmp tmpfs rw,nosuid,nodev 0 0
 @pytest.mark.parametrize(
     "path, expected",
     [
-        ("/root/repo", {"type": "ext4", "options": "rw,relatime,discard"}),
+        ("/home/repo", {"type": "ext4", "options": "rw,relatime,discard"}),
         ("/tmp/bench-pairs-1", {"type": "tmpfs", "options": "rw,nosuid,nodev"}),
         ("/tmpx", {"type": "ext4", "options": "rw,relatime,discard"}),  # not under /tmp
         ("/srv/data/repo", {"type": "xfs", "options": "rw,noatime"}),  # mounted over the ext4
@@ -221,8 +221,8 @@ def test_filesystem_is_the_longest_mount_point_prefix(path, expected):
 
 
 def test_filesystem_is_none_without_a_mount():
-    assert bench_pairs.filesystem(Path("/root/repo"), "") is None
-    assert bench_pairs.filesystem(Path("/root/repo"), MOUNTS.replace(" / ", " /boot ")) is None
+    assert bench_pairs.filesystem(Path("/home/repo"), "") is None
+    assert bench_pairs.filesystem(Path("/home/repo"), MOUNTS.replace(" / ", " /boot ")) is None
 
 
 def test_summary_line_holds_the_written_entry(canned_runs, tmp_path, capsys):
