@@ -2,8 +2,8 @@
 
     python scripts/bench_pairs.py REF --workload W --pairs N [--seed S] [--write PATH]
 
-extracts REF's ``src``, ``perfbench`` and ``BENCHMARK.json`` with
-``git archive`` into a temporary directory ``.bench-pairs-*`` under the
+extracts REF's ``src``, ``perfbench`` and ``BENCHMARK.json``
+(``revision.extract``) into a temporary directory ``.bench-pairs-*`` under the
 repository root, so that both trees' runs, whose perfbench temp dirs sit
 in their own tree, write to one filesystem, and runs
 ``python3 perfbench/run.py --workload W --seed S+i --seconds T --trace 0``
@@ -31,17 +31,16 @@ that holds the repository); under ``workloads`` it holds each workload's
 pairs, seeds, ``run_seconds``, per-metric summary and raw summary, each
 metric with its ``per_pair`` [ref, new] values.  Running
 it once per workload builds one file with all of them; a file that records
-another comparison is refused before any run.  Exit status: 0 when every run
-finished, 2 on a usage or git error, a refused file or a run that printed
-no metrics.  Uses only the standard library and git; it edits nothing under
-``perfbench/``.
+another comparison, or a PATH whose directory is missing, is refused before
+any run.  Exit status: 0 when every run finished, 2 on a usage or git
+error, a refused file or a run that printed no metrics.  Uses only the
+standard library and git; it edits nothing under ``perfbench/``.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.metadata
-import io
 import json
 import math
 import os
@@ -50,11 +49,11 @@ import re
 import subprocess
 import sys
 import tempfile
-import zipfile
 from pathlib import Path
 from statistics import median, quantiles
 
-ROOT = Path(__file__).resolve().parents[1]
+from revision import ROOT, extract, git
+
 EXTRACTED = ("src", "perfbench", "BENCHMARK.json")
 # figures of run.py's info line summarised next to the gated metrics; they have no bound
 RAW = [
@@ -65,20 +64,6 @@ RAW = [
 ]
 # smallest coverage of the sign-test interval of the median paired change
 COVERAGE = 0.95
-
-
-def _git(*args) -> bytes:
-    """The output of a git command run in this repository; raises on failure."""
-    command = ["git", "-C", str(ROOT), *args]
-    return subprocess.run(command, capture_output=True, check=True).stdout
-
-
-def _extract(ref: str, directory: Path) -> str:
-    """Extract REF's benchmark and package source into directory; return its commit."""
-    commit = _git("rev-parse", "--verify", f"{ref}^{{commit}}").decode().strip()
-    with zipfile.ZipFile(io.BytesIO(_git("archive", "--format=zip", commit, *EXTRACTED))) as archive:
-        archive.extractall(directory)
-    return commit
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -220,9 +205,12 @@ def load_record(path: Path, header: dict) -> dict:
     """The record at path to merge a workload into, or a new one with header.
 
     header holds the comparison (``ref``, ``new``, ``host``); a file that
-    records another one raises ValueError, so one file never mixes trees or hosts.
+    records another one raises ValueError, so one file never mixes trees or
+    hosts.  So does a path outside a directory, which could not be written.
     """
     if not path.exists():
+        if not path.parent.is_dir():
+            raise ValueError(f"cannot write {path}: {path.parent} is not a directory")
         return {**header, "workloads": {}}
     record = json.loads(path.read_text())
     other = [key for key in header if record.get(key) != header[key]]
@@ -245,18 +233,15 @@ def main(args=None) -> int:
     with tempfile.TemporaryDirectory(prefix=".bench-pairs-", dir=ROOT) as tmp:
         ref_tree = Path(tmp)
         try:
-            commit = _extract(args.ref, ref_tree)
+            commit = extract(args.ref, ref_tree, EXTRACTED)
             if args.write:
-                head = _git("rev-parse", "HEAD").decode().strip()
-                modified = bool(_git("status", "--porcelain", "--", *EXTRACTED).strip())
+                head = git("rev-parse", "HEAD").decode().strip()
+                modified = bool(git("status", "--porcelain", "--", *EXTRACTED).strip())
                 record = load_record(args.write, {
                     "ref": {"name": args.ref, "commit": commit},
                     "new": {"commit": head, "modified": modified},
                     "host": host(),
                 })
-        except subprocess.CalledProcessError as exc:
-            print(f"error: git {exc.cmd[3]} failed: {exc.stderr.decode().strip()}", file=sys.stderr)
-            return 2
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -2,7 +2,7 @@
 
     python scripts/report_diff.py REF
 
-extracts REF's ``src`` with ``git archive`` into a temporary directory and
+extracts REF's ``src`` (``revision.extract``) into a temporary directory and
 runs every invocation in INVOCATIONS against both trees as
 ``PYTHONPATH=<tree>/src python -m rotosense.cli``, in one directory of input
 files that it writes itself, REF under ``PYTHONHASHSEED=0`` and the checkout
@@ -24,7 +24,6 @@ rule of ``tests/oracles.py``, so the list keeps working.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -32,10 +31,9 @@ import shlex
 import subprocess
 import sys
 import tempfile
-import zipfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from revision import ROOT, extract
 
 # --- input files, written to the directory that replaces {dir} ---------------
 
@@ -256,18 +254,6 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _extract(ref: str, directory: Path) -> str:
-    """Extract REF's src into directory; return REF's commit hash."""
-    def git(*args) -> bytes:
-        command = ["git", "-C", str(ROOT), *args]
-        return subprocess.run(command, capture_output=True, check=True).stdout
-
-    commit = git("rev-parse", "--verify", f"{ref}^{{commit}}").decode().strip()
-    with zipfile.ZipFile(io.BytesIO(git("archive", "--format=zip", commit, "src"))) as archive:
-        archive.extractall(directory)
-    return commit
-
-
 def _python(tree: Path, inputs: Path, *args) -> subprocess.CompletedProcess:
     """``python ARGS`` run in the inputs directory, with tree's src first on the path,
     under PYTHONHASHSEED=1 for the checkout and 0 for REF."""
@@ -319,9 +305,9 @@ def main(args=None) -> int:
         old_tree.mkdir()
         inputs.mkdir()
         try:
-            commit = _extract(ref, old_tree)
-        except subprocess.CalledProcessError as exc:
-            print(f"error: git {exc.cmd[3]} failed: {exc.stderr.decode().strip()}", file=sys.stderr)
+            commit = extract(ref, old_tree, ["src"])
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         for tree in (old_tree, ROOT):
             if not _imports_from(tree, inputs):

@@ -43,7 +43,7 @@ def main():
     parser.add_argument("--theta2", type=float, default=1.0)
     parser.add_argument("--theta3", type=float, default=0.5)
     parser.add_argument("--points", type=grid_points, default=20)
-    parser.add_argument("--out", default=None)
+    parser.add_argument("--out", type=argparse.FileType("w"), default=sys.stdout)
     args = parser.parse_args()
 
     params = RotationParams(0.0, args.theta2, args.theta3)
@@ -52,12 +52,10 @@ def main():
     for text in warnings:
         print(f"warning: {text}", file=sys.stderr)
 
-    out = open(args.out, "w") if args.out else sys.stdout
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([f"{x:.12g}" for x in row] for row in table.tolist())
-    if args.out:
-        out.close()
+    with args.out:  # stdout too: nothing else is written to it
+        writer = csv.writer(args.out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([f"{x:.12g}" for x in row] for row in table.tolist())
 
     slopes = [
         exponent(name, grid, table[:, header.index(column)])

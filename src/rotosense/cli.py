@@ -164,10 +164,10 @@ def _emit(args, payload, rows, header):
     --out is opened without O_TRUNC: an existing regular file is rewritten
     in place from offset 0 and then cut at the report's end, so it keeps its
     inode (a symlink is followed, links and permissions stay) and no tail of
-    a longer report is left; on ext4 a 60 KB report took about 22 us so,
-    against about 150 us truncated first.  A pipe, FIFO or device
-    (/dev/stdout, /dev/null) cannot be cut and is written as a stream.  A
-    new file gets mode 0o666 & ~umask, as open(path, "w") gives it.
+    a longer report is left; on ext4 a 60 KB report takes about 22 us.  A
+    pipe, FIFO or device (/dev/stdout, /dev/null) cannot be cut and is
+    written as a stream.  A new file gets mode 0o666 & ~umask, as
+    open(path, "w") gives it.
     """
     if args.format == "json":
         text = _json_text(payload) + "\n"

@@ -73,8 +73,7 @@ def sample_outcomes(p, n: int, trials: int, seed: int) -> np.ndarray:
     a row costs that state reset plus one scalar binomial, with n and s
     passed as 0-d arrays built once per call, which numpy reads without
     converting.  On a 2-CPU host with numpy 2.4.6 the reset took about
-    0.46 us and the draw 0.51 us (0.63 us from n and s as scalars),
-    about 1.0 ms per 1000 rows.
+    0.46 us and the draw 0.51 us, about 1.0 ms per 1000 rows.
     Counts repeat only for a bit-identical p: numpy's binomial sampler
     branches on p, so p = [0.2, 0.3, 0.1, 0.25, 0.15] and 3p, whose
     renormalised entries differ by at most 2.8e-17 (in P0 and P2, not in

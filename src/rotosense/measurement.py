@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .metrology import _anticoherence, frame_moments, frame_qfi, rotated_frame
+from .metrology import anticoherence_report, frame_moments, frame_qfi, rotated_frame
 from .spin_core import RotationParams, SpinState, check_unit_axis, rotated_amplitudes, spin_frame
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +84,7 @@ def optimal_basis(phi0: SpinState) -> Measurement:
             f"dimensions, got J={phi0.J:g}"
         )
     frame = spin_frame(phi0.J, phi0.amps)
-    report = _anticoherence(phi0.J, *frame_moments(frame))
+    report = anticoherence_report(phi0.J, *frame_moments(frame))
     if not report["pass"]:
         dev = report["deviations"]
         raise ValueError(

@@ -41,18 +41,14 @@ def j_expectations(state: SpinState) -> tuple[np.ndarray, np.ndarray]:
     return frame_moments(spin_frame(state.J, state.amps))
 
 
-def anticoherence_report(state: SpinState) -> dict:
+def anticoherence_report(j: float, mean: np.ndarray, cov: np.ndarray) -> dict:
     """Check <J_i> = 0 and Cov(J)_ij = delta_ij J(J+1)/3 within ANTICOHERENCE_TOL.
 
+    Reads a spin-j probe's moments <J_i> and Cov(J) (``j_expectations``).
     Returns the JSON-ready report {"pass", "deviations": {"max_mean_abs",
     "max_diagonal_dev", "max_offdiagonal_abs"}, "tol"}.  J < 3/2 fails, as
     in optimal_basis: J = 0 meets both conditions with an all-zero QFI.
     """
-    return _anticoherence(state.J, *j_expectations(state))
-
-
-def _anticoherence(j: float, mean: np.ndarray, cov: np.ndarray) -> dict:
-    """``anticoherence_report`` of a spin-j probe from its moments <J_i> and Cov(J)."""
     target = j * (j + 1) / 3.0
     deviations = {
         "max_mean_abs": float(np.max(np.abs(mean))),
@@ -123,7 +119,7 @@ def fisher_report(state: SpinState, params: RotationParams) -> dict:
         "J": state.J,
         "mean": list(mean),
         "cov": [list(row) for row in cov],
-        "anticoherence": _anticoherence(state.J, mean, cov),
+        "anticoherence": anticoherence_report(state.J, mean, cov),
         "fisher_single": float(qfi[0, 0]),
         "axis": list(params.axis),
         "qfi": [list(row) for row in qfi],

@@ -233,11 +233,14 @@ def assert_well_formed_run(code, report: str, err: str, context=None):
         strict_json(report)
 
 
-def fresh_python(*args) -> subprocess.CompletedProcess:
-    """``python ARGS`` in a new process, with this checkout's src first on the path."""
+def fresh_python(*args, text: bool = False) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a new process, with this checkout's src first on the path.
+
+    Its stdout and stderr are bytes, or str with text=True.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *args], capture_output=True, env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
+        text=text, timeout=120,
     )

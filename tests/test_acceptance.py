@@ -31,7 +31,7 @@ from rotosense.measurement import (
     optimal_basis,
     small_angle_probabilities,
 )
-from rotosense.metrology import anticoherence_report, qfi_matrix
+from rotosense.metrology import anticoherence_report, j_expectations, qfi_matrix
 from rotosense.spin_core import RotationParams, SpinState, dicke_to_qubit
 from rotosense.states import balance, tetra1, tetra2
 
@@ -90,10 +90,13 @@ def test_criterion_02_fisher_bound_six_photons():
 def test_criterion_03_anticoherence_certification():
     with criterion(3, "anti-coherence certification", 1.0):
         for factory in (tetra1, tetra2, balance):
-            report = anticoherence_report(factory())
+            state = factory()
+            report = anticoherence_report(state.J, *j_expectations(state))
             assert report["pass"] and max(report["deviations"].values()) <= 1e-12
-        assert not anticoherence_report(SpinState.from_m_amplitudes(2, {2: 1.0}))["pass"]
-        assert not anticoherence_report(SpinState.from_m_amplitudes(3, {3: 1.0}))["pass"]
+        state = SpinState.from_m_amplitudes(2, {2: 1.0})
+        assert not anticoherence_report(state.J, *j_expectations(state))["pass"]
+        state = SpinState.from_m_amplitudes(3, {3: 1.0})
+        assert not anticoherence_report(state.J, *j_expectations(state))["pass"]
 
 
 def test_criterion_04_small_angle_law():

@@ -1,17 +1,13 @@
 """scripts/bench_pairs.py: the paired summary and the --write record of canned benchmark results."""
 
-import importlib.util
 import json
 import subprocess
 from pathlib import Path
 
+import bench_pairs
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPT = ROOT / "scripts" / "bench_pairs.py"
-_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
 
 DECLARED = [
     {"name": "latency_p50_ms", "better": "lower", "bound": 0.25},
@@ -246,6 +242,15 @@ def test_write_refuses_another_comparison_before_any_run(canned_runs, tmp_path, 
     err = capsys.readouterr().err
     assert err == f"error: {path} records another comparison (its ref, new, host differ)\n"
     assert canned_runs == [] and path.read_text() == text
+
+
+def test_write_refuses_a_missing_directory_before_any_run(canned_runs, tmp_path, capsys):
+    path = tmp_path / "missing" / "BENCH.json"
+    argv = ["HEAD", "--workload", "sweep", "--pairs", "1", "--write", str(path)]
+    assert bench_pairs.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {path}: {path.parent} is not a directory\n"
+    assert canned_runs == [] and not path.parent.exists()
 
 
 def fake_run_py(tree: Path, *lines):

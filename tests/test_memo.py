@@ -41,8 +41,8 @@ def work(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(
         measurement,
-        "_anticoherence",
-        counted("anticoherence", measurement._anticoherence),
+        "anticoherence_report",
+        counted("anticoherence", measurement.anticoherence_report),
     )
     return counts
 

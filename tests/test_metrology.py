@@ -146,18 +146,21 @@ class TestFisherSingle:
 class TestAnticoherence:
     @pytest.mark.parametrize("factory", [tetra1, tetra2, balance])
     def test_known_states_pass(self, factory):
-        report = anticoherence_report(factory())
+        state = factory()
+        report = anticoherence_report(state.J, *j_expectations(state))
         assert report["pass"] and report["tol"] == 1e-10
         assert max(report["deviations"].values()) <= 1e-12
 
     def test_polarized_state_fails(self):
-        report = anticoherence_report(SpinState.from_m_amplitudes(3, {3: 1.0}))
+        state = SpinState.from_m_amplitudes(3, {3: 1.0})
+        report = anticoherence_report(state.J, *j_expectations(state))
         assert not report["pass"]
         assert abs(report["deviations"]["max_mean_abs"] - 3.0) <= 1e-12
 
     def test_spin_below_three_halves_fails(self):
         # J = 0 has no deviation at all, yet no rotation signal to certify
-        report = anticoherence_report(SpinState(0, [1.0]))
+        state = SpinState(0, [1.0])
+        report = anticoherence_report(state.J, *j_expectations(state))
         assert report["pass"] is False
         assert set(report["deviations"].values()) == {0.0}
 
@@ -169,7 +172,7 @@ class TestAnticoherence:
             rotated = SpinState.normalized(
                 state.J, rotation_unitary(state.J, params) @ state.amps
             )
-            report = anticoherence_report(rotated)
+            report = anticoherence_report(rotated.J, *j_expectations(rotated))
             assert report["pass"] and max(report["deviations"].values()) <= 1e-9
 
 

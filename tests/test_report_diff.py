@@ -1,17 +1,10 @@
 """scripts/report_diff.py: every listed invocation has its exit code and keeps the run rule."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
+import report_diff
 from oracles import assert_well_formed_run
 
 from rotosense.cli import main
-
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "report_diff.py"
-_spec = importlib.util.spec_from_file_location("report_diff", SCRIPT)
-report_diff = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(report_diff)
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +60,10 @@ def test_max_abs_delta():
     assert report_diff.max_abs_delta([None, rounding]) is None
     assert report_diff._json_deltas(b'{"a": 1.5}', b'{"a": 1.0}') == {"$.a": [0.5, 0.5 / 1.5]}
     assert report_diff._json_deltas(b"theta1,P0\n", b"theta1,P1\n") is None
+
+
+def test_unknown_ref_is_a_git_error(capsys):
+    assert report_diff.main(["no-such-ref"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: git rev-parse failed: ")
+    assert len(err.splitlines()) == 1
